@@ -14,10 +14,9 @@ from .core import (
     FeasibilityBreach,
     MeasurementError,
     NoiseSource,
+    StepError,
     TaskSpec,
-    TaskState,
     ValidationReport,
-    draw_measurement_noise,
     uniform_allocation,
     validate_config,
 )
@@ -25,14 +24,9 @@ from .dynamics import (
     Engine,
     EngineSnapshot,
     RunTrace,
-    StepRecord,
-    engine_step,
     fairness_from_utilities,
     fairness_measure,
-    observed_fairness,
     run,
-    step_operation_level,
-    step_resources,
 )
 from .oracle import (
     BoundSet,

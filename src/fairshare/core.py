@@ -22,10 +22,10 @@ __all__ = [
     "FeasibilityBreach",
     "MeasurementError",
     "NoiseSource",
+    "StepError",
     "TaskSpec",
-    "TaskState",
     "ValidationReport",
-    "draw_measurement_noise",
+    "demand_table",
     "uniform_allocation",
     "validate_config",
 ]
@@ -39,23 +39,29 @@ class ConfigError(FairshareError):
     """Configuration or scenario input is invalid."""
 
 
-class MeasurementError(FairshareError):
-    """A utility measurement was out of its sane range (non-positive)."""
+class StepError(FairshareError):
+    """An update failed; names the ``step``, the ``task`` and the ``value``.
 
-
-class FeasibilityBreach(FairshareError):
-    """A share update left the unit box; the step size is too large.
-
-    The engine aborts instead of projecting, so a misconfigured step size is
-    loud rather than silently masked. When raised from a run, ``trace`` holds
-    the records collected up to the failing step.
+    The engine aborts instead of repairing the state, so a bad measurement
+    or a misconfigured step size is loud rather than silently masked. When
+    raised from a run, ``trace`` holds the records of the steps completed
+    before the failing one.
     """
 
-    def __init__(self, message: str, step: int | None = None, values=None):
-        super().__init__(message)
+    def __init__(self, message: str, step: int, task: int, value: float):
+        super().__init__(f"step {step}, task {task}: {message}")
         self.step = step
-        self.values = values
+        self.task = task
+        self.value = value
         self.trace = None
+
+
+class MeasurementError(StepError):
+    """A utility measurement was not finite and positive."""
+
+
+class FeasibilityBreach(StepError):
+    """A share update left the unit box; the step size is too large."""
 
 
 @dataclass(frozen=True)
@@ -122,26 +128,16 @@ class TaskSpec:
             )
 
 
-@dataclass(frozen=True)
-class TaskState:
-    """Per-task state: share v, level s, and the two low-pass filter states.
+def demand_table(specs: Sequence[TaskSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Merged demand lookup over all tasks' schedules.
 
-    ``u_lp`` tracks the measured utility and ``s_lp`` tracks the level; their
-    increments provide the gradient-direction estimate for the level update.
+    Returns the sorted distinct zone starts and, per start, the demand
+    vector in effect from that step on. Row ``searchsorted(breaks, k,
+    side="right") - 1`` holds the demands at step ``k``.
     """
-
-    v: float
-    s: float
-    u_lp: float
-    s_lp: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.v <= 1.0):
-            raise ConfigError(f"share must be in [0, 1], got {self.v}")
-        if not (0.0 <= self.s <= 1.0):
-            raise ConfigError(f"level must be in [0, 1], got {self.s}")
-        if not (np.isfinite(self.u_lp) and np.isfinite(self.s_lp)):
-            raise ConfigError("filter states must be finite")
+    breaks = sorted({k0 for t in specs for k0 in t.demand.starts()})
+    values = [[t.demand.at(k0) for t in specs] for k0 in breaks]
+    return np.array(breaks, dtype=np.int64), np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -311,25 +307,13 @@ class NoiseSource:
 
     Measurement noise and dither are i.i.d. uniform on [-bound, +bound].
     Identical seeds reproduce bit-identical sequences regardless of the
-    order draws are made in.
+    order draws are made in: row ``k`` of any block equals
+    ``measurement_block(k, k + 1, n)[0]``, however the steps are chunked.
     """
 
     seed: int
     eta_bar: float = 0.0
     zeta_bar: float = 0.0
-
-    def _draw(self, k: int, i: int, channel: int, bound: float) -> float:
-        if bound == 0.0:
-            return 0.0
-        u = _keyed_unit(self.seed, _U64(i), _U64(channel), _U64(k))
-        return bound * (2.0 * u - 1.0)
-
-    def _draw_row(self, k: int, n: int, channel: int, bound: float) -> np.ndarray:
-        if bound == 0.0:
-            return np.zeros(n)
-        tasks = np.arange(n, dtype=np.uint64)
-        u = _keyed_unit(self.seed, tasks, _U64(channel), _U64(k))
-        return bound * (2.0 * u - 1.0)
 
     def _draw_block(self, k0: int, k1: int, n: int, channel: int, bound: float) -> np.ndarray:
         if bound == 0.0:
@@ -339,25 +323,8 @@ class NoiseSource:
         u = _keyed_unit(self.seed, tasks, _U64(channel), steps)
         return bound * (2.0 * u - 1.0)
 
-    def measurement(self, k: int, i: int) -> float:
-        return self._draw(k, i, CHANNEL_MEASUREMENT, self.eta_bar)
-
-    def dither(self, k: int, i: int) -> float:
-        return self._draw(k, i, CHANNEL_DITHER, self.zeta_bar)
-
-    def measurement_row(self, k: int, n: int) -> np.ndarray:
-        return self._draw_row(k, n, CHANNEL_MEASUREMENT, self.eta_bar)
-
-    def dither_row(self, k: int, n: int) -> np.ndarray:
-        return self._draw_row(k, n, CHANNEL_DITHER, self.zeta_bar)
-
     def measurement_block(self, k0: int, k1: int, n: int) -> np.ndarray:
         return self._draw_block(k0, k1, n, CHANNEL_MEASUREMENT, self.eta_bar)
 
     def dither_block(self, k0: int, k1: int, n: int) -> np.ndarray:
         return self._draw_block(k0, k1, n, CHANNEL_DITHER, self.zeta_bar)
-
-
-def draw_measurement_noise(src: NoiseSource, k: int, i: int) -> float:
-    """Measurement-noise draw for task ``i`` at step ``k``; in [-eta_bar, eta_bar]."""
-    return src.measurement(k, i)

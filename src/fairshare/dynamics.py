@@ -9,7 +9,8 @@ step ``epsilon * mu(epsilon)``, so levels settle quickly relative to shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from .core import (
     FeasibilityBreach,
     MeasurementError,
     NoiseSource,
+    StepError,
     TaskSpec,
-    TaskState,
+    demand_table,
     uniform_allocation,
     validate_config,
 )
@@ -31,14 +33,9 @@ __all__ = [
     "EngineSnapshot",
     "RunLedger",
     "RunTrace",
-    "StepRecord",
-    "engine_step",
     "fairness_from_utilities",
     "fairness_measure",
-    "observed_fairness",
     "run",
-    "step_operation_level",
-    "step_resources",
 ]
 
 # Initial gap between a level and its filter; avoids a degenerate zero
@@ -47,13 +44,6 @@ FILTER_INIT_OFFSET = 1e-3
 # Below this magnitude the level has not moved, so no direction estimate
 # exists and the drift term is zeroed (dither keeps exploring).
 RATIO_GUARD = 1e-12
-
-
-def _weights_of(specs_or_weights) -> np.ndarray:
-    first = specs_or_weights[0] if len(specs_or_weights) else None
-    if hasattr(first, "weight"):
-        return np.array([t.weight for t in specs_or_weights], dtype=float)
-    return np.asarray(specs_or_weights, dtype=float)
 
 
 def fairness_from_utilities(weights, utilities, v) -> np.ndarray:
@@ -73,56 +63,7 @@ def fairness_measure(specs: Sequence[TaskSpec], s, v, d) -> np.ndarray:
     u = ModelBank([t.utility for t in specs]).eval(
         np.asarray(s, dtype=float), np.asarray(v, dtype=float), np.asarray(d, dtype=float)
     )
-    return fairness_from_utilities(_weights_of(specs), u, v)
-
-
-def observed_fairness(specs_or_weights, u_meas, v) -> np.ndarray:
-    """Fairness vector from noisy measurements; the drift of the share update."""
-    u = np.asarray(u_meas, dtype=float)
-    if np.any(u <= 0.0):
-        raise MeasurementError(
-            f"non-positive utility measurement: min={u.min()!r}"
-        )
-    return fairness_from_utilities(_weights_of(specs_or_weights), u, v)
-
-
-def step_resources(v, f_obs, epsilon: float) -> np.ndarray:
-    """One share update v + epsilon * f_obs; preserves the coordinate sum.
-
-    Raises FeasibilityBreach if any share leaves [0, 1], which signals a step
-    size above the feasibility threshold for this task set.
-    """
-    v_new = np.asarray(v, dtype=float) + epsilon * np.asarray(f_obs, dtype=float)
-    if bool((v_new < 0.0).any() or (v_new > 1.0).any()):
-        bad = int(np.argmax((v_new < 0.0) | (v_new > 1.0)))
-        raise FeasibilityBreach(
-            f"share of task {bad} left [0, 1]: {v_new[bad]!r} "
-            "(epsilon too large for this task set)",
-            values=v_new,
-        )
-    return v_new
-
-
-def step_operation_level(
-    state: TaskState, u_meas: float, zeta: float, cfg: EngineConfig
-) -> TaskState:
-    """One level update for a single task, including both filters.
-
-    The drift is tanh of the ratio of filtered increments (utility change
-    over level change), a bounded gradient-direction estimate built purely
-    from measurements.
-    """
-    du = cfg.gamma * (u_meas - state.u_lp)
-    ds = cfg.gamma * (state.s - state.s_lp)
-    drift = np.tanh(du / ds) if abs(ds) >= RATIO_GUARD else 0.0
-    em = cfg.eps_mu
-    s_new = min(max(state.s + em * drift + em * zeta, 0.0), 1.0)
-    return TaskState(
-        v=state.v,
-        s=float(s_new),
-        u_lp=state.u_lp + em * du,
-        s_lp=state.s_lp + em * ds,
-    )
+    return fairness_from_utilities([t.weight for t in specs], u, v)
 
 
 @dataclass(frozen=True)
@@ -139,22 +80,6 @@ class EngineSnapshot:
     s: np.ndarray
     u_lp: np.ndarray
     s_lp: np.ndarray
-    u_meas: np.ndarray
-    f_obs: np.ndarray
-    phi: np.ndarray
-    phi_sq_sum: float
-
-    def task_state(self, i: int) -> TaskState:
-        return TaskState(
-            v=float(self.v[i]), s=float(self.s[i]),
-            u_lp=float(self.u_lp[i]), s_lp=float(self.s_lp[i]),
-        )
-
-
-class StepRecord(NamedTuple):
-    step: int
-    v: np.ndarray
-    s: np.ndarray
     u_meas: np.ndarray
     f_obs: np.ndarray
     phi: np.ndarray
@@ -182,7 +107,11 @@ class RunLedger:
 
 @dataclass
 class RunTrace:
-    """Recorded trajectory of one run (thinned by ``stride``), plus ledger."""
+    """Recorded trajectory of one run (thinned by ``stride``), plus ledger.
+
+    ``breach_step`` is the step whose update failed when the run aborted
+    (``complete`` is False), else None.
+    """
 
     steps: np.ndarray
     v: np.ndarray
@@ -198,13 +127,6 @@ class RunTrace:
 
     def __len__(self) -> int:
         return int(self.steps.shape[0])
-
-    def records(self) -> Iterator[StepRecord]:
-        for r in range(len(self)):
-            yield StepRecord(
-                int(self.steps[r]), self.v[r], self.s[r], self.u_meas[r],
-                self.f_obs[r], self.phi[r], float(self.phi_sq[r]),
-            )
 
 
 class Engine:
@@ -232,12 +154,8 @@ class Engine:
         )
         self.lam_min = float(self.weights.min())
         self.c_bar = float(max(t.utility.bound_c for t in specs))
-        # Merged per-task demand table: row per distinct zone boundary.
-        starts = sorted({s0 for t in specs for s0 in t.demand.starts()})
-        self._demand_breaks = np.array(starts, dtype=np.int64)
-        self._demand_values = np.array(
-            [[t.demand.at(k0) for t in specs] for k0 in starts], dtype=float
-        )
+        self._eps_mu = cfg.eps_mu
+        self._demand_breaks, self._demand_values = demand_table(specs)
 
     def demand_at(self, k: int) -> np.ndarray:
         """Demand vector in effect at step k."""
@@ -265,46 +183,60 @@ class Engine:
             phi_sq_sum=float((f0 * f0).sum()),
         )
 
-    def step(
-        self,
-        snap: EngineSnapshot,
-        freeze_levels: bool = False,
-        _eta: np.ndarray | None = None,
-        _zeta: np.ndarray | None = None,
-    ) -> EngineSnapshot:
+    def _advance(self, k, v, s, u_lp, s_lp, u_meas, zeta):
+        """The update of step ``k`` on measurement ``u_meas``; step and run share it.
+
+        Checks the measurement, moves the shares along the observed fairness
+        index, then moves the levels by the filtered difference quotient
+        plus dither ``zeta`` (``zeta=None`` freezes the levels). Returns
+        ``(f, v, s, u_lp, s_lp)``. Raises MeasurementError for a measurement
+        that is not finite and positive, FeasibilityBreach for a share
+        leaving [0, 1].
+        """
+        w = self.weights / u_meas
+        total = w.sum()
+        # Weights lie in (0, 1], so this holds exactly when every 1/u_meas
+        # is finite and positive and their weighted sum does not overflow.
+        if not (w.min() > 0.0 and total < np.inf):
+            # First task with w outside (0, inf), else the largest w.
+            i = int(np.argmin(np.where(w > 0.0, -w, -np.inf)))
+            value = float(u_meas[i])
+            raise MeasurementError(
+                f"utility measurement {value!r} is not finite and positive",
+                k, i, value,
+            )
+        f = w - v * total
+        v_new = v + self.cfg.epsilon * f
+        if v_new.min() < 0.0 or v_new.max() > 1.0:
+            i = int(np.argmax((v_new < 0.0) | (v_new > 1.0)))
+            value = float(v_new[i])
+            raise FeasibilityBreach(
+                f"share {value!r} left [0, 1] (epsilon too large for this task set)",
+                k, i, value,
+            )
+        if zeta is None:
+            return f, v_new, s, u_lp, s_lp
+        em = self._eps_mu
+        du = self.cfg.gamma * (u_meas - u_lp)
+        ds = self.cfg.gamma * (s - s_lp)
+        mask = np.abs(ds) >= RATIO_GUARD
+        ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
+        s_new = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
+        return f, v_new, s_new, u_lp + em * du, s_lp + em * ds
+
+    def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
         """Advance one step: measure, update shares, update levels, diagnose."""
-        cfg = self.cfg
-        k = snap.step
-        d_k = self.demand_at(k)
-        u_true = self.bank.eval(snap.s, snap.v, d_k)
-        eta = _eta if _eta is not None else self.noise.measurement_row(k, self.n)
-        u_meas = u_true + eta
-        f = observed_fairness(self.weights, u_meas, snap.v)
-        try:
-            v_new = step_resources(snap.v, f, cfg.epsilon)
-        except FeasibilityBreach as breach:
-            breach.step = k
-            raise
-
-        if freeze_levels:
-            s_new, u_lp_new, s_lp_new = snap.s, snap.u_lp, snap.s_lp
-        else:
-            du = cfg.gamma * (u_meas - snap.u_lp)
-            ds = cfg.gamma * (snap.s - snap.s_lp)
-            mask = np.abs(ds) >= RATIO_GUARD
-            ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
-            drift = np.tanh(ratio)
-            zeta = _zeta if _zeta is not None else self.noise.dither_row(k, self.n)
-            em = cfg.eps_mu
-            s_new = np.clip(snap.s + em * drift + em * zeta, 0.0, 1.0)
-            u_lp_new = snap.u_lp + em * du
-            s_lp_new = snap.s_lp + em * ds
-
-        d_next = self.demand_at(k + 1)
-        u_next = self.bank.eval(s_new, v_new, d_next)
-        phi = fairness_from_utilities(self.weights, u_next, v_new)
+        k, n = snap.step, self.n
+        u_meas = (self.bank.eval(snap.s, snap.v, self.demand_at(k))
+                  + self.noise.measurement_block(k, k + 1, n)[0])
+        zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)[0]
+        f, v, s, u_lp, s_lp = self._advance(
+            k, snap.v, snap.s, snap.u_lp, snap.s_lp, u_meas, zeta
+        )
+        u_next = self.bank.eval(s, v, self.demand_at(k + 1))
+        phi = fairness_from_utilities(self.weights, u_next, v)
         return EngineSnapshot(
-            step=k + 1, v=v_new, s=s_new, u_lp=u_lp_new, s_lp=s_lp_new,
+            step=k + 1, v=v, s=s, u_lp=u_lp, s_lp=s_lp,
             u_meas=u_meas, f_obs=f, phi=phi,
             phi_sq_sum=float((phi * phi).sum()),
         )
@@ -316,16 +248,16 @@ class Engine:
     def run(self, stride: int = 1, freeze_levels: bool = False) -> RunTrace:
         """Iterate the horizon, recording every ``stride``-th snapshot.
 
-        Produces exactly the states that iterating :meth:`step` would; only
-        the diagnostics (exact fairness, invariant ledger) are evaluated in
-        bulk afterwards. On a feasibility breach the partial trace is
-        attached to the raised exception. The ledger always covers every
+        Produces exactly the states that iterating :meth:`step` would, and
+        fails where it would; only the diagnostics (exact fairness,
+        invariant ledger) are evaluated in bulk afterwards. On a
+        MeasurementError or FeasibilityBreach the partial trace is attached
+        to the raised exception. The ledger always covers every completed
         step, recorded or not.
         """
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        cfg = self.cfg
-        horizon = cfg.horizon
+        horizon = self.cfg.horizon
         n = self.n
         v_all = np.zeros((horizon, n))
         s_all = np.zeros((horizon, n))
@@ -333,15 +265,13 @@ class Engine:
         f_all = np.zeros((horizon, n))
 
         eta_blk = self.noise.measurement_block(0, horizon, n)
-        zeta_blk = None if freeze_levels else self.noise.dither_block(0, horizon, n)
+        zeta_rows = repeat(None) if freeze_levels else self.noise.dither_block(0, horizon, n)
 
         snap0 = self.initial_snapshot()
         v, s = snap0.v, snap0.s
         u_lp, s_lp = snap0.u_lp, snap0.s_lp
         weights = self.weights
-        eps = cfg.epsilon
-        em = cfg.eps_mu
-        gamma = cfg.gamma
+        advance = self._advance
         bank_eval = self.bank.eval
         breaks = self._demand_breaks
         d_values = self._demand_values
@@ -349,40 +279,22 @@ class Engine:
         next_break = int(breaks[1]) if len(breaks) > 1 else None
         d_k = d_values[0]
 
-        done = 0
-        breach: FeasibilityBreach | None = None
-        for k in range(horizon):
-            if next_break is not None and k >= next_break:
-                zone += 1
-                d_k = d_values[zone]
-                next_break = int(breaks[zone + 1]) if zone + 1 < len(breaks) else None
-            u_true = bank_eval(s, v, d_k)
-            u_meas = u_true + eta_blk[k]
-            w = weights / u_meas
-            f = w - v * w.sum()
-            v_new = v + eps * f
-            if bool((v_new < 0.0).any() or (v_new > 1.0).any()):
-                bad = int(np.argmax((v_new < 0.0) | (v_new > 1.0)))
-                breach = FeasibilityBreach(
-                    f"share of task {bad} left [0, 1]: {v_new[bad]!r} "
-                    "(epsilon too large for this task set)",
-                    step=k, values=v_new,
-                )
-                break
-            if not freeze_levels:
-                du = gamma * (u_meas - u_lp)
-                ds = gamma * (s - s_lp)
-                mask = np.abs(ds) >= RATIO_GUARD
-                ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
-                s = np.clip(s + em * np.tanh(ratio) + em * zeta_blk[k], 0.0, 1.0)
-                u_lp = u_lp + em * du
-                s_lp = s_lp + em * ds
-            v = v_new
-            v_all[k] = v
-            s_all[k] = s
-            u_all[k] = u_meas
-            f_all[k] = f
-            done = k + 1
+        failure: StepError | None = None
+        try:
+            for k, eta_k, zeta_k in zip(range(horizon), eta_blk, zeta_rows):
+                if next_break is not None and k >= next_break:
+                    zone += 1
+                    d_k = d_values[zone]
+                    next_break = int(breaks[zone + 1]) if zone + 1 < len(breaks) else None
+                u_meas = bank_eval(s, v, d_k) + eta_k
+                f, v, s, u_lp, s_lp = advance(k, v, s, u_lp, s_lp, u_meas, zeta_k)
+                v_all[k] = v
+                s_all[k] = s
+                u_all[k] = u_meas
+                f_all[k] = f
+        except StepError as err:
+            failure = err
+        done = horizon if failure is None else failure.step
 
         # Bulk diagnostics over the completed prefix.
         v_all, s_all, u_all, f_all = (
@@ -416,23 +328,13 @@ class Engine:
             steps=steps_all[keep], v=v_all[keep], s=s_all[keep],
             u_meas=u_all[keep], f_obs=f_all[keep], phi=phi_all[keep],
             phi_sq=phi_sq_all[keep], ledger=ledger, stride=stride,
-            complete=breach is None,
-            breach_step=breach.step if breach is not None else None,
+            complete=failure is None,
+            breach_step=None if failure is None else failure.step,
         )
-        if breach is not None:
-            breach.trace = trace
-            raise breach
+        if failure is not None:
+            failure.trace = trace
+            raise failure
         return trace
-
-
-def engine_step(
-    snapshot: EngineSnapshot,
-    specs: Sequence[TaskSpec],
-    cfg: EngineConfig,
-    noise: NoiseSource | None = None,
-) -> EngineSnapshot:
-    """One synchronous update of all tasks (convenience wrapper)."""
-    return Engine(specs, cfg, noise=noise).step(snapshot)
 
 
 def run(

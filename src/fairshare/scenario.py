@@ -7,12 +7,12 @@ which exercises the engine's adaptation to changing requests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, DemandSchedule, EngineConfig, TaskSpec
+from .core import ConfigError, DemandSchedule, EngineConfig, TaskSpec, demand_table
 from .dynamics import RunTrace
 from .utility import (
     AffineNormalizer,
@@ -36,10 +36,7 @@ __all__ = [
 
 DEFAULT_ZONE_STEPS = 40_000
 
-_ENGINE_FIELDS = (
-    "epsilon", "mu_exponent", "gamma", "eta_bar", "zeta_bar",
-    "horizon", "seed", "s_init", "v_init",
-)
+_ENGINE_FIELDS = tuple(f.name for f in fields(EngineConfig))
 
 
 def _make_config(defaults: dict, overrides: dict | None) -> EngineConfig:
@@ -179,17 +176,13 @@ def build_random(
 
 def zone_starts(specs: Sequence[TaskSpec]) -> list[int]:
     """Merged, sorted zone boundaries across all task schedules."""
-    return sorted({s0 for t in specs for s0 in t.demand.starts()})
+    return demand_table(specs)[0].tolist()
 
 
 def demand_matrix(specs: Sequence[TaskSpec], steps: np.ndarray) -> np.ndarray:
     """Demand values per (recorded step, task)."""
-    out = np.empty((len(steps), len(specs)))
-    for j, t in enumerate(specs):
-        starts = np.array(t.demand.starts(), dtype=np.int64)
-        values = np.array(t.demand.values())
-        out[:, j] = values[np.searchsorted(starts, steps, side="right") - 1]
-    return out
+    breaks, values = demand_table(specs)
+    return values[np.searchsorted(breaks, steps, side="right") - 1]
 
 
 def recurrence_window(epsilon: float, lam_min: float, c_bar: float) -> int:

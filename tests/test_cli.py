@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
-from fairshare.cli import main
+from fairshare.cli import _ode_tracking, main
 
 FAST = ["--set", "zone_steps=400"]
 
@@ -146,6 +147,40 @@ class TestValidateCommand:
                        *FAST) == 1
         assert "step condition" in capsys.readouterr().out
 
+    def test_zone_steps_on_scenario_file_is_config_error(self, tmp_path, capsys):
+        scenario = {
+            "tasks": [{
+                "weight": 1.0,
+                "model": {"type": "home_energy", "a": 2.0, "b": 1.0,
+                          "c": 2.0, "kappa": 1.0, "h": 0.5,
+                          "normalize": {"c_target": 2.0}},
+                "demand_zones": [[0, 0.4]],
+            }],
+            "engine": {"epsilon": 5e-4, "horizon": 10, "seed": 1},
+        }
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("validate", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("validate", str(path), "--set", "zone_steps=5") == 1
+        assert "zone_steps" in capsys.readouterr().err
+
+    def test_scaled_model_without_bound_is_config_error(self, tmp_path, capsys):
+        scenario = {
+            "tasks": [{
+                "weight": 1.0,
+                "model": {"type": "home_energy", "a": 2.0, "b": 1.0,
+                          "c": 2.0, "kappa": 1.0, "h": 0.5,
+                          "scale": 0.5, "shift": 1.0},
+                "demand_zones": [[0, 0.4]],
+            }],
+            "engine": {"epsilon": 5e-4, "horizon": 10, "seed": 1},
+        }
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("validate", str(path)) == 1
+        assert "bound_c" in capsys.readouterr().err
+
     def test_uncertified_bounds_fail_model_check(self, tmp_path, capsys):
         # Raw model without normalization dips below the unit floor.
         scenario = {
@@ -176,6 +211,15 @@ class TestVerifyCommand:
         report = read_json(out / "verify.json")
         assert {c["name"] for c in report["checks"]} >= {"config", "feasibility"}
         assert report["all_pass"] == (code == 0)
+
+    def test_fig5_ode_tracking_passes_with_moving_shares(self):
+        from fairshare.scenario import build_identical_four
+
+        specs, cfg = build_identical_four()
+        d0 = np.array([t.demand.at(0) for t in specs])
+        ok, detail = _ode_tracking(specs, cfg, d0)
+        assert ok is True
+        assert float(re.search(r"gap (\S+)", detail).group(1)) > 0.0
 
     def test_config_violation_fails_fast(self, capsys):
         assert run_cli("verify", "paper-fig5", "--set", "epsilon=0.1",

@@ -12,7 +12,6 @@ from fairshare.core import (
     EngineConfig,
     NoiseSource,
     TaskSpec,
-    draw_measurement_noise,
     uniform_allocation,
     validate_config,
 )
@@ -120,8 +119,8 @@ class TestTaskSpec:
 class TestNoiseSource:
     def test_zero_bound_always_draws_zero(self):
         src = NoiseSource(seed=1, eta_bar=0.0, zeta_bar=0.0)
-        assert draw_measurement_noise(src, 0, 0) == 0.0
         assert np.all(src.measurement_block(0, 100, 5) == 0.0)
+        assert np.all(src.dither_block(0, 100, 5) == 0.0)
 
     def test_draws_respect_reference_bound(self):
         src = NoiseSource(seed=9, eta_bar=0.001, zeta_bar=0.001)
@@ -132,20 +131,20 @@ class TestNoiseSource:
     def test_replay_same_key_gives_identical_value(self):
         a = NoiseSource(seed=42, eta_bar=0.5)
         b = NoiseSource(seed=42, eta_bar=0.5)
-        assert a.measurement(7, 3) == b.measurement(7, 3)
+        assert np.array_equal(a.measurement_block(7, 8, 4), b.measurement_block(7, 8, 4))
 
-    def test_scalar_row_and_block_paths_agree_bitwise(self):
-        src = NoiseSource(seed=5, eta_bar=0.2, zeta_bar=0.1)
-        block = src.measurement_block(0, 20, 6)
+    @pytest.mark.parametrize("channel", ["measurement_block", "dither_block"])
+    def test_single_step_and_chunked_blocks_match_long_block(self, channel):
+        draw = getattr(NoiseSource(seed=5, eta_bar=0.2, zeta_bar=0.1), channel)
+        block = draw(0, 20, 6)
         for k in (0, 7, 19):
-            row = src.measurement_row(k, 6)
-            assert np.array_equal(row, block[k])
-            for i in (0, 3, 5):
-                assert src.measurement(k, i) == block[k, i]
+            assert np.array_equal(draw(k, k + 1, 6)[0], block[k])
+        chunks = [draw(k0, min(k0 + 7, 20), 6) for k0 in range(0, 20, 7)]
+        assert np.array_equal(np.vstack(chunks), block)
 
     def test_channels_are_distinct_streams(self):
         src = NoiseSource(seed=5, eta_bar=0.2, zeta_bar=0.2)
-        assert src.measurement(3, 1) != src.dither(3, 1)
+        assert src.measurement_block(3, 4, 2)[0, 1] != src.dither_block(3, 4, 2)[0, 1]
 
     def test_empirical_mean_is_near_zero(self):
         eta_bar = 0.001
@@ -160,10 +159,11 @@ class TestNoiseSource:
     @settings(max_examples=200, deadline=None)
     def test_every_draw_inside_bound_and_deterministic(self, seed, k, i):
         src = NoiseSource(seed=seed, eta_bar=0.3, zeta_bar=0.7)
-        x = src.measurement(k, i)
+        x = src.measurement_block(k, k + 1, i + 1)[0, i]
         assert abs(x) <= 0.3
-        assert abs(src.dither(k, i)) <= 0.7
-        assert x == NoiseSource(seed=seed, eta_bar=0.3).measurement(k, i)
+        assert abs(src.dither_block(k, k + 1, i + 1)[0, i]) <= 0.7
+        replay = NoiseSource(seed=seed, eta_bar=0.3)
+        assert x == replay.measurement_block(k, k + 1, i + 1)[0, i]
 
 
 def test_uniform_allocation_lies_on_simplex():

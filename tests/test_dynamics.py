@@ -1,6 +1,7 @@
 """Update recursions and the stepping engine against hand-computed values."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,24 +15,45 @@ from fairshare.core import (
     EngineConfig,
     FeasibilityBreach,
     MeasurementError,
-    NoiseSource,
     TaskSpec,
-    TaskState,
 )
 from fairshare.dynamics import (
     Engine,
     EngineSnapshot,
-    engine_step,
     fairness_from_utilities,
     fairness_measure,
-    observed_fairness,
     run,
-    step_operation_level,
-    step_resources,
 )
-from fairshare.utility import AffineNormalizer, HomeEnergyModel
+from fairshare.utility import AffineNormalizer, HomeEnergyModel, UtilityModel
 
 HOME = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
+
+
+class ConstantModel(UtilityModel):
+    """Utility ``value`` at demand below 1 and ``high`` from demand 1 on."""
+
+    bound_c = 2.0
+
+    def __init__(self, value: float, high: float | None = None):
+        self.value = value
+        self.high = value if high is None else high
+
+    def eval(self, s, v, d):
+        return np.where(np.asarray(d) >= 1.0, self.high, self.value) + 0.0 * s
+
+
+class FixedNoise:
+    """Noise source drawing the same measurement and dither row every step."""
+
+    def __init__(self, eta, zeta):
+        self.eta = np.asarray(eta, dtype=float)
+        self.zeta = np.asarray(zeta, dtype=float)
+
+    def measurement_block(self, k0, k1, n):
+        return np.tile(self.eta, (k1 - k0, 1))
+
+    def dither_block(self, k0, k1, n):
+        return np.tile(self.zeta, (k1 - k0, 1))
 
 
 def make_specs(n=2, weights=None, demands=None):
@@ -48,6 +70,64 @@ def make_cfg(**kw):
     base = dict(epsilon=5e-4, mu_exponent=0.05, gamma=100.0, horizon=50, seed=3)
     base.update(kw)
     return EngineConfig(**base)
+
+
+def snapshot(v, s, u_lp, s_lp):
+    v, s, u_lp, s_lp = (np.array(x, dtype=float) for x in (v, s, u_lp, s_lp))
+    return EngineSnapshot(
+        step=0, v=v, s=s, u_lp=u_lp, s_lp=s_lp, u_meas=u_lp.copy(),
+        f_obs=np.zeros_like(v), phi=np.zeros_like(v), phi_sq_sum=0.0,
+    )
+
+
+def constant_step(utilities, v, weights=None):
+    """One noise-free Engine.step (epsilon 0.1) of tasks with fixed utilities."""
+    n = len(utilities)
+    weights = weights or [1.0] * n
+    specs = [
+        TaskSpec(id=i, weight=weights[i], utility=ConstantModel(utilities[i]),
+                 demand=DemandSchedule.constant(0.4))
+        for i in range(n)
+    ]
+    eng = Engine(specs, make_cfg(epsilon=0.1, gamma=5.0))
+    return eng.step(snapshot(v, [0.5] * n, utilities, [0.5] * n))
+
+
+def level_step(snap, u_meas, zeta, cfg):
+    """One Engine.step of a single task holding the whole resource.
+
+    Its fairness index is exactly zero, so only its level and filters move.
+    """
+    spec = TaskSpec(id=0, weight=1.0, utility=ConstantModel(u_meas),
+                    demand=DemandSchedule.constant(0.4))
+    return Engine([spec], cfg, noise=FixedNoise([0.0], [zeta])).step(snap)
+
+
+def breach_scenario():
+    """Thirty tasks, all resource on task 0, epsilon far above the safe step."""
+    model = AffineNormalizer.fit(HOME, (0.4, 0.4), c_target=1.25)
+    specs = [
+        TaskSpec(id=i, weight=1.0, utility=model,
+                 demand=DemandSchedule.constant(0.4))
+        for i in range(30)
+    ]
+    cfg = EngineConfig(
+        epsilon=0.1, mu_exponent=0.05, gamma=5.0, eta_bar=1e-3,
+        zeta_bar=1e-3, horizon=500, seed=3,
+        v_init=tuple([1.0] + [0.0] * 29),
+    )
+    return specs, cfg
+
+
+def bad_measurement_scenario(bad):
+    """Task 1's utility turns ``bad`` when its demand switches at step 5."""
+    specs = [
+        TaskSpec(id=0, weight=1.0, utility=HOME,
+                 demand=DemandSchedule.constant(0.4)),
+        TaskSpec(id=1, weight=0.8, utility=ConstantModel(1.5, high=bad),
+                 demand=DemandSchedule(((0, 0.4), (5, 1.0)))),
+    ]
+    return specs, make_cfg(horizon=20, eta_bar=0.0, zeta_bar=1e-3)
 
 
 class TestFairnessMeasure:
@@ -73,14 +153,16 @@ class TestFairnessMeasure:
         s = np.array([0.3, 0.7])
         v = np.array([0.4, 0.6])
         d = np.array([0.4, 0.6])
-        u = np.array([HOME.eval(s[i], v[i], d[i]) for i in range(2)])
-        assert np.array_equal(
-            observed_fairness(specs, u, v), fairness_measure(specs, s, v, d)
-        )
+        eng = Engine(specs, make_cfg(eta_bar=0.0, zeta_bar=0.0))
+        out = eng.step(snapshot(v, s, [3.0, 3.0], [0.29, 0.69]))
+        assert np.array_equal(out.f_obs, fairness_measure(specs, s, v, d))
 
     def test_nonpositive_measurement_rejected(self):
-        with pytest.raises(MeasurementError):
-            observed_fairness([1.0, 1.0], [2.0, -0.1], [0.5, 0.5])
+        with pytest.raises(MeasurementError) as exc_info:
+            constant_step([2.0, -0.1], [0.5, 0.5])
+        err = exc_info.value
+        assert (err.step, err.task, err.value) == (0, 1, -0.1)
+        assert "step 0, task 1" in str(err)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -122,59 +204,64 @@ class TestSumIdentity:
 
 class TestStepResources:
     def test_hand_computed_update(self):
-        v = step_resources([0.25, 0.75], [0.625, -0.625], 0.1)
-        assert v == pytest.approx([0.3125, 0.6875], abs=1e-15)
-        assert v.sum() == pytest.approx(1.0, abs=1e-15)
+        # Utilities (1, 2) at v = (0.25, 0.75) give F = (0.625, -0.625).
+        out = constant_step([1.0, 2.0], [0.25, 0.75])
+        assert out.f_obs == pytest.approx([0.625, -0.625], abs=1e-15)
+        assert out.v == pytest.approx([0.3125, 0.6875], abs=1e-15)
+        assert out.v.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_drift_is_fixed_point(self):
-        v = step_resources([0.3, 0.7], [0.0, 0.0], 0.1)
-        assert np.array_equal(v, [0.3, 0.7])
+        # Shares proportional to weight/utility: F = 0 exactly.
+        out = constant_step([1.0, 1.0], [0.3, 0.7], weights=[0.3, 0.7])
+        assert np.array_equal(out.f_obs, [0.0, 0.0])
+        assert np.array_equal(out.v, [0.3, 0.7])
 
     def test_identical_tasks_at_uniform_stay_put(self):
-        specs = make_specs(4)
+        eng = Engine(make_specs(4), make_cfg(eta_bar=0.0, zeta_bar=0.0))
         v = np.full(4, 0.25)
-        u = np.array([HOME.eval(0.5, 0.25, 0.4)] * 4)
-        f = observed_fairness(specs, u, v)
-        assert np.array_equal(step_resources(v, f, 5e-4), v)
+        out = eng.step(snapshot(v, [0.5] * 4, [3.0] * 4, [0.5] * 4))
+        assert np.array_equal(out.v, v)
 
     def test_box_exit_raises_breach(self):
-        with pytest.raises(FeasibilityBreach):
-            step_resources([0.99, 0.01], [0.5, -0.5], 0.1)
-        with pytest.raises(FeasibilityBreach):
-            step_resources([0.01, 0.99], [-0.5, 0.5], 0.1)
+        # w = (1, 20): F_0 = 1 - 0.99 * 21 = -19.79 drives v_0 below 0.
+        with pytest.raises(FeasibilityBreach) as exc_info:
+            constant_step([1.0, 0.05], [0.99, 0.01])
+        err = exc_info.value
+        assert (err.step, err.task) == (0, 0)
+        assert err.value == pytest.approx(0.99 - 0.1 * 19.79, rel=1e-12)
+        # Mirrored: F_0 = 20 - 0.01 * 21 = 19.79 drives v_0 above 1.
+        with pytest.raises(FeasibilityBreach) as exc_info:
+            constant_step([0.05, 1.0], [0.01, 0.99])
+        err = exc_info.value
+        assert (err.step, err.task) == (0, 0)
+        assert err.value == pytest.approx(0.01 + 0.1 * 19.79, rel=1e-12)
 
 
 class TestStepOperationLevel:
     def test_equilibrated_filters_leave_only_dither(self):
         cfg = make_cfg()
-        state = TaskState(v=0.25, s=0.5, u_lp=3.0, s_lp=0.5)
-        out = step_operation_level(state, 3.0, 0.5, cfg)
-        assert out.s == pytest.approx(0.5 + cfg.eps_mu * 0.5, abs=1e-15)
-        assert out.u_lp == 3.0
-        assert out.s_lp == 0.5
+        out = level_step(snapshot([1.0], [0.5], [3.0], [0.5]), 3.0, 0.5, cfg)
+        assert out.s[0] == pytest.approx(0.5 + cfg.eps_mu * 0.5, abs=1e-15)
+        assert out.u_lp[0] == 3.0
+        assert out.s_lp[0] == 0.5
 
     def test_hand_computed_drift(self):
         cfg = make_cfg()
-        state = TaskState(v=0.25, s=0.5, u_lp=1.0, s_lp=0.4)
-        out = step_operation_level(state, 1.5, 0.0, cfg)
+        out = level_step(snapshot([1.0], [0.5], [1.0], [0.4]), 1.5, 0.0, cfg)
         # filtered increments: du = 100*0.5 = 50, ds = 100*0.1 = 10.
         expected = 0.5 + cfg.eps_mu * math.tanh(5.0)
-        assert out.s == pytest.approx(expected, abs=1e-12)
-        assert out.s == pytest.approx(0.50073, abs=1e-5)
-        assert out.u_lp == pytest.approx(1.0 + cfg.eps_mu * 50.0, rel=1e-15)
-        assert out.s_lp == pytest.approx(0.4 + cfg.eps_mu * 10.0, rel=1e-15)
+        assert out.s[0] == pytest.approx(expected, abs=1e-12)
+        assert out.s[0] == pytest.approx(0.50073, abs=1e-5)
+        assert out.u_lp[0] == pytest.approx(1.0 + cfg.eps_mu * 50.0, rel=1e-15)
+        assert out.s_lp[0] == pytest.approx(0.4 + cfg.eps_mu * 10.0, rel=1e-15)
 
     def test_projection_clamps_at_upper_boundary(self):
-        cfg = make_cfg()
-        state = TaskState(v=0.25, s=1.0, u_lp=1.0, s_lp=0.9)
-        out = step_operation_level(state, 5.0, 1.0, cfg)
-        assert out.s == 1.0
+        out = level_step(snapshot([1.0], [1.0], [1.0], [0.9]), 5.0, 1.0, make_cfg())
+        assert out.s[0] == 1.0
 
     def test_guard_zeroes_drift_when_level_never_moved(self):
-        cfg = make_cfg()
-        state = TaskState(v=0.25, s=0.5, u_lp=1.0, s_lp=0.5)
-        out = step_operation_level(state, 9.0, 0.0, cfg)
-        assert out.s == 0.5
+        out = level_step(snapshot([1.0], [0.5], [1.0], [0.5]), 9.0, 0.0, make_cfg())
+        assert out.s[0] == 0.5
 
 
 class TestEngineStep:
@@ -194,7 +281,7 @@ class TestEngineStep:
             step=0, v=v0, s=s0, u_lp=u0, s_lp=s0.copy(),
             u_meas=u0, f_obs=np.zeros(4), phi=np.zeros(4), phi_sq_sum=0.0,
         )
-        out = engine_step(snap, specs, cfg)
+        out = Engine(specs, cfg).step(snap)
         assert np.array_equal(out.v, v0)
         assert np.array_equal(out.s, s0)
         assert out.phi_sq_sum == pytest.approx(0.0, abs=1e-28)
@@ -238,7 +325,7 @@ class TestEngineStep:
             u_meas=np.array(u_lp), f_obs=np.zeros(2),
             phi=np.zeros(2), phi_sq_sum=0.0,
         )
-        out = engine_step(snap, specs, cfg)
+        out = Engine(specs, cfg).step(snap)
         assert out.step == 1
         assert out.u_meas == pytest.approx([u1, u2], rel=1e-15)
         assert out.f_obs == pytest.approx([f1, f2], rel=1e-12)
@@ -317,26 +404,8 @@ class TestRun:
         thin = run(specs, cfg, stride=10)
         assert np.array_equal(thin.v, full.v[9::10])
 
-    def test_records_stream_matches_arrays(self):
-        specs = make_specs(2)
-        trace = run(specs, make_cfg(horizon=30), stride=10)
-        recs = list(trace.records())
-        assert [r.step for r in recs] == [10, 20, 30]
-        assert np.array_equal(recs[1].v, trace.v[1])
-        assert recs[2].phi_sq_sum == trace.phi_sq[2]
-
     def test_breach_aborts_with_partial_records(self):
-        model = AffineNormalizer.fit(HOME, (0.4, 0.4), c_target=1.25)
-        specs = [
-            TaskSpec(id=i, weight=1.0, utility=model,
-                     demand=DemandSchedule.constant(0.4))
-            for i in range(30)
-        ]
-        cfg = EngineConfig(
-            epsilon=0.1, mu_exponent=0.05, gamma=5.0, eta_bar=1e-3,
-            zeta_bar=1e-3, horizon=500, seed=3,
-            v_init=tuple([1.0] + [0.0] * 29),
-        )
+        specs, cfg = breach_scenario()
         with pytest.raises(FeasibilityBreach) as exc_info:
             run(specs, cfg)
         breach = exc_info.value
@@ -361,16 +430,41 @@ class TestFilterConvergence:
         cfg = make_cfg(gamma=40.0)
         ratio = 1.0 - cfg.eps_mu * cfg.gamma
         u_target, s_frozen = 2.5, 0.3
-        state = TaskState(v=0.5, s=s_frozen, u_lp=1.0, s_lp=0.9)
+        snap = snapshot([1.0], [s_frozen], [1.0], [0.9])
         for _ in range(50):
-            new = step_operation_level(state, u_target, 0.0, cfg)
-            assert (new.u_lp - u_target) == pytest.approx(
-                ratio * (state.u_lp - u_target), rel=1e-12
+            out = level_step(snap, u_target, 0.0, cfg)
+            assert (out.u_lp - u_target) == pytest.approx(
+                ratio * (snap.u_lp - u_target), rel=1e-12
             )
-            assert (new.s_lp - s_frozen) == pytest.approx(
-                ratio * (state.s_lp - s_frozen), rel=1e-12
+            assert (out.s_lp - snap.s) == pytest.approx(
+                ratio * (snap.s_lp - snap.s), rel=1e-12
             )
-            state = TaskState(v=0.5, s=s_frozen, u_lp=new.u_lp, s_lp=new.s_lp)
+            snap = dataclasses.replace(out, step=0, s=snap.s)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, "breach"])
+def test_run_and_step_fail_alike(bad):
+    if bad == "breach":
+        specs, cfg = breach_scenario()
+        error, task = FeasibilityBreach, None
+    else:
+        specs, cfg = bad_measurement_scenario(bad)
+        error, task = MeasurementError, 1
+    eng = Engine(specs, cfg)
+    snap = eng.initial_snapshot()
+    with pytest.raises(error) as step_info:
+        for _ in range(cfg.horizon):
+            snap = eng.step(snap)
+    with pytest.raises(error) as run_info:
+        eng.run()
+    by_step, by_run = step_info.value, run_info.value
+    assert by_run.step == by_step.step == snap.step
+    assert by_run.task == by_step.task
+    assert task is None or by_run.task == task
+    np.testing.assert_equal(by_run.value, by_step.value)
+    assert not by_run.trace.complete
+    assert len(by_run.trace) == by_run.step == by_run.trace.breach_step
 
 
 class TestDemandSwitching:
