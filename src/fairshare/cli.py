@@ -1,7 +1,7 @@
 """Command-line front end: run scenarios, verify properties, validate inputs.
 
-Exit codes: 0 success, 1 configuration or validation error, 2 feasibility
-breach during a run.
+Exit codes: 0 success, 1 configuration or validation error or a bad
+utility measurement during a run, 2 feasibility breach during a run.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .core import (
     EngineConfig,
     FairshareError,
     FeasibilityBreach,
+    StepError,
     TaskSpec,
     validate_config,
 )
@@ -33,13 +34,7 @@ from .scenario import (
     summarize,
     zone_starts,
 )
-from .utility import (
-    AffineNormalizer,
-    CpuBandwidthModel,
-    HomeEnergyModel,
-    ModelBank,
-    validate_assumptions,
-)
+from .utility import MODEL_TYPES, AffineNormalizer, ModelBank, validate_assumptions
 
 __all__ = ["main"]
 
@@ -62,16 +57,9 @@ def model_to_dict(model) -> dict:
         doc["shift"] = model.shift
         doc["bound_c"] = model.bound_c
         return doc
-    if isinstance(model, HomeEnergyModel):
-        return {
-            "type": "home_energy", "a": model.a, "b": model.b, "c": model.c,
-            "kappa": model.kappa, "h": model.h,
-        }
-    if isinstance(model, CpuBandwidthModel):
-        return {
-            "type": "cpu_bandwidth", "a": model.a, "b": model.b, "h": model.h,
-            "theta": model.theta, "v_floor": model.v_floor,
-        }
+    for kind, cls in MODEL_TYPES.items():
+        if isinstance(model, cls):
+            return {"type": kind, **{p: getattr(model, p) for p in cls.params}}
     raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
 
 
@@ -82,12 +70,9 @@ def model_from_dict(doc: dict, demand_span: tuple[float, float]):
     shift = doc.pop("shift", None)
     bound_c = doc.pop("bound_c", None)
     normalize = doc.pop("normalize", None)
-    if kind == "home_energy":
-        inner = HomeEnergyModel(**doc)
-    elif kind == "cpu_bandwidth":
-        inner = CpuBandwidthModel(**doc)
-    else:
+    if kind not in MODEL_TYPES:
         raise ConfigError(f"unknown model type: {kind!r}")
+    inner = MODEL_TYPES[kind](**doc)
     if scale is not None:
         if bound_c is None:
             raise ConfigError("a model with 'scale' needs 'bound_c'")
@@ -180,10 +165,7 @@ def resolve_scenario(
     if name_or_path == "paper-fig5":
         specs, cfg = build_identical_four(overrides)
     elif name_or_path == "paper-fig6":
-        zone_steps = overrides.pop("zone_steps", None)
         seed = overrides.pop("seed", _BUILTIN_FIG6_SEED)
-        if zone_steps is not None:
-            overrides["zone_steps"] = zone_steps
         specs, cfg = build_random(30, seed=int(seed), cfg_overrides=overrides)
     else:
         path = Path(name_or_path)
@@ -208,6 +190,14 @@ def resolve_scenario(
         doc = {**doc, "engine": engine_doc}
         specs, cfg = scenario_from_dict(doc)
     return specs, cfg, scenario_to_dict(specs, cfg), extras
+
+
+def _resolve(args) -> tuple[list[TaskSpec], EngineConfig, dict, dict]:
+    """``resolve_scenario`` on a command's scenario, ``--set`` and ``--seed``."""
+    overrides = _parse_set(args.set)
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    return resolve_scenario(args.scenario, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +235,7 @@ def write_trace_csv(path: Path, trace: RunTrace) -> None:
 
 def summary_to_dict(result: ScenarioResult) -> dict:
     return _jsonable({
-        "zones": [
-            {
-                "start": z.start, "end": z.end, "complete": z.complete,
-                "n_records": z.n_records, "insufficient": z.insufficient,
-                "v_mean": z.v_mean, "v_std": z.v_std, "s_mean": z.s_mean,
-                "f_abs_mean": z.f_abs_mean, "phi_sq_mean": z.phi_sq_mean,
-                "adapt_steps": z.adapt_steps,
-                "s_opt_fraction": z.s_opt_fraction,
-            }
-            for z in result.zones
-        ],
+        "zones": [dataclasses.asdict(z) for z in result.zones],
         "verdicts": result.verdicts,
     })
 
@@ -265,10 +245,7 @@ def summary_to_dict(result: ScenarioResult) -> dict:
 
 
 def cmd_run(args) -> int:
-    overrides = _parse_set(args.set)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    specs, cfg, doc, extras = resolve_scenario(args.scenario, overrides)
+    specs, cfg, doc, extras = _resolve(args)
     stride = args.stride if args.stride is not None else int(extras.get("stride", 1))
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -284,23 +261,24 @@ def cmd_run(args) -> int:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     engine = Engine(specs, cfg)
-    breach: FeasibilityBreach | None = None
+    failure: StepError | None = None
     try:
         trace = engine.run(stride=stride)
-    except FeasibilityBreach as exc:
-        breach = exc
+    except StepError as exc:
+        failure = exc
         trace = exc.trace
-    if "csv" in formats and trace is not None:
+    if "csv" in formats:
         write_trace_csv(out / "trace.csv", trace)
-    if breach is not None:
+    if failure is not None:
+        breach = isinstance(failure, FeasibilityBreach)
+        status = "feasibility_breach" if breach else "measurement_error"
         if "json" in formats:
             (out / "summary.json").write_text(json.dumps(_jsonable({
-                "status": "feasibility_breach",
-                "step": breach.step,
-                "message": str(breach),
+                "status": status, "step": failure.step, "task": failure.task,
+                "value": failure.value, "message": str(failure),
             }), indent=2) + "\n")
-        print(f"feasibility breach: {breach}", file=sys.stderr)
-        return EXIT_BREACH
+        print(f"{status.replace('_', ' ')}: {failure}", file=sys.stderr)
+        return EXIT_BREACH if breach else EXIT_CONFIG
     if "json" in formats:
         if len(trace) > 0:
             result = summarize(trace, zone_starts(specs), specs, cfg)
@@ -325,29 +303,24 @@ def _verify_checks(specs, cfg) -> list[dict]:
         return checks
 
     zones = zone_starts(specs)
-    try:
-        trace = Engine(specs, cfg).run(stride=1)
-    except FeasibilityBreach as exc:
-        add("feasibility", False, f"FeasibilityBreach: {exc}")
-        return checks
-    result = summarize(trace, zones, specs, cfg)
-    for name in ("feasibility", "fairness_zero_sum", "fairness_increment_bounds",
-                 "starvation", "balance"):
-        verdict = result.verdicts[name]
-        add(name, verdict["pass"], verdict["detail"])
-
-    frozen = Engine(specs, cfg).run(stride=1, freeze_levels=True)
-    tol_f = 10.0 * (cfg.epsilon + cfg.eta_bar**2)
-    add("fairness_residual", bool(frozen.ledger.phi_sq_min <= tol_f),
-        f"frozen-level run: min sum(phi^2) = {frozen.ledger.phi_sq_min:.3e} "
-        f"(tolerance {tol_f:.3e})")
-
     quiet_cfg = dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4)
-    quiet = Engine(specs, quiet_cfg).run(stride=1)
-    quiet_result = summarize(quiet, zones, specs, quiet_cfg)
-    verdict = quiet_result.verdicts["s_optimality"]
-    add("s_optimality", verdict["pass"],
-        f"noise-free regime: {verdict['detail']}")
+    # Each engine run feeds the verdicts listed with it; an aborted run
+    # fails all of them.
+    for label, run_cfg, freeze_levels, names in (
+        ("", cfg, False, ("feasibility", "fairness_zero_sum",
+                          "fairness_increment_bounds", "starvation", "balance")),
+        ("frozen-level run: ", cfg, True, ("fairness_residual",)),
+        ("noise-free regime: ", quiet_cfg, False, ("s_optimality",)),
+    ):
+        try:
+            trace = Engine(specs, run_cfg).run(stride=1, freeze_levels=freeze_levels)
+        except StepError as exc:
+            for name in names:
+                add(name, False, f"{label}{type(exc).__name__}: {exc}")
+            continue
+        verdicts = summarize(trace, zones, specs, run_cfg).verdicts
+        for name in names:
+            add(name, verdicts[name]["pass"], label + verdicts[name]["detail"])
 
     d0 = np.array([t.demand.at(0) for t in specs])
     add("ode_tracking", *_ode_tracking(specs, cfg, d0))
@@ -378,7 +351,10 @@ def _ode_tracking(specs, cfg, d0) -> tuple[bool | None, str]:
         horizon=min(cfg.horizon, int(math.ceil(t_end / cfg.epsilon))),
         v_init=tuple(ramp / ramp.sum()),
     )
-    track = Engine(specs, track_cfg).run(stride=1)
+    try:
+        track = Engine(specs, track_cfg).run(stride=1)
+    except StepError as exc:
+        return False, f"noise-free tracking run: {type(exc).__name__}: {exc}"
     if not (track.v != track_cfg.v_init).any():
         return None, "vacuous: the discrete share path never moves"
     ode = integrate_full_ode(
@@ -404,10 +380,7 @@ def _tracking_gap(trace: RunTrace, ode, epsilon: float) -> float:
 
 
 def cmd_verify(args) -> int:
-    overrides = _parse_set(args.set)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    specs, cfg, _doc, _extras = resolve_scenario(args.scenario, overrides)
+    specs, cfg, _doc, _extras = _resolve(args)
     checks = _verify_checks(specs, cfg)
     b = bounds(specs, cfg)
     bound_info = {
@@ -433,10 +406,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    overrides = _parse_set(args.set)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    specs, cfg, _doc, _extras = resolve_scenario(args.scenario, overrides)
+    specs, cfg, _doc, _extras = _resolve(args)
     report = validate_config(cfg, len(specs), specs)
     ok = report.ok
     for err in report.errors:
@@ -470,17 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario",
                        help="builtin name (paper-fig5, paper-fig6), scenario "
                             "JSON path, or manifest.json path")
-        p.add_argument("--out", default="fairshare-out" if name == "run" else None,
-                       help="output directory")
-        p.add_argument("--stride", type=int, default=None,
-                       help="record every Nth step (run only; default 1 or "
-                            "the manifest value)")
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override an engine field or zone_steps")
-        p.add_argument("--formats", default=None,
-                       type=lambda s: set(s.split(",")),
-                       help="comma-separated outputs for run (default csv,json)")
+        if name != "validate":
+            p.add_argument("--out", default="fairshare-out" if name == "run" else None,
+                           help="output directory")
+        if name == "run":
+            p.add_argument("--stride", type=int, default=None,
+                           help="record every Nth step (default 1 or the "
+                                "manifest value)")
+            p.add_argument("--formats", default=None,
+                           type=lambda s: set(s.split(",")),
+                           help="comma-separated outputs (default csv,json)")
         p.set_defaults(fn=fn)
     return parser
 
@@ -489,9 +461,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FeasibilityBreach as exc:
-        print(f"feasibility breach: {exc}", file=sys.stderr)
-        return EXIT_BREACH
     except FairshareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

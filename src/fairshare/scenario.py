@@ -15,8 +15,8 @@ import numpy as np
 from .core import ConfigError, DemandSchedule, EngineConfig, TaskSpec, demand_table
 from .dynamics import RunTrace
 from .utility import (
+    MODEL_TYPES,
     AffineNormalizer,
-    CpuBandwidthModel,
     HomeEnergyModel,
     ModelBank,
     validate_assumptions,
@@ -38,15 +38,48 @@ DEFAULT_ZONE_STEPS = 40_000
 
 _ENGINE_FIELDS = tuple(f.name for f in fields(EngineConfig))
 
+# Engine parameters of the paper's studies; the builders add horizon and seed.
+_PAPER_ENGINE = {
+    "epsilon": 5e-4,
+    "mu_exponent": 1.0 / 20.0,
+    "gamma": 100.0,
+    "eta_bar": 1e-3,
+    "zeta_bar": 1e-3,
+    "s_init": 0.5,
+}
 
-def _make_config(defaults: dict, overrides: dict | None) -> EngineConfig:
-    merged = dict(defaults)
-    if overrides:
-        unknown = set(overrides) - set(_ENGINE_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown engine override(s): {sorted(unknown)}")
-        merged.update(overrides)
-    return EngineConfig(**merged)
+# Parameter ranges of random models, drawn in this order; a number is fixed.
+_RANDOM_PARAMS = {
+    "home_energy": {"a": (0.5, 3.0), "b": (0.2, 1.5), "c": (0.5, 2.0),
+                    "kappa": (0.5, 1.5), "h": (0.2, 0.8)},
+    "cpu_bandwidth": {"a": (0.5, 2.0), "b": (1.0, 3.0), "h": (0.5, 1.5),
+                      "theta": (0.5, 1.5), "v_floor": 0.05},
+}
+
+
+def _paper_config(cfg_overrides: dict | None, seed: int) -> tuple[int, EngineConfig]:
+    """``zone_steps`` and the engine config of a three-zone builtin study.
+
+    ``cfg_overrides`` may set any engine field and ``zone_steps`` (default
+    ``DEFAULT_ZONE_STEPS``); the horizon spans three zones.
+    """
+    overrides = dict(cfg_overrides) if cfg_overrides else {}
+    zone_steps = int(overrides.pop("zone_steps", DEFAULT_ZONE_STEPS))
+    if zone_steps < 1:
+        raise ConfigError(f"zone_steps must be >= 1, got {zone_steps}")
+    unknown = set(overrides) - set(_ENGINE_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown engine override(s): {sorted(unknown)}")
+    return zone_steps, EngineConfig(**{
+        **_PAPER_ENGINE, "horizon": 3 * zone_steps, "seed": seed, **overrides,
+    })
+
+
+def _three_zones(d_base: float, zone_steps: int) -> DemandSchedule:
+    """Demand ``d_base``, doubled over the middle one of three zones."""
+    return DemandSchedule((
+        (0, d_base), (zone_steps, 2.0 * d_base), (2 * zone_steps, d_base),
+    ))
 
 
 def build_identical_four(
@@ -58,37 +91,19 @@ def build_identical_four(
     so the symmetric allocation 1/4 is the unique fair point in the first
     and last zones.
     """
-    overrides = dict(cfg_overrides) if cfg_overrides else {}
-    zone_steps = int(overrides.pop("zone_steps", DEFAULT_ZONE_STEPS))
-    if zone_steps < 1:
-        raise ConfigError("zone_steps must be >= 1")
+    zone_steps, cfg = _paper_config(cfg_overrides, seed=7)
     d_base = 0.4
     inner = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=1.0)
     model = AffineNormalizer.fit(
         inner, demand_range=(d_base, 2.0 * d_base), c_target=4.0
     )
-    switching = DemandSchedule((
-        (0, d_base), (zone_steps, 2.0 * d_base), (2 * zone_steps, d_base),
-    ))
+    switching = _three_zones(d_base, zone_steps)
     constant = DemandSchedule.constant(d_base)
     specs = [
         TaskSpec(id=i, weight=1.0, utility=model,
                  demand=switching if i < 2 else constant)
         for i in range(4)
     ]
-    cfg = _make_config(
-        {
-            "epsilon": 5e-4,
-            "mu_exponent": 1.0 / 20.0,
-            "gamma": 100.0,
-            "eta_bar": 1e-3,
-            "zeta_bar": 1e-3,
-            "horizon": 3 * zone_steps,
-            "seed": 7,
-            "s_init": 0.5,
-        },
-        overrides,
-    )
     return specs, cfg
 
 
@@ -106,38 +121,24 @@ def build_random(
     """
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
-    unknown = set(model_mix) - {"home_energy", "cpu_bandwidth"}
+    unknown = set(model_mix) - set(_RANDOM_PARAMS)
     if unknown or not model_mix:
         raise ConfigError(f"unsupported model kind(s): {sorted(unknown)}")
-    overrides = dict(cfg_overrides) if cfg_overrides else {}
-    zone_steps = int(overrides.pop("zone_steps", DEFAULT_ZONE_STEPS))
+    zone_steps, cfg = _paper_config(cfg_overrides, seed=seed)
     rng = np.random.default_rng(seed)
 
     def draw_model(kind: str):
-        if kind == "home_energy":
-            return HomeEnergyModel(
-                a=float(rng.uniform(0.5, 3.0)),
-                b=float(rng.uniform(0.2, 1.5)),
-                c=float(rng.uniform(0.5, 2.0)),
-                kappa=float(rng.uniform(0.5, 1.5)),
-                h=float(rng.uniform(0.2, 0.8)),
-            )
-        return CpuBandwidthModel(
-            a=float(rng.uniform(0.5, 2.0)),
-            b=float(rng.uniform(1.0, 3.0)),
-            h=float(rng.uniform(0.5, 1.5)),
-            theta=float(rng.uniform(0.5, 1.5)),
-            v_floor=0.05,
-        )
+        return MODEL_TYPES[kind](**{
+            name: float(rng.uniform(*r)) if isinstance(r, tuple) else r
+            for name, r in _RANDOM_PARAMS[kind].items()
+        })
 
     specs = []
     for i in range(n):
         weight = float(rng.uniform(0.2, 1.0))
         d_base = float(rng.uniform(0.2, 0.8))
         if i < n // 2:
-            demand = DemandSchedule((
-                (0, d_base), (zone_steps, 2.0 * d_base), (2 * zone_steps, d_base),
-            ))
+            demand = _three_zones(d_base, zone_steps)
         else:
             demand = DemandSchedule.constant(d_base)
         d_lo, d_hi = demand.span()
@@ -158,19 +159,6 @@ def build_random(
                 f"task {i}: no valid {kind} model after 100 attempts"
             )
         specs.append(TaskSpec(id=i, weight=weight, utility=model, demand=demand))
-    cfg = _make_config(
-        {
-            "epsilon": 5e-4,
-            "mu_exponent": 1.0 / 20.0,
-            "gamma": 100.0,
-            "eta_bar": 1e-3,
-            "zeta_bar": 1e-3,
-            "horizon": 3 * zone_steps,
-            "seed": seed,
-            "s_init": 0.5,
-        },
-        overrides,
-    )
     return specs, cfg
 
 

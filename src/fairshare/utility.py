@@ -20,6 +20,7 @@ __all__ = [
     "AssumptionReport",
     "CpuBandwidthModel",
     "HomeEnergyModel",
+    "MODEL_TYPES",
     "ModelBank",
     "UtilityModel",
     "argmax_level",
@@ -32,16 +33,24 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class UtilityModel:
     """Interface for performance models.
 
-    Subclasses provide ``eval(s, v, d)`` (pure, numpy-broadcastable),
-    ``bound_c`` (declared ceiling, > 1) and optionally ``grad_s`` for exact
-    gradient cross-checks. ``v_range`` declares the share interval the model
-    is certified on.
+    Subclasses provide ``bound_c`` (declared ceiling, > 1) and either a
+    static ``formula(s, v, d, *params)`` with the tuple ``params`` naming
+    the fields that feed it, or their own ``eval(s, v, d)``; both are pure
+    and numpy-broadcastable. ``ModelBank`` vectorizes models that declare
+    ``params`` across tasks. ``grad_s`` optionally gives the exact gradient
+    for cross-checks; ``v_range`` declares the share interval the model is
+    certified on.
     """
 
     bound_c: float
+    params: tuple[str, ...] = ()
+
+    @staticmethod
+    def formula(s, v, d, *params):
+        raise NotImplementedError
 
     def eval(self, s, v, d):
-        raise NotImplementedError
+        return self.formula(s, v, d, *(getattr(self, p) for p in self.params))
 
     grad_s: Callable | None = None
 
@@ -64,9 +73,10 @@ class HomeEnergyModel(UtilityModel):
     kappa: float
     h: float
     bound_c: float = field(default=0.0)
+    params = ("a", "b", "c", "kappa", "h")
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "kappa", "h"):
+        for name in self.params:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"HomeEnergyModel.{name} must be > 0")
         if self.bound_c == 0.0:
@@ -77,8 +87,9 @@ class HomeEnergyModel(UtilityModel):
         if self.bound_c <= 1.0:
             raise ConfigError("bound_c must be > 1")
 
-    def eval(self, s, v, d):
-        return self.a * (self.kappa - (s - d) ** 2) + self.b * (v - self.h * s) + self.c
+    @staticmethod
+    def formula(s, v, d, a, b, c, kappa, h):
+        return a * (kappa - (s - d) ** 2) + b * (v - h * s) + c
 
     def grad_s(self, s, v, d):
         return -2.0 * self.a * (s - d) - self.b * self.h
@@ -99,6 +110,7 @@ class CpuBandwidthModel(UtilityModel):
     theta: float
     v_floor: float = 1e-3
     bound_c: float = field(default=0.0)
+    params = ("a", "b", "h", "theta", "v_floor")
 
     def __post_init__(self):
         for name in ("a", "b", "h", "theta"):
@@ -111,9 +123,10 @@ class CpuBandwidthModel(UtilityModel):
         if self.bound_c <= 1.0:
             raise ConfigError("bound_c must be > 1")
 
-    def eval(self, s, v, d):
-        ve = np.maximum(v, self.v_floor)
-        return -self.a * (self.h - self.theta * s / ve) ** 2 + self.b
+    @staticmethod
+    def formula(s, v, d, a, b, h, theta, v_floor):
+        ve = np.maximum(v, v_floor)
+        return -a * (h - theta * s / ve) ** 2 + b
 
     def grad_s(self, s, v, d):
         ve = np.maximum(v, self.v_floor)
@@ -121,6 +134,11 @@ class CpuBandwidthModel(UtilityModel):
 
     def v_range(self) -> tuple[float, float]:
         return (self.v_floor, 1.0)
+
+
+# Scenario ``type`` name of each built-in model; the manifest reads and
+# writes a model as its type plus its ``params``.
+MODEL_TYPES = {"home_energy": HomeEnergyModel, "cpu_bandwidth": CpuBandwidthModel}
 
 
 @dataclass(frozen=True)
@@ -315,8 +333,9 @@ def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:
 class ModelBank:
     """Vectorized evaluation of a heterogeneous model list across tasks.
 
-    Groups tasks by concrete model class so a whole population evaluates in
-    a handful of array expressions; unknown model classes fall back to a
+    Groups tasks by model class and evaluates each group's ``formula`` on
+    stacked parameter arrays, so a whole population evaluates in a handful
+    of array expressions; models without ``params`` fall back to a
     per-task loop. Array arguments may carry leading batch axes, with tasks
     indexed along the last axis.
     """
@@ -324,78 +343,38 @@ class ModelBank:
     def __init__(self, models: Sequence[UtilityModel]):
         self.n = len(models)
         self.models = tuple(models)
-        home_idx: list[int] = []
-        cpu_idx: list[int] = []
-        other_idx: list[int] = []
-        inners = []
-        affines = []
-        for i, m in enumerate(models):
-            inner, scale, shift = _unwrap(m)
-            inners.append(inner)
-            affines.append((scale, shift))
-            if isinstance(inner, HomeEnergyModel):
-                home_idx.append(i)
-            elif isinstance(inner, CpuBandwidthModel):
-                cpu_idx.append(i)
+        unwrapped = [_unwrap(m) for m in models]
+        groups: dict[type, list[int]] = {}
+        other = []
+        for i, (inner, _, _) in enumerate(unwrapped):
+            if inner.params:
+                groups.setdefault(type(inner), []).append(i)
             else:
-                other_idx.append(i)
-
-        def _params(idx, names):
-            return tuple(
-                np.array([getattr(inners[i], name) for i in idx]) for name in names
+                other.append(i)
+        # One (formula, task index, parameter arrays, scale, shift) per class.
+        self._groups = []
+        for cls, idx in groups.items():
+            inners, scales, shifts = zip(*(unwrapped[i] for i in idx))
+            params = tuple(np.array([getattr(m, p) for m in inners]) for p in cls.params)
+            self._groups.append(
+                (cls.formula, np.array(idx), params, np.array(scales), np.array(shifts))
             )
-
-        def _affine(idx):
-            return (
-                np.array([affines[i][0] for i in idx]),
-                np.array([affines[i][1] for i in idx]),
-            )
-
-        self._home = None
-        self._cpu = None
-        self._other = tuple(other_idx)
-        if home_idx:
-            self._home = (
-                np.array(home_idx),
-                _params(home_idx, ("a", "b", "c", "kappa", "h")),
-                _affine(home_idx),
-            )
-        if cpu_idx:
-            self._cpu = (
-                np.array(cpu_idx),
-                _params(cpu_idx, ("a", "b", "h", "theta", "v_floor")),
-                _affine(cpu_idx),
-            )
-        self._single_home = self._home is not None and len(home_idx) == self.n
-        self._single_cpu = self._cpu is not None and len(cpu_idx) == self.n
+        self._other = tuple(other)
+        self._single = self._groups[0] if len(self._groups) == 1 and not other else None
 
     def eval(self, s, v, d) -> np.ndarray:
         """Utilities for all tasks; s, v, d broadcast with tasks last."""
         s = np.asarray(s, dtype=float)
         v = np.asarray(v, dtype=float)
         d = np.asarray(d, dtype=float)
-        if self._single_home:
-            _, (a, b, c, kappa, h), (scale, shift) = self._home
-            u = a * (kappa - (s - d) ** 2) + b * (v - h * s) + c
-            return scale * u + shift
-        if self._single_cpu:
-            _, (a, b, h, theta, v_floor), (scale, shift) = self._cpu
-            ve = np.maximum(v, v_floor)
-            u = -a * (h - theta * s / ve) ** 2 + b
-            return scale * u + shift
+        if self._single is not None:
+            formula, _, params, scale, shift = self._single
+            return scale * formula(s, v, d, *params) + shift
         shape = np.broadcast_shapes(s.shape, v.shape, d.shape, (self.n,))
         out = np.empty(shape)
         s, v, d = (np.broadcast_to(x, shape) for x in (s, v, d))
-        if self._home is not None:
-            idx, (a, b, c, kappa, h), (scale, shift) = self._home
-            si, vi, di = s[..., idx], v[..., idx], d[..., idx]
-            u = a * (kappa - (si - di) ** 2) + b * (vi - h * si) + c
-            out[..., idx] = scale * u + shift
-        if self._cpu is not None:
-            idx, (a, b, h, theta, v_floor), (scale, shift) = self._cpu
-            si, vi, di = s[..., idx], v[..., idx], d[..., idx]
-            ve = np.maximum(vi, v_floor)
-            u = -a * (h - theta * si / ve) ** 2 + b
+        for formula, idx, params, scale, shift in self._groups:
+            u = formula(s[..., idx], v[..., idx], d[..., idx], *params)
             out[..., idx] = scale * u + shift
         for i in self._other:
             out[..., i] = self.models[i].eval(s[..., i], v[..., i], d[..., i])

@@ -5,10 +5,29 @@ import json
 import re
 
 import numpy as np
+import pytest
 
-from fairshare.cli import _ode_tracking, main
+from fairshare.cli import _ode_tracking, main, model_from_dict, model_to_dict
+from fairshare.core import ConfigError
+from fairshare.utility import AffineNormalizer, CpuBandwidthModel, HomeEnergyModel
 
 FAST = ["--set", "zone_steps=400"]
+
+# Two raw models that go negative at s = 0 (uncertified bounds): the first
+# measurement of task 1 is -0.1, so every run aborts at step 0.
+BAD_MEASUREMENT = {
+    "tasks": [
+        {
+            "weight": 1.0,
+            "model": {"type": "home_energy", "a": 2.0, "b": 1.0,
+                      "c": 0.1, "kappa": 0.1, "h": 1.0},
+            "demand_zones": [[0, 0.5]],
+        }
+        for _ in range(2)
+    ],
+    "engine": {"epsilon": 5e-4, "horizon": 300, "seed": 1, "s_init": 0.0,
+               "v_init": [0.9, 0.1]},
+}
 
 
 def run_cli(*argv) -> int:
@@ -104,6 +123,20 @@ class TestRunCommand:
         assert "feasibility breach" in capsys.readouterr().err
         summary = read_json(out / "summary.json")
         assert summary["status"] == "feasibility_breach"
+        assert summary["value"] < 0.0 or summary["value"] > 1.0
+        assert f"task {summary['task']}" in summary["message"]
+
+    def test_measurement_error_writes_partial_trace_and_summary(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_MEASUREMENT))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 1
+        assert "measurement error" in capsys.readouterr().err
+        summary = read_json(out / "summary.json")
+        assert summary["status"] == "measurement_error"
+        assert (summary["step"], summary["task"]) == (0, 1)
+        assert summary["value"] == pytest.approx(-0.1)
+        assert (out / "trace.csv").read_text().startswith("step,v_0,v_1,")
 
     def test_builtin_fig6_runs_thirty_tasks(self, tmp_path):
         out = tmp_path / "o"
@@ -119,6 +152,46 @@ class TestRunCommand:
         run_cli("run", "paper-fig5", "--out", str(out_a), *FAST)
         run_cli("run", "paper-fig5", "--out", str(out_b), "--seed", "123", *FAST)
         assert (out_a / "trace.csv").read_bytes() != (out_b / "trace.csv").read_bytes()
+
+
+    def test_manifest_replays_cpu_bandwidth_models(self, tmp_path):
+        task = {"weight": 0.5, "demand_zones": [[0, 0.5]]}
+        scenario = {
+            "tasks": [
+                {**task, "model": {"type": "cpu_bandwidth", "a": 1.0, "b": 2.0,
+                                   "h": 1.0, "theta": 1.0, "v_floor": 0.05,
+                                   "normalize": {"c_target": 2.0}}},
+                {**task, "model": {"type": "cpu_bandwidth", "a": 0.5, "b": 3.0,
+                                   "h": 1.2, "theta": 0.7}},
+            ],
+            "engine": {"epsilon": 5e-4, "eta_bar": 0.001, "zeta_bar": 0.001,
+                       "horizon": 300, "seed": 4},
+        }
+        path = tmp_path / "cpu.json"
+        path.write_text(json.dumps(scenario))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("run", str(path), "--out", str(out_a)) == 0
+        assert run_cli("run", str(out_a / "manifest.json"), "--out", str(out_b)) == 0
+        assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
+
+
+class TestModelSerialization:
+    HOME = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
+    CPU = CpuBandwidthModel(a=0.5, b=3.0, h=1.2, theta=0.7, v_floor=0.02)
+
+    @pytest.mark.parametrize("model", [
+        HOME,
+        CPU,
+        AffineNormalizer.fit(HOME, (0.2, 0.8), c_target=3.0),
+        AffineNormalizer.fit(CPU, (0.0, 1.0), c_target=2.0),
+    ], ids=["home", "cpu", "home-fit", "cpu-fit"])
+    def test_round_trip(self, model):
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        assert model_from_dict(doc, (0.0, 1.0)) == model
+
+    def test_unknown_type_is_config_error(self):
+        with pytest.raises(ConfigError, match="unknown model type"):
+            model_from_dict({"type": "nonsense", "a": 1.0}, (0.0, 1.0))
 
 
 class TestValidateCommand:
@@ -220,6 +293,27 @@ class TestVerifyCommand:
         ok, detail = _ode_tracking(specs, cfg, d0)
         assert ok is True
         assert float(re.search(r"gap (\S+)", detail).group(1)) > 0.0
+
+    def test_measurement_error_fails_checks_and_writes_report(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_MEASUREMENT))
+        out = tmp_path / "v"
+        assert run_cli("verify", str(path), "--out", str(out)) == 1
+        checks = {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
+        for name in ("feasibility", "starvation", "fairness_residual", "s_optimality"):
+            assert checks[name]["pass"] is False
+            assert "MeasurementError: step 0, task 1" in checks[name]["detail"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "paper-fig5", "--stride", "10"],
+        ["verify", "paper-fig5", "--formats", "bogus"],
+        ["validate", "paper-fig5", "--out", "x"],
+    ])
+    def test_options_of_other_commands_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *FAST)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_config_violation_fails_fast(self, capsys):
         assert run_cli("verify", "paper-fig5", "--set", "epsilon=0.1",

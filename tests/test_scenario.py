@@ -70,6 +70,11 @@ class TestBuildRandom:
         kinds = {type(t.utility.inner).__name__ for t in specs}
         assert "CpuBandwidthModel" in kinds
 
+    @pytest.mark.parametrize("zone_steps", [0, -5])
+    def test_nonpositive_zone_steps_is_config_error(self, zone_steps):
+        with pytest.raises(fs.ConfigError, match="zone_steps"):
+            build_random(4, seed=1, cfg_overrides={"zone_steps": zone_steps})
+
     def test_zone_protocol_applies_to_first_half(self):
         specs, _ = build_random(6, seed=4, cfg_overrides={"zone_steps": 100})
         for t in specs[:3]:
