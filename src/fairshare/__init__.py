@@ -55,7 +55,6 @@ from .utility import (
     HomeEnergyModel,
     ModelBank,
     UtilityModel,
-    argmax_level,
     validate_assumptions,
 )
 

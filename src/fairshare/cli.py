@@ -26,7 +26,13 @@ from .core import (
     validate_config,
 )
 from .dynamics import Engine, RunTrace
-from .oracle import bounds, fair_fixed_point, integrate_full_ode, probe_limit_points
+from .oracle import (
+    OracleError,
+    bounds,
+    fair_fixed_point,
+    integrate_full_ode,
+    probe_limit_points,
+)
 from .scenario import (
     ScenarioResult,
     build_identical_four,
@@ -53,13 +59,17 @@ _ENGINE_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig))
 def model_to_dict(model) -> dict:
     if isinstance(model, AffineNormalizer):
         doc = model_to_dict(model.inner)
+        # Only the wrapper's ceiling bounds the utility, so the inner model's
+        # own is dropped and a replay gives the inner its default ceiling.
+        del doc["bound_c"]
         doc["scale"] = model.scale
         doc["shift"] = model.shift
         doc["bound_c"] = model.bound_c
         return doc
     for kind, cls in MODEL_TYPES.items():
         if isinstance(model, cls):
-            return {"type": kind, **{p: getattr(model, p) for p in cls.params}}
+            return {"type": kind, **{p: getattr(model, p) for p in cls.params},
+                    "bound_c": model.bound_c}
     raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
 
 
@@ -68,18 +78,19 @@ def model_from_dict(doc: dict, demand_span: tuple[float, float]):
     kind = doc.pop("type", None)
     scale = doc.pop("scale", None)
     shift = doc.pop("shift", None)
-    bound_c = doc.pop("bound_c", None)
     normalize = doc.pop("normalize", None)
     if kind not in MODEL_TYPES:
         raise ConfigError(f"unknown model type: {kind!r}")
-    inner = MODEL_TYPES[kind](**doc)
     if scale is not None:
+        # A scaled model's 'bound_c' belongs to the wrapper, not the inner model.
+        bound_c = doc.pop("bound_c", None)
         if bound_c is None:
             raise ConfigError("a model with 'scale' needs 'bound_c'")
         return AffineNormalizer(
-            inner=inner, scale=float(scale), shift=float(shift or 0.0),
-            bound_c=float(bound_c),
+            inner=MODEL_TYPES[kind](**doc), scale=float(scale),
+            shift=float(shift or 0.0), bound_c=float(bound_c),
         )
+    inner = MODEL_TYPES[kind](**doc)
     if normalize is not None:
         opts = normalize if isinstance(normalize, dict) else {}
         return AffineNormalizer.fit(
@@ -301,6 +312,12 @@ def _verify_checks(specs, cfg) -> list[dict]:
     add("config", report.ok, "; ".join(notes) or "all conditions hold")
     if not report.ok:
         return checks
+    violations = [
+        f"task {t.id}: {r.first_violation}" for t in specs
+        if not (r := validate_assumptions(t.utility, t.demand.span())).passed
+    ]
+    add("model_assumptions", not violations,
+        "; ".join(violations) or f"{len(specs)} task model(s) hold")
 
     zones = zone_starts(specs)
     quiet_cfg = dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4)
@@ -326,10 +343,14 @@ def _verify_checks(specs, cfg) -> list[dict]:
     add("ode_tracking", *_ode_tracking(specs, cfg, d0))
 
     bank = ModelBank([t.utility for t in specs])
-    fp = fair_fixed_point(
-        specs, lambda v: bank.argmax(v, d0, tol=1e-6), d=d0, tol=1e-8
-    )
-    reps = probe_limit_points(specs, cfg, d=d0, n_starts=8, seed=cfg.seed)
+    try:
+        fp = fair_fixed_point(
+            specs, lambda v: bank.argmax(v, d0), d=d0, tol=1e-8
+        )
+        reps = probe_limit_points(specs, cfg, d=d0, n_starts=8, seed=cfg.seed)
+    except OracleError as exc:
+        add("cross_oracle", False, f"OracleError: {exc}")
+        return checks
     gaps = [float(np.abs(r - fp.v).max()) for r in reps]
     add("cross_oracle", bool(fp.converged and reps and max(gaps) <= 1e-3),
         f"{len(reps)} endpoint cluster(s), max gap to fixed point "
@@ -357,10 +378,13 @@ def _ode_tracking(specs, cfg, d0) -> tuple[bool | None, str]:
         return False, f"noise-free tracking run: {type(exc).__name__}: {exc}"
     if not (track.v != track_cfg.v_init).any():
         return None, "vacuous: the discrete share path never moves"
-    ode = integrate_full_ode(
-        specs, track_cfg, t_end=track_cfg.horizon * cfg.epsilon,
-        dt=min(1e-3, cfg.epsilon), d=d0,
-    )
+    try:
+        ode = integrate_full_ode(
+            specs, track_cfg, t_end=track_cfg.horizon * cfg.epsilon,
+            dt=min(1e-3, cfg.epsilon), d=d0,
+        )
+    except OracleError as exc:
+        return False, f"mean-field ODE: OracleError: {exc}"
     gap = _tracking_gap(track, ode, cfg.epsilon)
     threshold = min(100.0 * cfg.epsilon, 0.05)
     return bool(gap <= threshold), (

@@ -36,6 +36,21 @@ class OracleError(RuntimeError):
     """An oracle computation produced a non-finite or inconsistent state."""
 
 
+def _check_domain(v: np.ndarray, u: np.ndarray, where: str) -> None:
+    """Raise ``OracleError`` unless every share lies in [0, 1] and every
+    utility is finite and > 0, the domain the mean-field equations assume.
+
+    ``where`` names the time or iteration of the state.
+    """
+    for bad, what, values in (
+        (~((v >= 0.0) & (v <= 1.0)), "share outside [0, 1]", v),
+        (~(np.isfinite(u) & (u > 0.0)), "utility not finite and > 0", u),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise OracleError(f"{where}, task {i}: {what}: {float(values[i])!r}")
+
+
 def safe_epsilon(lambda_min: float, c_bar: float, n: int, eta_bar: float) -> float:
     """Conservative step-size threshold below which shares stay in [0, 1].
 
@@ -137,7 +152,8 @@ def integrate_full_ode(
     Fields: shares follow the exact fairness vector, levels follow
     mu * tanh of the filtered difference quotient, filters relax at rate
     mu * gamma. Levels are clamped to [0, 1] after every step, realizing the
-    boundary correction.
+    boundary correction. A state with a share outside [0, 1] or a utility
+    that is not finite and > 0 raises ``OracleError``.
     """
     if dt <= 0.0 or t_end < 0.0:
         raise ValueError("need dt > 0 and t_end >= 0")
@@ -147,7 +163,8 @@ def integrate_full_ode(
     mu = cfg.mu
     gamma = cfg.gamma
 
-    def field(y: np.ndarray) -> np.ndarray:
+    def field(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vector field at y, and the utilities it was computed from."""
         v, s, u_lp, s_lp = y
         u = bank.eval(s, v, d_vec)
         phi = fairness_from_utilities(weights, u, v)
@@ -157,7 +174,7 @@ def integrate_full_ode(
         ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
         return np.stack(
             (phi, mu * np.tanh(ratio), mu * gamma * du, mu * gamma * ds)
-        )
+        ), u
 
     y = np.stack(initial_mean_state(specs, cfg, d_vec) if init is None else init)
     n_steps = int(round(t_end / dt))
@@ -169,10 +186,12 @@ def integrate_full_ode(
     times[0] = 0.0
     vs[0], ss[0], us[0], gs[0] = y
     for step in range(1, n_steps + 1):
-        k1 = field(y)
-        k2 = field(y + 0.5 * dt * k1)
-        k3 = field(y + 0.5 * dt * k2)
-        k4 = field(y + dt * k3)
+        # Each accepted state is checked on the utilities of its k1 stage.
+        k1, u = field(y)
+        _check_domain(y[0], u, f"t={(step - 1) * dt:.6g}")
+        k2 = field(y + 0.5 * dt * k1)[0]
+        k3 = field(y + 0.5 * dt * k2)[0]
+        k4 = field(y + dt * k3)[0]
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[1] = np.clip(y[1], 0.0, 1.0)
         if not np.isfinite(y).all():
@@ -181,6 +200,7 @@ def integrate_full_ode(
             )
         times[step] = step * dt
         vs[step], ss[step], us[step], gs[step] = y
+    _check_domain(y[0], bank.eval(y[1], y[0], d_vec), f"t={n_steps * dt:.6g}")
     return OdeTrajectory(times=times, v=vs, s=ss, u_lp=us, s_lp=gs)
 
 
@@ -192,13 +212,13 @@ def integrate_limiting_ode(
     t_end: float = 50.0,
     dt: float = 0.02,
     stop_residual: float | None = None,
-    argmax_tol: float = 1e-6,
 ) -> OdeTrajectory:
     """RK4 on the slow share dynamics with levels held at their maximizers.
 
     The per-task maximizing level is recomputed at every stage evaluation.
     With ``stop_residual`` set, integration stops early once the fairness
-    residual falls below it.
+    residual falls below it. A state with a share outside [0, 1] or a
+    utility that is not finite and > 0 raises ``OracleError``.
     """
     if dt <= 0.0 or t_end < 0.0:
         raise ValueError("need dt > 0 and t_end >= 0")
@@ -206,29 +226,30 @@ def integrate_limiting_ode(
     bank = ModelBank([t.utility for t in specs])
     d_vec = _demand_vector(specs, d)
 
-    def field(v: np.ndarray) -> np.ndarray:
-        s_star = bank.argmax(v, d_vec, tol=argmax_tol)
+    def field(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Maximizing levels, their utilities and the vector field at v."""
+        s_star = bank.argmax(v, d_vec)
         u = bank.eval(s_star, v, d_vec)
-        return fairness_from_utilities(weights, u, v)
+        return s_star, u, fairness_from_utilities(weights, u, v)
 
     v = np.asarray(v_init, dtype=float).copy()
     n_steps = int(round(t_end / dt))
-    times = [0.0]
-    vs = [v.copy()]
-    ss = [bank.argmax(v, d_vec, tol=argmax_tol)]
-    for step in range(1, n_steps + 1):
-        k1 = field(v)
-        if stop_residual is not None and float(np.abs(k1).max()) < stop_residual:
-            break
-        k2 = field(v + 0.5 * dt * k1)
-        k3 = field(v + 0.5 * dt * k2)
-        k4 = field(v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(v).all():
-            raise OracleError(f"non-finite share state at t={step * dt:.6g}")
+    times, vs, ss = [], [], []
+    for step in range(n_steps + 1):
+        # An accepted state is checked and recorded from its k1 stage.
+        s_star, u, k1 = field(v)
+        _check_domain(v, u, f"t={step * dt:.6g}")
         times.append(step * dt)
-        vs.append(v.copy())
-        ss.append(bank.argmax(v, d_vec, tol=argmax_tol))
+        vs.append(v)
+        ss.append(s_star)
+        if step == n_steps or (
+            stop_residual is not None and float(np.abs(k1).max()) < stop_residual
+        ):
+            break
+        k2 = field(v + 0.5 * dt * k1)[2]
+        k3 = field(v + 0.5 * dt * k2)[2]
+        k4 = field(v + dt * k3)[2]
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return OdeTrajectory(
         times=np.array(times), v=np.array(vs), s=np.array(ss)
     )
@@ -258,7 +279,8 @@ def fair_fixed_point(
     sup-norm change drops below ``tol`` and the fairness residual below
     ``10*tol``. ``s`` may be a level vector or a callable v -> levels (used
     to couple the levels to their maximizers). Non-convergence is reported
-    in the result, not raised.
+    in the result, not raised; an iterate with a share outside [0, 1] or a
+    utility that is not finite and > 0 raises ``OracleError``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
@@ -276,10 +298,9 @@ def fair_fixed_point(
         v_new = (1.0 - relaxation) * v + relaxation * target
         change = float(np.abs(v_new - v).max())
         v = v_new
-        levels = level_fn(v)
-        phi = fairness_from_utilities(
-            weights, bank.eval(levels, v, d_vec), v
-        )
+        u = bank.eval(level_fn(v), v, d_vec)
+        _check_domain(v, u, f"iteration {it}")
+        phi = fairness_from_utilities(weights, u, v)
         residual = float(np.abs(phi).max())
         if change < tol and residual <= 10.0 * tol:
             return FixedPointResult(v=v, residual=residual, iterations=it, converged=True)

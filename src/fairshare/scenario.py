@@ -285,7 +285,7 @@ def summarize(
         opt_from = end - (end - start) // 5
         opt_mask = zsteps > opt_from
         d_opt = demand_matrix(specs, zsteps[opt_mask])
-        s_star = bank.argmax(zv[opt_mask], d_opt, tol=1e-6)
+        s_star = bank.argmax(zv[opt_mask], d_opt)
         frac = float(
             (np.abs(zs[opt_mask] - s_star) < 0.05).mean(axis=0).min()
         )
@@ -355,7 +355,7 @@ def summarize(
     }
     tail_n = max(1, int(round(len(trace) * 0.2)))
     d_tail = demand_matrix(specs, steps[-tail_n:])
-    s_star = bank.argmax(trace.v[-tail_n:], d_tail, tol=1e-6)
+    s_star = bank.argmax(trace.v[-tail_n:], d_tail)
     frac_all = (np.abs(trace.s[-tail_n:] - s_star) < 0.05).mean(axis=0)
     verdicts["s_optimality"] = {
         "pass": bool(frac_all.min() > 0.9),

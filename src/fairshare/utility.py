@@ -23,7 +23,6 @@ __all__ = [
     "MODEL_TYPES",
     "ModelBank",
     "UtilityModel",
-    "argmax_level",
     "validate_assumptions",
 ]
 
@@ -37,13 +36,17 @@ class UtilityModel:
     static ``formula(s, v, d, *params)`` with the tuple ``params`` naming
     the fields that feed it, or their own ``eval(s, v, d)``; both are pure
     and numpy-broadcastable. ``ModelBank`` vectorizes models that declare
-    ``params`` across tasks. ``grad_s`` optionally gives the exact gradient
-    for cross-checks; ``v_range`` declares the share interval the model is
-    certified on.
+    ``params`` across tasks. A class with ``params`` may also declare a
+    static ``argmax_formula(v, d, *params)``, the level in [0, 1] that
+    maximizes ``formula`` at fixed (v, d); ``ModelBank.argmax`` uses it
+    and falls back to golden-section search for models without one.
+    ``grad_s`` optionally gives the exact gradient for cross-checks;
+    ``v_range`` declares the share interval the model is certified on.
     """
 
     bound_c: float
     params: tuple[str, ...] = ()
+    argmax_formula: Callable | None = None
 
     @staticmethod
     def formula(s, v, d, *params):
@@ -91,6 +94,11 @@ class HomeEnergyModel(UtilityModel):
     def formula(s, v, d, a, b, c, kappa, h):
         return a * (kappa - (s - d) ** 2) + b * (v - h * s) + c
 
+    @staticmethod
+    def argmax_formula(v, d, a, b, c, kappa, h):
+        # Stationary point of the concave quadratic in s, clipped to [0, 1].
+        return np.clip(d - b * h / (2.0 * a), 0.0, 1.0)
+
     def grad_s(self, s, v, d):
         return -2.0 * self.a * (s - d) - self.b * self.h
 
@@ -127,6 +135,11 @@ class CpuBandwidthModel(UtilityModel):
     def formula(s, v, d, a, b, h, theta, v_floor):
         ve = np.maximum(v, v_floor)
         return -a * (h - theta * s / ve) ** 2 + b
+
+    @staticmethod
+    def argmax_formula(v, d, a, b, h, theta, v_floor):
+        # The response time theta*s/ve meets the deadline h.
+        return np.clip(h * np.maximum(v, v_floor) / theta, 0.0, 1.0)
 
     def grad_s(self, s, v, d):
         ve = np.maximum(v, self.v_floor)
@@ -295,30 +308,6 @@ def validate_assumptions(
     )
 
 
-def argmax_level(model: UtilityModel, v: float, d: float, tol: float = 1e-6) -> float:
-    """Level in [0, 1] maximizing the model at fixed (v, d).
-
-    Golden-section search, valid because validated models are concave in s.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    a, b = 0.0, 1.0
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = model.eval(x1, v, d)
-    f2 = model.eval(x2, v, d)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = model.eval(x2, v, d)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = model.eval(x1, v, d)
-    return 0.5 * (a + b)
-
-
 def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:
     """Fold nested affine wrappers into a single (inner, scale, shift)."""
     scale, shift = 1.0, 0.0
@@ -351,16 +340,23 @@ class ModelBank:
                 groups.setdefault(type(inner), []).append(i)
             else:
                 other.append(i)
-        # One (formula, task index, parameter arrays, scale, shift) per class.
+        # One (formula, argmax_formula, task index, parameter arrays, scale,
+        # shift) per class.
         self._groups = []
+        search = list(other)
         for cls, idx in groups.items():
             inners, scales, shifts = zip(*(unwrapped[i] for i in idx))
             params = tuple(np.array([getattr(m, p) for m in inners]) for p in cls.params)
-            self._groups.append(
-                (cls.formula, np.array(idx), params, np.array(scales), np.array(shifts))
-            )
+            self._groups.append((
+                cls.formula, cls.argmax_formula, np.array(idx), params,
+                np.array(scales), np.array(shifts),
+            ))
+            if cls.argmax_formula is None:
+                search.extend(idx)
         self._other = tuple(other)
         self._single = self._groups[0] if len(self._groups) == 1 and not other else None
+        # Tasks without a closed-form maximizer, left to the search.
+        self._search = np.array(sorted(search), dtype=int)
 
     def eval(self, s, v, d) -> np.ndarray:
         """Utilities for all tasks; s, v, d broadcast with tasks last."""
@@ -368,12 +364,12 @@ class ModelBank:
         v = np.asarray(v, dtype=float)
         d = np.asarray(d, dtype=float)
         if self._single is not None:
-            formula, _, params, scale, shift = self._single
+            formula, _, _, params, scale, shift = self._single
             return scale * formula(s, v, d, *params) + shift
         shape = np.broadcast_shapes(s.shape, v.shape, d.shape, (self.n,))
         out = np.empty(shape)
         s, v, d = (np.broadcast_to(x, shape) for x in (s, v, d))
-        for formula, idx, params, scale, shift in self._groups:
+        for formula, _, idx, params, scale, shift in self._groups:
             u = formula(s[..., idx], v[..., idx], d[..., idx], *params)
             out[..., idx] = scale * u + shift
         for i in self._other:
@@ -381,12 +377,31 @@ class ModelBank:
         return out
 
     def argmax(self, v, d, tol: float = 1e-6) -> np.ndarray:
-        """Per-task maximizing levels via vectorized golden-section search."""
+        """Per-task levels in [0, 1] maximizing the utility at fixed (v, d).
+
+        Classes that declare ``argmax_formula`` are solved in closed form; an
+        affine wrapper keeps the maximizer, since its scale is > 0. The other
+        tasks get a vectorized golden-section search down to a bracket of
+        width ``tol``, valid because validated models are concave in s. The
+        result has shape ``broadcast_shapes(v, d, (n,))``.
+        """
+        if tol <= 0.0:
+            raise ValueError("tol must be > 0")
         v = np.asarray(v, dtype=float)
         d = np.asarray(d, dtype=float)
         shape = np.broadcast_shapes(v.shape, d.shape, (self.n,))
+        out = np.empty(shape)
+        if self._single is not None and self._single[1] is not None:
+            _, argmax_formula, _, params, _, _ = self._single
+            out[...] = argmax_formula(v, d, *params)
+            return out
         v = np.broadcast_to(v, shape)
         d = np.broadcast_to(d, shape)
+        for _, argmax_formula, idx, params, _, _ in self._groups:
+            if argmax_formula is not None:
+                out[..., idx] = argmax_formula(v[..., idx], d[..., idx], *params)
+        if not self._search.size:
+            return out
         a = np.zeros(shape)
         b = np.ones(shape)
         x1 = b - _INVPHI * (b - a)
@@ -406,4 +421,7 @@ class ModelBank:
             f1 = self.eval(x1, v, d)
             f2 = self.eval(x2, v, d)
             width *= _INVPHI
-        return 0.5 * (a + b)
+        # The search runs on every lane; only those without a closed form
+        # keep its result.
+        out[..., self._search] = (0.5 * (a + b))[..., self._search]
+        return out

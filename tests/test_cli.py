@@ -7,7 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from fairshare.cli import _ode_tracking, main, model_from_dict, model_to_dict
+from fairshare.cli import (
+    _ode_tracking,
+    main,
+    model_from_dict,
+    model_to_dict,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from fairshare.core import ConfigError
 from fairshare.utility import AffineNormalizer, CpuBandwidthModel, HomeEnergyModel
 
@@ -189,6 +196,29 @@ class TestModelSerialization:
         doc = json.loads(json.dumps(model_to_dict(model)))
         assert model_from_dict(doc, (0.0, 1.0)) == model
 
+    def test_raw_bound_c_survives_scenario_round_trip(self):
+        raw = {"type": "home_energy", "a": 1.0, "b": 0.5, "c": 1.5,
+               "kappa": 0.5, "h": 0.5, "bound_c": 50.0}
+        doc = {"tasks": [{"weight": 1.0, "model": raw, "demand_zones": [[0, 0.4]]}],
+               "engine": {"epsilon": 5e-4, "horizon": 10, "seed": 1}}
+        specs, cfg = scenario_from_dict(doc)
+        assert specs[0].utility.bound_c == 50.0
+        written = json.loads(json.dumps(scenario_to_dict(specs, cfg)))
+        assert written["tasks"][0]["model"] == raw
+        again, _ = scenario_from_dict(written)
+        assert again[0].utility == specs[0].utility
+
+    def test_wrapped_model_keeps_only_the_wrapper_ceiling(self):
+        inner = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5, bound_c=50.0)
+        model = AffineNormalizer(inner=inner, scale=0.5, shift=1.0, bound_c=4.0)
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        assert doc["bound_c"] == 4.0
+        back = model_from_dict(doc, (0.0, 1.0))
+        assert back.bound_c == 4.0
+        assert back.inner == self.HOME
+        s, v, d = np.meshgrid(*[np.linspace(0.0, 1.0, 5)] * 3)
+        np.testing.assert_array_equal(back.eval(s, v, d), model.eval(s, v, d))
+
     def test_unknown_type_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown model type"):
             model_from_dict({"type": "nonsense", "a": 1.0}, (0.0, 1.0))
@@ -284,6 +314,9 @@ class TestVerifyCommand:
         report = read_json(out / "verify.json")
         assert {c["name"] for c in report["checks"]} >= {"config", "feasibility"}
         assert report["all_pass"] == (code == 0)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["model_assumptions"]["pass"] is True
+        assert checks["model_assumptions"]["detail"] == "4 task model(s) hold"
 
     def test_fig5_ode_tracking_passes_with_moving_shares(self):
         from fairshare.scenario import build_identical_four
@@ -303,6 +336,22 @@ class TestVerifyCommand:
         for name in ("feasibility", "starvation", "fairness_residual", "s_optimality"):
             assert checks[name]["pass"] is False
             assert "MeasurementError: step 0, task 1" in checks[name]["detail"]
+
+    def test_uncertified_models_fail_assumptions_and_oracles(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_MEASUREMENT))
+        out = tmp_path / "v"
+        assert run_cli("verify", str(path), "--out", str(out)) == 1
+        checks = {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
+        assert checks["model_assumptions"]["pass"] is False
+        detail = checks["model_assumptions"]["detail"]
+        assert detail.startswith("task 0: {'check': 'bounds'")
+        assert "task 1: " in detail
+        # Some probe start has a share below 0.075, where the utility at
+        # the maximizing level is negative.
+        assert checks["cross_oracle"]["pass"] is False
+        assert re.search(r"OracleError: t=\S+, task \d: utility not finite",
+                         checks["cross_oracle"]["detail"])
 
     @pytest.mark.parametrize("argv", [
         ["verify", "paper-fig5", "--stride", "10"],

@@ -24,7 +24,7 @@ from fairshare.dynamics import (
     fairness_measure,
     run,
 )
-from fairshare.utility import AffineNormalizer, HomeEnergyModel, UtilityModel
+from fairshare.utility import AffineNormalizer, HomeEnergyModel, ModelBank, UtilityModel
 
 HOME = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
 
@@ -273,7 +273,7 @@ class TestEngineStep:
             for i in range(4)
         ]
         cfg = make_cfg(eta_bar=0.0, zeta_bar=0.0)
-        s_star = fs.argmax_level(model, 0.25, 0.4, tol=1e-10)
+        s_star = float(ModelBank([model]).argmax(0.25, 0.4)[0])
         v0 = np.full(4, 0.25)
         s0 = np.full(4, s_star)
         u0 = np.array([model.eval(s_star, 0.25, 0.4)] * 4)

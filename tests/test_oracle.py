@@ -7,6 +7,7 @@ import pytest
 import fairshare as fs
 from fairshare.core import DemandSchedule, EngineConfig, TaskSpec, uniform_allocation
 from fairshare.oracle import (
+    OracleError,
     bounds,
     fair_fixed_point,
     integrate_full_ode,
@@ -258,6 +259,53 @@ class TestFairFixedPoint:
             )
             assert res.converged
             assert np.abs(traj.terminal() - res.v).max() <= 1e-5
+
+
+def uncertified_pair():
+    """Two raw home_energy tasks whose utility at the maximizing level,
+    s* = 0.25, is v - 0.075: negative below a share of 0.075, and v - 1.2
+    at s = 1, negative everywhere."""
+    model = HomeEnergyModel(a=2.0, b=1.0, c=0.1, kappa=0.1, h=1.0)
+    return [TaskSpec(id=i, weight=1.0, utility=model,
+                     demand=DemandSchedule.constant(0.5)) for i in range(2)]
+
+
+class TestDomainErrors:
+    def test_limiting_ode_from_nonpositive_utility_raises_at_start(self):
+        # This start used to run all 10 000 steps to v = (27.7, -26.7).
+        with pytest.raises(OracleError, match=r"t=0, task 1: utility not finite "
+                                              r"and > 0: -0\.01"):
+            integrate_limiting_ode(uncertified_pair(), make_cfg(),
+                                   np.array([0.94, 0.06]), t_end=200.0,
+                                   stop_residual=1e-8)
+
+    def test_limiting_ode_share_leaving_the_box_raises_at_that_time(self):
+        # A step of 3 overshoots the fair point (0.5, 0.5) out of [0, 1].
+        with pytest.raises(OracleError, match=r"t=3, task 0: share outside \[0, 1\]"):
+            integrate_limiting_ode(identical_specs(2), make_cfg(),
+                                   np.array([0.9, 0.1]), t_end=50.0, dt=3.0)
+
+    def test_full_ode_from_nonpositive_utility_raises(self):
+        cfg = make_cfg(s_init=0.0, v_init=(0.9, 0.1))
+        with pytest.raises(OracleError, match=r"t=0, task 1: utility not finite"):
+            integrate_full_ode(uncertified_pair(), cfg, t_end=1.0)
+
+    def test_fixed_point_with_nonpositive_utility_raises(self):
+        with pytest.raises(OracleError, match=r"iteration 1, task 0: utility "
+                                              r"not finite and > 0: -0\.7"):
+            fair_fixed_point(uncertified_pair(), np.ones(2))
+
+    def test_non_finite_utility_raises(self):
+        class NanModel(UtilityModel):
+            bound_c = 2.0
+
+            def eval(self, s, v, d):
+                return np.where(np.asarray(v) < 0.3, np.nan, 1.5)
+
+        specs = [TaskSpec(id=i, weight=1.0, utility=NanModel(),
+                          demand=DemandSchedule.constant(0.4)) for i in range(2)]
+        with pytest.raises(OracleError, match=r"task 1: utility not finite and > 0: nan"):
+            integrate_limiting_ode(specs, make_cfg(), np.array([0.8, 0.2]))
 
 
 class TestProbeLimitPoints:

@@ -1,6 +1,9 @@
 """Utility models: evaluation, bound/concavity validation, level maximizer."""
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,6 @@ from fairshare.utility import (
     HomeEnergyModel,
     ModelBank,
     UtilityModel,
-    argmax_level,
     validate_assumptions,
 )
 
@@ -21,6 +23,60 @@ HOME = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
 CPU = CpuBandwidthModel(a=1.0, b=2.0, h=1.0, theta=1.0)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def argmax_level(model: UtilityModel, v: float, d: float, tol: float = 1e-6) -> float:
+    """Reference level maximizer: scalar golden-section search over [0, 1].
+
+    Valid for models concave in s; ``ModelBank.argmax``, closed form or
+    vectorized search, is checked against it.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be > 0")
+    a, b = 0.0, 1.0
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1 = model.eval(x1, v, d)
+    f2 = model.eval(x2, v, d)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = model.eval(x2, v, d)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = model.eval(x1, v, d)
+    return 0.5 * (a + b)
+
+
+class Quadratic(UtilityModel):
+    """No ``params``: ``ModelBank`` evaluates it task by task and has to
+    search for its maximizer, clip(peak, 0, 1)."""
+
+    bound_c = 5.0
+
+    def __init__(self, peak: float = 0.25):
+        self.peak = peak
+
+    def eval(self, s, v, d):
+        return 2.0 - (np.asarray(s) - self.peak) ** 2 + 0.5 * np.asarray(v)
+
+
+@dataclass(frozen=True)
+class Bump(UtilityModel):
+    """Declares ``params`` and ``formula`` but no ``argmax_formula``, so
+    ``ModelBank`` vectorizes its evaluation and searches for its maximizer."""
+
+    peak: float
+    bound_c: float = 5.0
+    params = ("peak",)
+
+    @staticmethod
+    def formula(s, v, d, peak):
+        return 3.0 - (s - peak - 0.2 * d) ** 2 + 0.1 * v
 
 
 class TestHomeEnergyModel:
@@ -192,17 +248,120 @@ class TestModelBank:
         assert np.allclose(got, want, atol=1e-7)
 
     def test_generic_models_fall_back_to_loop(self):
-        class Quadratic(UtilityModel):
-            bound_c = 5.0
-
-            def eval(self, s, v, d):
-                return 2.0 - (np.asarray(s) - 0.25) ** 2 + 0.5 * np.asarray(v)
-
         bank = ModelBank([Quadratic(), HOME])
         s, v, d = np.array([0.1, 0.2]), np.array([0.4, 0.5]), np.array([0.3, 0.3])
         out = bank.eval(s, v, d)
         assert out[0] == Quadratic().eval(0.1, 0.4, 0.3)
         assert out[1] == HOME.eval(0.2, 0.5, 0.3)
+
+    def test_argmax_rejects_nonpositive_tolerance(self):
+        for models in ([HOME], [Quadratic()]):
+            with pytest.raises(ValueError, match="tol"):
+                ModelBank(models).argmax(0.5, 0.5, tol=0.0)
+
+
+# The reference search resolves a maximizer only to about
+# sqrt(ulp(u) / curvature in s): closer in, rounding makes the utility flat.
+# These ranges keep that below 1e-6 after any wrapping. In particular a small
+# v_floor would let the fit shrink the scale, and so the curvature, by orders
+# of magnitude, because theta*s/v_floor spans a wide range.
+positive = st.floats(min_value=0.5, max_value=3.0)
+
+
+@st.composite
+def home_models(draw):
+    return HomeEnergyModel(a=draw(positive), b=draw(positive), c=draw(positive),
+                           kappa=draw(positive), h=draw(positive))
+
+
+@st.composite
+def cpu_models(draw):
+    return CpuBandwidthModel(a=draw(positive), b=draw(st.floats(1.5, 3.0)),
+                             h=draw(positive), theta=draw(st.floats(0.5, 2.0)),
+                             v_floor=draw(st.floats(0.25, 0.6)))
+
+
+@st.composite
+def wrapped(draw, inner):
+    """``inner`` raw, fitted into a band, or under two nested wrappers."""
+    model = draw(inner)
+    depth = draw(st.integers(min_value=0, max_value=2))
+    if depth >= 1:
+        model = AffineNormalizer.fit(model, (0.0, 1.0),
+                                     c_target=draw(st.floats(1.5, 4.0)))
+    if depth == 2:
+        model = AffineNormalizer(inner=model, scale=draw(st.floats(0.5, 4.0)),
+                                 shift=draw(st.floats(-1.0, 1.0)), bound_c=50.0)
+    return model
+
+
+CPU_WIDE = CpuBandwidthModel(a=1.0, b=2.0, h=1.0, theta=1.0, v_floor=0.25)
+CPU_DEEP = CpuBandwidthModel(a=1.0, b=2.0, h=2.0, theta=1.0, v_floor=0.25)
+
+
+class TestClosedFormArgmax:
+    """``ModelBank.argmax`` against the reference search ``argmax_level``."""
+
+    @staticmethod
+    def assert_matches_reference(models, v, d):
+        got = ModelBank(models).argmax(v, d, tol=1e-8)
+        v, d = np.broadcast_arrays(v, d)
+        assert got.shape == v.shape
+        for row in np.ndindex(v.shape[:-1]):
+            for i, m in enumerate(models):
+                want = argmax_level(m, v[row + (i,)], d[row + (i,)], tol=1e-8)
+                assert got[row + (i,)] == pytest.approx(want, abs=1e-6), (row, i, m)
+
+    @given(models=st.lists(
+               st.one_of(wrapped(home_models()), wrapped(cpu_models()),
+                         st.builds(Quadratic, st.floats(-0.5, 1.5)),
+                         st.builds(Bump, st.floats(-0.5, 1.5))),
+               min_size=1, max_size=5),
+           batch=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_search(self, models, batch, seed):
+        # Shares reach below any v_floor; demands reach both clip edges of
+        # home_energy, d - b*h/(2a) < 0 and > 1.
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.0, 1.0, size=(batch, len(models)))
+        d = rng.uniform(-0.5, 2.5, size=(batch, len(models)))
+        self.assert_matches_reference(models, v, d)
+
+    @pytest.mark.parametrize("model, v, d, want", [
+        (HOME, 0.3, 0.6, 0.475),                 # interior: d - b*h/(2a)
+        (HOME, 0.3, 0.1, 0.0),                   # d - b*h/(2a) < 0
+        (HOME, 0.3, 1.4, 1.0),                   # d - b*h/(2a) > 1
+        (CPU_WIDE, 0.4, 0.0, 0.4),               # interior: h*v/theta
+        (CPU_WIDE, 0.1, 0.0, 0.25),              # v < v_floor
+        (CPU_DEEP, 0.8, 0.0, 1.0),               # h*v/theta > 1
+    ], ids=["home-interior", "home-low", "home-high", "cpu-interior",
+            "cpu-floor", "cpu-high"])
+    def test_clip_edges(self, model, v, d, want):
+        # The models are also fitted; a v_floor of at least 0.25 keeps the
+        # fitted curvature high enough for the reference search.
+        for m in (model, AffineNormalizer.fit(model, (0.0, 1.5))):
+            assert ModelBank([m]).argmax(v, d)[0] == pytest.approx(want, abs=1e-15)
+            self.assert_matches_reference([m], np.array([v]), np.array([d]))
+
+    def test_mixed_bank_searches_only_lanes_without_closed_form(self):
+        models = [HOME, Quadratic(0.3), CPU, Bump(0.6), AffineNormalizer.fit(CPU_WIDE, (0.0, 1.0))]
+        bank = ModelBank(models)
+        rng = np.random.default_rng(5)
+        v = rng.uniform(0.0, 1.0, size=(4, 2, 5))
+        d = rng.uniform(0.0, 1.0, size=(4, 2, 5))
+        got = bank.argmax(v, d, tol=1e-10)
+        # The closed-form lanes are exact, the searched ones within the bracket.
+        assert np.array_equal(got[..., 0], np.clip(d[..., 0] - 0.125, 0.0, 1.0))
+        assert np.array_equal(got[..., 2], np.clip(np.maximum(v[..., 2], 1e-3), 0.0, 1.0))
+        assert np.allclose(got[..., 1], 0.3, atol=1e-9)
+        assert np.allclose(got[..., 3], 0.6 + 0.2 * d[..., 3], atol=1e-9)
+        self.assert_matches_reference(models, v, d)
+
+    def test_scalar_arguments_broadcast_over_tasks(self):
+        bank = ModelBank([HOME, AffineNormalizer.fit(HOME, (0.2, 0.8))])
+        out = bank.argmax(0.3, 0.6)
+        assert out.shape == (2,)
+        assert np.array_equal(out, [0.475, 0.475])
 
 
 def test_validate_assumptions_requires_three_grid_points():
