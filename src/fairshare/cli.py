@@ -40,7 +40,13 @@ from .scenario import (
     summarize,
     zone_starts,
 )
-from .utility import MODEL_TYPES, AffineNormalizer, ModelBank, validate_assumptions
+from .utility import (
+    MODEL_TYPES,
+    AffineNormalizer,
+    ModelBank,
+    _unwrap,
+    validate_assumptions,
+)
 
 __all__ = ["main"]
 
@@ -57,20 +63,18 @@ _ENGINE_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig))
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, AffineNormalizer):
-        doc = model_to_dict(model.inner)
-        # Only the wrapper's ceiling bounds the utility, so the inner model's
-        # own is dropped and a replay gives the inner its default ceiling.
-        del doc["bound_c"]
-        doc["scale"] = model.scale
-        doc["shift"] = model.shift
-        doc["bound_c"] = model.bound_c
-        return doc
+    # Nested affine wrappers fold into one scale and shift.
+    inner, scale, shift = _unwrap(model)
     for kind, cls in MODEL_TYPES.items():
-        if isinstance(model, cls):
-            return {"type": kind, **{p: getattr(model, p) for p in cls.params},
-                    "bound_c": model.bound_c}
-    raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+        if isinstance(inner, cls):
+            doc = {"type": kind, **{p: getattr(inner, p) for p in cls.params}}
+            if inner is not model:
+                # Only the wrapper's ceiling bounds the utility, so the inner
+                # model's own is dropped and a replay gives it the default.
+                doc.update(scale=scale, shift=shift)
+            doc["bound_c"] = model.bound_c
+            return doc
+    raise ConfigError(f"cannot serialize model of type {type(inner).__name__}")
 
 
 def model_from_dict(doc: dict, demand_span: tuple[float, float]):

@@ -6,14 +6,13 @@ which exercises the engine's adaptation to changing requests.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .core import ConfigError, DemandSchedule, EngineConfig, TaskSpec, demand_table
-from .dynamics import RunTrace
+from .dynamics import RunTrace, recurrence_window
 from .utility import (
     MODEL_TYPES,
     AffineNormalizer,
@@ -173,11 +172,6 @@ def demand_matrix(specs: Sequence[TaskSpec], steps: np.ndarray) -> np.ndarray:
     return values[np.searchsorted(breaks, steps, side="right") - 1]
 
 
-def recurrence_window(epsilon: float, lam_min: float, c_bar: float) -> int:
-    """Window length over which the recurrence properties are checked."""
-    return int(math.ceil(5.0 / (epsilon * lam_min / c_bar)))
-
-
 @dataclass
 class ZoneSummary:
     """Tail statistics (final 25%) for one demand zone."""
@@ -208,25 +202,16 @@ class ScenarioResult:
         return all(v["pass"] is not False for v in self.verdicts.values())
 
 
-def _window_verdict(
-    v: np.ndarray, steps: np.ndarray, burn_in: int, window: int,
-    threshold: float, mode: str,
-) -> dict:
-    """Recurrence check: each task crosses the threshold in every window."""
-    idx0 = int(np.searchsorted(steps, burn_in, side="left"))
-    usable = len(steps) - idx0
-    n_windows = usable // window
+def _window_verdict(crossed: np.ndarray, window: int, threshold: float) -> dict:
+    """Recurrence check: each task crosses the threshold in every window.
+
+    ``crossed[w, i]`` says whether task ``i`` crossed it in window ``w``.
+    """
+    n_windows = len(crossed)
     if n_windows == 0:
         return {"pass": None, "detail": "insufficient horizon for one window",
                 "windows": 0}
-    failures = 0
-    for w in range(n_windows):
-        chunk = v[idx0 + w * window: idx0 + (w + 1) * window]
-        if mode == "exceeds":
-            ok = (chunk.max(axis=0) > threshold).all()
-        else:
-            ok = (chunk.min(axis=0) < threshold).all()
-        failures += 0 if ok else 1
+    failures = int((~crossed.all(axis=1)).sum())
     return {
         "pass": failures == 0,
         "detail": f"{n_windows} window(s) of {window} steps, {failures} failed, "
@@ -241,11 +226,13 @@ def summarize(
     specs: Sequence[TaskSpec],
     cfg: EngineConfig,
 ) -> ScenarioResult:
-    """Tail statistics per zone and property verdicts over the whole trace.
+    """Tail statistics per zone and property verdicts over the whole run.
 
-    Window-based verdicts need an unthinned trace; at stride > 1 they are
-    reported as skipped. Zones with fewer than 40 records are marked
-    insufficient and carry no statistics.
+    The zone statistics and ``s_optimality`` read the recorded rows; every
+    other verdict reads the ledger, which the run folded chunk by chunk over
+    every step, so ``starvation`` and ``balance`` (per-window share extrema)
+    are decided at any stride. An incomplete run skips those two. Zones with
+    fewer than 40 records are marked insufficient and carry no statistics.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
@@ -325,13 +312,12 @@ def summarize(
         "detail": f"low gap {led.f_low_gap:.3e}, high gap {led.f_high_gap:.3e}, "
                   f"slack {slack:.3e}",
     }
-    if trace.stride == 1 and trace.complete:
-        window = recurrence_window(cfg.epsilon, lam_min, c_bar)
-        burn_in = horizon // 10
+    if trace.complete:
+        window = led.window_steps
         alpha_star = lam_min / (len(specs) * c_bar)
         beta = c_bar / (len(specs) * lam_min) + 0.05
         verdicts["starvation"] = _window_verdict(
-            trace.v, steps, burn_in, window, alpha_star, "exceeds"
+            led.window_v_max > alpha_star, window, alpha_star
         )
         if beta >= 1.0:
             verdicts["balance"] = {
@@ -341,12 +327,11 @@ def summarize(
             }
         else:
             verdicts["balance"] = _window_verdict(
-                trace.v, steps, burn_in, window, beta, "below"
+                led.window_v_min < beta, window, beta
             )
     else:
-        detail = "requires stride 1" if trace.stride != 1 else "run incomplete"
-        verdicts["starvation"] = {"pass": None, "detail": detail, "windows": 0}
-        verdicts["balance"] = {"pass": None, "detail": detail, "windows": 0}
+        verdicts["starvation"] = {"pass": None, "detail": "run incomplete", "windows": 0}
+        verdicts["balance"] = {"pass": None, "detail": "run incomplete", "windows": 0}
     tol_f = 10.0 * (cfg.epsilon + eta * eta)
     verdicts["fairness_residual"] = {
         "pass": bool(led.phi_sq_min <= tol_f),

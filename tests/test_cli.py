@@ -16,7 +16,12 @@ from fairshare.cli import (
     scenario_to_dict,
 )
 from fairshare.core import ConfigError
-from fairshare.utility import AffineNormalizer, CpuBandwidthModel, HomeEnergyModel
+from fairshare.utility import (
+    AffineNormalizer,
+    CpuBandwidthModel,
+    HomeEnergyModel,
+    ModelBank,
+)
 
 FAST = ["--set", "zone_steps=400"]
 
@@ -218,6 +223,18 @@ class TestModelSerialization:
         assert back.inner == self.HOME
         s, v, d = np.meshgrid(*[np.linspace(0.0, 1.0, 5)] * 3)
         np.testing.assert_array_equal(back.eval(s, v, d), model.eval(s, v, d))
+
+    def test_nested_wrappers_fold_into_one(self):
+        model = AffineNormalizer(
+            inner=AffineNormalizer.fit(self.HOME, (0.2, 0.8)),
+            scale=2.0, shift=0.5, bound_c=10.0,
+        )
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        back = model_from_dict(doc, (0.0, 1.0))
+        assert back.inner == self.HOME and back.bound_c == 10.0
+        assert back.eval(0.3, 0.4, 0.5) == pytest.approx(model.eval(0.3, 0.4, 0.5), rel=1e-15)
+        # The composed affine is the one ModelBank evaluates, bit for bit.
+        assert back.eval(0.3, 0.4, 0.5) == ModelBank([model]).eval(0.3, 0.4, 0.5)[0]
 
     def test_unknown_type_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown model type"):

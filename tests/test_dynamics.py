@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairshare as fs
+import fairshare.dynamics as dynamics
 from fairshare.core import (
     DemandSchedule,
     EngineConfig,
@@ -442,7 +444,7 @@ class TestFilterConvergence:
             snap = dataclasses.replace(out, step=0, s=snap.s)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, "breach"])
 def test_run_and_step_fail_alike(bad):
     if bad == "breach":
@@ -465,6 +467,11 @@ def test_run_and_step_fail_alike(bad):
     np.testing.assert_equal(by_run.value, by_step.value)
     assert not by_run.trace.complete
     assert len(by_run.trace) == by_run.step == by_run.trace.breach_step
+    # The failing state's diagnostics may be NaN; the ledger skips them.
+    led = by_run.trace.ledger
+    if by_run.step:
+        assert np.isfinite(led.phi_sq_min)
+        assert 1 <= led.phi_sq_min_step <= by_run.step
 
 
 class TestDemandSwitching:
@@ -485,3 +492,125 @@ class TestDemandSwitching:
         assert trace.u_meas[2][0] == expected
         s3, v3 = trace.s[2], trace.v[2]
         assert trace.u_meas[3][0] == model.eval(s3[0], v3[0], 0.8)
+
+
+TRACE_FIELDS = ("steps", "v", "s", "u_meas", "f_obs", "phi", "phi_sq",
+                "stride", "complete", "breach_step")
+
+
+def streaming_scenario(horizon=4500):
+    """Three fitted tasks whose recurrence window (1000 steps) is short
+    enough for four windows, which straddle chunk boundaries."""
+    model = AffineNormalizer.fit(HOME, (0.3, 0.7), c_target=2.0)
+    demands = [DemandSchedule(((0, 0.3), (1500, 0.6), (3000, 0.3))),
+               DemandSchedule.constant(0.5), DemandSchedule.constant(0.7)]
+    specs = [TaskSpec(id=i, weight=w, utility=model, demand=d)
+             for i, (w, d) in enumerate(zip([1.0, 0.7, 0.5], demands))]
+    cfg = EngineConfig(epsilon=0.02, mu_exponent=0.05, gamma=20.0,
+                       eta_bar=1e-3, zeta_bar=1e-3, horizon=horizon, seed=5)
+    return specs, cfg
+
+
+def chunked_run(monkeypatch, chunk, specs, cfg, **kw):
+    monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+    return Engine(specs, cfg).run(**kw)
+
+
+def assert_same_trace(a, b):
+    for name in TRACE_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y), name
+        np.testing.assert_array_equal(x, y, err_msg=name, strict=True)
+    for f in dataclasses.fields(dynamics.RunLedger):
+        np.testing.assert_array_equal(
+            getattr(a.ledger, f.name), getattr(b.ledger, f.name),
+            err_msg=f.name, strict=True,
+        )
+
+
+DEFAULT_CHUNK = dynamics._CHUNK_STEPS
+
+
+class TestStreamingRun:
+    """Engine.run folds chunk by chunk; no chunk size or stride moves a bit."""
+
+    @pytest.mark.parametrize("freeze_levels", [False, True])
+    def test_chunk_size_and_stride_move_no_bit(self, monkeypatch, freeze_levels):
+        specs, cfg = streaming_scenario()
+        assert cfg.horizon > DEFAULT_CHUNK
+        whole = cfg.horizon + 5
+        ref = chunked_run(monkeypatch, whole, specs, cfg, freeze_levels=freeze_levels)
+        assert ref.ledger.window_v_max.shape == (4, 3)
+        for stride in (1, 3, 100):
+            one = ref if stride == 1 else chunked_run(
+                monkeypatch, whole, specs, cfg, stride=stride, freeze_levels=freeze_levels
+            )
+            np.testing.assert_array_equal(one.v, ref.v[stride - 1::stride])
+            for chunk in (1, 7, DEFAULT_CHUNK):
+                assert_same_trace(
+                    chunked_run(monkeypatch, chunk, specs, cfg, stride=stride,
+                                freeze_levels=freeze_levels),
+                    one,
+                )
+
+    def test_window_extrema_match_the_stride_one_trace(self, monkeypatch):
+        specs, cfg = streaming_scenario()
+        trace = chunked_run(monkeypatch, 7, specs, cfg)
+        led = trace.ledger
+        assert led.window_steps == fs.recurrence_window(cfg.epsilon, 0.5, 2.0) == 1000
+        assert led.window_start == cfg.horizon // 10
+        first = int(np.searchsorted(trace.steps, cfg.horizon // 10))
+        for w in range(len(led.window_v_max)):
+            rows = trace.v[first + w * 1000:first + (w + 1) * 1000]
+            np.testing.assert_array_equal(led.window_v_max[w], rows.max(axis=0))
+            np.testing.assert_array_equal(led.window_v_min[w], rows.min(axis=0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fail_at", [6, 7, 8, DEFAULT_CHUNK - 1,
+                                         DEFAULT_CHUNK, DEFAULT_CHUNK + 1])
+    def test_failure_at_a_chunk_edge_is_chunk_free(self, monkeypatch, fail_at):
+        # Task 1 measures NaN from step fail_at on.
+        specs = [
+            TaskSpec(id=0, weight=1.0, utility=HOME,
+                     demand=DemandSchedule.constant(0.4)),
+            TaskSpec(id=1, weight=0.8, utility=ConstantModel(1.5, high=math.nan),
+                     demand=DemandSchedule(((0, 0.4), (fail_at, 1.0)))),
+        ]
+        cfg = make_cfg(horizon=fail_at + 10, eta_bar=0.0, zeta_bar=1e-3)
+        # With chunk 1 every step is a chunk edge, so the short cases cover it.
+        chunks = (1, 7, DEFAULT_CHUNK) if fail_at < 10 else (7, DEFAULT_CHUNK)
+        errors = []
+        for chunk in (*chunks, cfg.horizon + 1):
+            with pytest.raises(MeasurementError) as info:
+                chunked_run(monkeypatch, chunk, specs, cfg)
+            errors.append(info.value)
+        ref = errors[-1]
+        assert (ref.step, ref.task) == (fail_at, 1)
+        assert len(ref.trace) == fail_at and not ref.trace.complete
+        for err in errors[:-1]:
+            assert (err.step, err.task) == (ref.step, ref.task)
+            np.testing.assert_equal(err.value, ref.value)
+            assert_same_trace(err.trace, ref.trace)
+
+    def test_memory_is_bounded_by_the_kept_records(self, monkeypatch):
+        # A short chunk keeps this quick; the bound holds at any chunk size.
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 512)
+        specs, cfg = streaming_scenario()
+
+        def traced(horizon):
+            eng = Engine(specs, dataclasses.replace(cfg, horizon=horizon))
+            tracemalloc.start()
+            try:
+                trace = eng.run(stride=100)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(getattr(trace, f).nbytes for f in TRACE_FIELDS[:7])
+            kept += trace.ledger.window_v_max.nbytes + trace.ledger.window_v_min.nbytes
+            return peak, kept
+
+        h = 1024
+        peak_1, kept_1 = traced(h)
+        peak_8, kept_8 = traced(8 * h)
+        # Horizon-sized buffers would add about 13 * 7h * 3 * 8 bytes (2.2 MB).
+        assert peak_8 - peak_1 <= (kept_8 - kept_1) + 64_000

@@ -1,6 +1,8 @@
 """Scenario builders and summary statistics."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,49 @@ class TestSummarize:
         trace = fs.run(specs, cfg)
         with pytest.raises(ValueError):
             summarize(trace, zone_starts(specs), specs, cfg)
+
+
+class TestRecurrenceVerdicts:
+    """starvation and balance read the ledger's per-window share extrema."""
+
+    @pytest.fixture(scope="class")
+    def short_windows(self):
+        # Thirty tasks (balance is not vacuous) with 1958-step windows.
+        specs, cfg = build_random(30, seed=30, cfg_overrides={
+            "zone_steps": 2000, "epsilon": 0.02, "gamma": 20.0,
+        })
+        return specs, cfg, fs.run(specs, cfg)
+
+    @staticmethod
+    def recurrence(trace, specs, cfg):
+        verdicts = summarize(trace, zone_starts(specs), specs, cfg).verdicts
+        return verdicts["starvation"], verdicts["balance"]
+
+    def test_stride_keeps_the_stride_one_verdicts(self, short_windows):
+        specs, cfg, trace = short_windows
+        full = self.recurrence(trace, specs, cfg)
+        assert [v["windows"] for v in full] == [2, 2]
+        assert all(v["pass"] is True for v in full)
+        for stride in (7, 100):
+            assert self.recurrence(fs.run(specs, cfg, stride=stride), specs, cfg) == full
+
+    def test_one_starved_window_fails(self, short_windows):
+        specs, cfg, trace = short_windows
+        led = dataclasses.replace(
+            trace.ledger, window_v_max=trace.ledger.window_v_max.copy()
+        )
+        led.window_v_max[1, 3] = 0.0
+        starvation, _ = self.recurrence(
+            dataclasses.replace(trace, ledger=led), specs, cfg
+        )
+        assert starvation["pass"] is False
+        assert starvation["detail"].startswith("2 window(s) of 1958 steps, 1 failed")
+
+    def test_incomplete_run_skips(self, short_windows):
+        specs, cfg, trace = short_windows
+        partial = dataclasses.replace(trace, complete=False, breach_step=len(trace))
+        for verdict in self.recurrence(partial, specs, cfg):
+            assert verdict == {"pass": None, "detail": "run incomplete", "windows": 0}
 
 
 class TestHelpers:
