@@ -55,6 +55,8 @@ EXIT_CONFIG = 1
 EXIT_BREACH = 2
 
 _BUILTIN_FIG6_SEED = 30
+# Rows of trace.csv formatted per np.savetxt call.
+_CSV_BLOCK_ROWS = 4096
 _ENGINE_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig))
 
 
@@ -239,13 +241,17 @@ def write_trace_csv(path: Path, trace: RunTrace) -> None:
     for name in ("v", "s", "u", "F", "Phi"):
         cols.extend(f"{name}_{i}" for i in range(n))
     cols.append("phi_sq_sum")
-    data = np.column_stack([
-        trace.steps.astype(float), trace.v, trace.s, trace.u_meas,
-        trace.f_obs, trace.phi, trace.phi_sq,
-    ])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\n")
+        # Row blocks, so that no second copy of the whole trace is made.
+        for r0 in range(0, len(trace), _CSV_BLOCK_ROWS):
+            rows = slice(r0, r0 + _CSV_BLOCK_ROWS)
+            block = np.column_stack([
+                trace.steps[rows].astype(float), trace.v[rows], trace.s[rows],
+                trace.u_meas[rows], trace.f_obs[rows], trace.phi[rows],
+                trace.phi_sq[rows],
+            ])
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",", newline="\n")
 
 
 def summary_to_dict(result: ScenarioResult) -> dict:
@@ -325,19 +331,24 @@ def _verify_checks(specs, cfg) -> list[dict]:
 
     zones = zone_starts(specs)
     quiet_cfg = dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4)
-    # Each engine run feeds the verdicts listed with it; an aborted run
-    # fails all of them.
-    for label, run_cfg, freeze_levels, names in (
+    # Three lanes of one run; each feeds the verdicts listed with it, and an
+    # aborted lane fails all of them. Every verdict read here comes from the
+    # ledger, which does not depend on the stride, so one record per lane
+    # is kept.
+    lanes = (
         ("", cfg, False, ("feasibility", "fairness_zero_sum",
                           "fairness_increment_bounds", "starvation", "balance")),
         ("frozen-level run: ", cfg, True, ("fairness_residual",)),
         ("noise-free regime: ", quiet_cfg, False, ("s_optimality",)),
-    ):
-        try:
-            trace = Engine(specs, run_cfg).run(stride=1, freeze_levels=freeze_levels)
-        except StepError as exc:
+    )
+    results = Engine(specs, cfg).run_lanes(
+        [(run_cfg, freeze) for _, run_cfg, freeze, _ in lanes],
+        stride=max(cfg.horizon, 1),
+    )
+    for (label, run_cfg, _, names), trace in zip(lanes, results):
+        if isinstance(trace, StepError):
             for name in names:
-                add(name, False, f"{label}{type(exc).__name__}: {exc}")
+                add(name, False, f"{label}{type(trace).__name__}: {trace}")
             continue
         verdicts = summarize(trace, zones, specs, run_cfg).verdicts
         for name in names:

@@ -282,21 +282,23 @@ CHANNEL_DITHER = 1
 
 
 def _mix(z):
-    # uint64 arithmetic wraps modulo 2**64 by design.
-    with np.errstate(over="ignore"):
-        z = z + _GOLD
-        z = (z ^ (z >> _SH30)) * _MIX1
-        z = (z ^ (z >> _SH27)) * _MIX2
-        return z ^ (z >> _SH31)
+    # uint64 arithmetic wraps modulo 2**64 by design; callers ignore the
+    # overflow warning.
+    z = z + _GOLD
+    z = (z ^ (z >> _SH30)) * _MIX1
+    z = (z ^ (z >> _SH27)) * _MIX2
+    return z ^ (z >> _SH31)
 
 
 def _keyed_unit(seed, task, channel, step):
-    """Uniform [0, 1) as a pure function of (seed, task, channel, step)."""
+    """Uniform [0, 1) as a pure function of (seed, task, channel, step).
+
+    Wraps uint64 arithmetic, so call it under ``np.errstate(over="ignore")``.
+    """
     h = _mix(_U64(seed & _MASK))
-    with np.errstate(over="ignore"):
-        h = _mix(h ^ task)
-        h = _mix(h ^ channel)
-        h = _mix(h ^ step)
+    h = _mix(h ^ task)
+    h = _mix(h ^ channel)
+    h = _mix(h ^ step)
     # The top 53 bits convert to float64 exactly.
     return (h >> _SH11) * _INV53
 
@@ -320,7 +322,8 @@ class NoiseSource:
             return np.zeros((k1 - k0, n))
         steps = np.arange(k0, k1, dtype=np.uint64)[:, None]
         tasks = np.arange(n, dtype=np.uint64)[None, :]
-        u = _keyed_unit(self.seed, tasks, _U64(channel), steps)
+        with np.errstate(over="ignore"):
+            u = _keyed_unit(self.seed, tasks, _U64(channel), steps)
         return bound * (2.0 * u - 1.0)
 
     def measurement_block(self, k0: int, k1: int, n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ step ``epsilon * mu(epsilon)``, so levels settle quickly relative to shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Sequence
 
@@ -46,9 +46,13 @@ FILTER_INIT_OFFSET = 1e-3
 # Below this magnitude the level has not moved, so no direction estimate
 # exists and the drift term is zeroed (dither keeps exploring).
 RATIO_GUARD = 1e-12
-# Steps per chunk of Engine.run: its working arrays span one chunk, so their
-# size does not grow with the horizon.
+# Steps per chunk of Engine.run_lanes: its working arrays span one chunk, so
+# their size does not grow with the horizon.
 _CHUNK_STEPS = 4096
+# A level this close to the level maximizer counts as near-optimal.
+S_OPT_TOL = 0.05
+# The only EngineConfig fields in which the lanes of one run may differ.
+_LANE_FIELDS = ("seed", "eta_bar", "zeta_bar")
 
 
 def recurrence_window(epsilon: float, lam_min: float, c_bar: float) -> int:
@@ -110,6 +114,11 @@ class RunLedger:
     from ``window_start + w * window_steps``, as many whole windows as the
     horizon holds. Row ``w`` of ``window_v_max``/``window_v_min`` holds each
     task's largest/smallest share over the completed steps of window ``w``.
+
+    The ``opt_steps`` final steps, from ``opt_start`` on, are the
+    ``s_optimality`` tail: ``opt_hits`` counts per task those of its
+    completed steps whose level lay within ``S_OPT_TOL`` of
+    ``ModelBank.argmax`` at that step's share and demand.
     """
 
     max_simplex_dev: float = 0.0
@@ -124,13 +133,19 @@ class RunLedger:
     window_steps: int = 1
     window_v_max: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     window_v_min: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    opt_start: int = 1
+    opt_steps: int = 1
+    opt_hits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def fold(self, k0: int, v_pre: np.ndarray, v, f, phi_sq, lam_ratio: float) -> None:
-        """Fold completed steps ``k0 + 1 ...`` into the extrema.
+    def fold(self, k0: int, v_pre: np.ndarray, v, f, phi_sq, lam_ratio: float,
+             near_opt) -> None:
+        """Fold completed steps ``k0 + 1 ...`` into the extrema and counts.
 
         ``v``, ``f`` and ``phi_sq`` are the rows of those steps, ``v_pre``
-        the shares each step started from.
+        the shares each step started from, and ``near_opt`` says, for those
+        of them from ``opt_start`` on, which levels were near-optimal.
         """
+        self.opt_hits += near_opt.sum(axis=0)
         n = v.shape[1]
         self.max_simplex_dev = max(
             self.max_simplex_dev, float(np.abs(v.sum(axis=1) - 1.0).max())
@@ -216,6 +231,8 @@ class Engine:
         )
         self.lam_min = float(self.weights.min())
         self.c_bar = float(max(t.utility.bound_c for t in specs))
+        self._epsilon = cfg.epsilon
+        self._gamma = cfg.gamma
         self._eps_mu = cfg.eps_mu
         self._demand_breaks, self._demand_values = demand_table(specs)
 
@@ -245,58 +262,83 @@ class Engine:
             phi_sq_sum=float((f0 * f0).sum()),
         )
 
-    def _advance(self, k, v, s, u_lp, s_lp, u_meas, zeta):
-        """The update of step ``k`` on measurement ``u_meas``; step and run share it.
+    def _advance(self, v, s, u_lp, s_lp, u_meas, zeta, moving=None):
+        """The update on measurement ``u_meas``; every step and run goes through it.
 
-        Checks the measurement, moves the shares along the observed fairness
-        index, then moves the levels by the filtered difference quotient
-        plus dither ``zeta`` (``zeta=None`` freezes the levels). Returns
-        ``(f, v, s, u_lp, s_lp)``. Raises MeasurementError for a measurement
-        that is not finite and positive, FeasibilityBreach for a share
-        leaving [0, 1].
+        Moves the shares along the observed fairness index, then the levels
+        by the filtered difference quotient plus dither ``zeta``. The state
+        is ``(n,)`` for one lane and ``(R, n)`` for R lanes. ``zeta=None``
+        freezes every lane's levels; a boolean ``moving`` of shape ``(R, 1)``
+        freezes the lanes where it is False by keeping their old ``s`` (a
+        zero level step would not: a huge measurement makes the filter step
+        inf, and 0 * inf is NaN); their filters move on but are never read.
+        Returns ``(f, v, s, u_lp, s_lp)``. It checks nothing: ``_failures``
+        finds the first bad step of a whole chunk afterwards.
         """
         w = self.weights / u_meas
-        total = w.sum()
-        # Weights lie in (0, 1], so this holds exactly when every 1/u_meas
-        # is finite and positive and their weighted sum does not overflow.
-        if not (w.min() > 0.0 and total < np.inf):
-            # First task with w outside (0, inf), else the largest w.
-            i = int(np.argmin(np.where(w > 0.0, -w, -np.inf)))
-            value = float(u_meas[i])
-            raise MeasurementError(
-                f"utility measurement {value!r} is not finite and positive",
-                k, i, value,
-            )
-        f = w - v * total
-        v_new = v + self.cfg.epsilon * f
-        if v_new.min() < 0.0 or v_new.max() > 1.0:
-            i = int(np.argmax((v_new < 0.0) | (v_new > 1.0)))
-            value = float(v_new[i])
-            raise FeasibilityBreach(
-                f"share {value!r} left [0, 1] (epsilon too large for this task set)",
-                k, i, value,
-            )
+        f = w - v * w.sum(axis=-1, keepdims=True)
+        v_new = v + self._epsilon * f
         if zeta is None:
             return f, v_new, s, u_lp, s_lp
-        em = self._eps_mu
-        du = self.cfg.gamma * (u_meas - u_lp)
-        ds = self.cfg.gamma * (s - s_lp)
+        em, gamma = self._eps_mu, self._gamma
+        du = gamma * (u_meas - u_lp)
+        ds = gamma * (s - s_lp)
         mask = np.abs(ds) >= RATIO_GUARD
         ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
         s_new = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
+        if moving is not None:
+            s_new = np.where(moving, s_new, s)
         return f, v_new, s_new, u_lp + em * du, s_lp + em * ds
+
+    def _failures(self, k0: int, u_meas, v_new) -> list[StepError | None]:
+        """Per lane, the error of its first bad step among steps ``k0, k0 + 1, ...``.
+
+        ``u_meas`` and ``v_new`` have shape ``(m, R, n)``: per step and
+        lane, the measurement and the shares the update made from it. A
+        measurement that is not finite and positive is a MeasurementError;
+        otherwise a share outside [0, 1] is a FeasibilityBreach. Each names
+        the step, the task and the value.
+        """
+        w = self.weights / u_meas
+        # Weights lie in (0, 1], so this holds exactly when every 1/u_meas
+        # is finite and positive and their weighted sum does not overflow.
+        bad_u = ~((w.min(axis=-1) > 0.0) & (w.sum(axis=-1) < np.inf))
+        bad = bad_u | (v_new.min(axis=-1) < 0.0) | (v_new.max(axis=-1) > 1.0)
+        errors: list[StepError | None] = [None] * bad.shape[1]
+        for r in np.flatnonzero(bad.any(axis=0)):
+            j = int(np.argmax(bad[:, r]))
+            if bad_u[j, r]:
+                # First task with w outside (0, inf), else the largest w.
+                i = int(np.argmin(np.where(w[j, r] > 0.0, -w[j, r], -np.inf)))
+                value = float(u_meas[j, r, i])
+                errors[r] = MeasurementError(
+                    f"utility measurement {value!r} is not finite and positive",
+                    k0 + j, i, value,
+                )
+            else:
+                row = v_new[j, r]
+                i = int(np.argmax((row < 0.0) | (row > 1.0)))
+                value = float(row[i])
+                errors[r] = FeasibilityBreach(
+                    f"share {value!r} left [0, 1] (epsilon too large for this task set)",
+                    k0 + j, i, value,
+                )
+        return errors
 
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
         """Advance one step: measure, update shares, update levels, diagnose."""
         k, n = snap.step, self.n
-        # As in run: the kernel raises on every bad measurement itself.
+        # As in run: the check below raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u_meas = (self.bank.eval(snap.s, snap.v, self.demand_at(k))
                       + self.noise.measurement_block(k, k + 1, n)[0])
             zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)[0]
             f, v, s, u_lp, s_lp = self._advance(
-                k, snap.v, snap.s, snap.u_lp, snap.s_lp, u_meas, zeta
+                snap.v, snap.s, snap.u_lp, snap.s_lp, u_meas, zeta
             )
+            (error,) = self._failures(k, u_meas[None, None], v[None, None])
+            if error is not None:
+                raise error
             u_next = self.bank.eval(s, v, self.demand_at(k + 1))
             phi = fairness_from_utilities(self.weights, u_next, v)
         return EngineSnapshot(
@@ -306,105 +348,197 @@ class Engine:
         )
 
     def run(self, stride: int = 1, freeze_levels: bool = False) -> RunTrace:
-        """Iterate the horizon chunk by chunk, keeping every ``stride``-th step.
+        """Iterate the horizon, keeping every ``stride``-th step.
 
+        The one-lane :meth:`run_lanes` on the engine's own configuration and
+        noise source.
         Produces exactly the states that iterating :meth:`step` would, and
-        fails where it would. The horizon is walked in chunks of
-        ``_CHUNK_STEPS`` steps; each chunk draws its noise, runs the update
-        kernel, evaluates the diagnostics (exact fairness) in bulk, folds
-        them into the ledger and copies out only its recorded steps. So
-        memory is bounded by the kept records plus one chunk, whatever the
-        horizon, and since the noise is counter-keyed the chunking moves no
-        bit. The ledger, the recurrence windows included, covers every
-        completed step, recorded or not, so ``stride`` thins the trace but
-        no verdict. On a MeasurementError or FeasibilityBreach the partial
-        trace is attached to the raised exception.
+        fails where it would: a MeasurementError or FeasibilityBreach is
+        raised with the partial trace attached.
+        """
+        (result,) = self.run_lanes([(self.cfg, freeze_levels)], stride)
+        if isinstance(result, StepError):
+            raise result
+        return result
+
+    def run_lanes(
+        self, lanes: Sequence[tuple[EngineConfig, bool]], stride: int = 1
+    ) -> list[RunTrace | StepError]:
+        """Run several ``(cfg, freeze_levels)`` lanes through one step loop.
+
+        A lane's ``cfg`` may differ from the engine's only in ``seed``,
+        ``eta_bar`` and ``zeta_bar``; any other difference is a ConfigError
+        naming the lane and the field. The state carries a leading lane
+        axis (none for one lane), so R lanes cost one loop's numpy calls.
+        Returns per lane, bit for bit, the RunTrace that
+        ``Engine(specs, cfg).run(stride, freeze_levels)`` returns, or the
+        StepError it raises with its partial ``.trace``; a failed lane
+        leaves the loop and the others go on.
+
+        The horizon is walked in chunks of ``_CHUNK_STEPS`` steps; each
+        chunk draws its noise, runs the update kernel, checks the chunk's
+        measurements and shares at once (``_failures``, as :meth:`step`
+        does), evaluates the diagnostics (exact fairness) and the level
+        maximizers of the ``s_optimality`` tail in bulk, folds them into
+        each lane's ledger and copies out only its recorded steps. So memory
+        is bounded by the kept records plus one chunk, whatever the horizon,
+        and since the noise is counter-keyed the chunking moves no bit. The
+        ledger covers every completed step, recorded or not, so ``stride``
+        thins the trace but no verdict.
         """
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
+        noises = [self._lane_noise(r, cfg) for r, (cfg, _) in enumerate(lanes)]
+        if not noises:
+            raise ValueError("need at least one lane")
+        frozen = np.array([bool(freeze) for _, freeze in lanes])
         horizon, n = self.cfg.horizon, self.n
         kept = horizon // stride
-        v_rec, s_rec, u_rec, f_rec, phi_rec = (np.empty((kept, n)) for _ in range(5))
-        phi_sq_rec = np.empty(kept)
+        records = [[np.empty((kept, n)) for _ in range(5)] + [np.empty(kept)]
+                   for _ in noises]
+        ledgers = [self._ledger() for _ in noises]
+        results: list[RunTrace | StepError | None] = [None] * len(noises)
+        lam_ratio = self.lam_min / self.c_bar
+        weights = self.weights
+        advance = self._advance
+        bank_eval = self.bank.eval
+        # One lane keeps the state (n,), as step does; R lanes carry (R, n).
+        flat = len(noises) == 1
+        live = list(range(len(noises)))
+
+        def draw(blocks):
+            return blocks[0] if flat else np.stack(blocks, axis=1)
+
+        # Every bad measurement is caught by _failures, and the steps after
+        # a lane's failure, like the failing state's diagnostics, may read
+        # NaN: neither needs a warning.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            snap0 = self.initial_snapshot()
+            state = (snap0.v, snap0.s, snap0.u_lp, snap0.s_lp)
+            if not flat:
+                state = tuple(np.tile(x, (len(noises), 1)) for x in state)
+            v, s, u_lp, s_lp = state
+            chunk = _CHUNK_STEPS
+            bufs = [np.empty((chunk, *v.shape)) for _ in range(4)]
+            for k0 in range(0, horizon, chunk):
+                k1 = min(k0 + chunk, horizon)
+                m = k1 - k0
+                # Demand of the measurements at steps k0..k1-1, then of the
+                # diagnostics at the states after them, k0+1..k1.
+                d_rows = self.demand_at(np.arange(k0, k1 + 1))
+                eta = draw([noises[r].measurement_block(k0, k1, n) for r in live])
+                moving = ~frozen[live]
+                if moving.any():
+                    zeta = draw([noises[r].dither_block(k0, k1, n) if move
+                                 else np.zeros((m, n)) for r, move in zip(live, moving)])
+                    moving = None if moving.all() else moving[:, None]
+                else:
+                    zeta, moving = repeat(None), None
+                v_start = v
+                # Failed lanes have left the state; their columns stay unused.
+                v_buf, s_buf, u_buf, f_buf = (
+                    b[:m] if flat else b[:m, :len(live)] for b in bufs
+                )
+                for j, d_k, eta_k, zeta_k in zip(range(m), d_rows, eta, zeta):
+                    u_meas = bank_eval(s, v, d_k) + eta_k
+                    f, v, s, u_lp, s_lp = advance(v, s, u_lp, s_lp, u_meas, zeta_k, moving)
+                    v_buf[j] = v
+                    s_buf[j] = s
+                    u_buf[j] = u_meas
+                    f_buf[j] = f
+
+                # From here on every array has the lane axis second.
+                if flat:
+                    v_start = v_start[None]
+                    v_buf, s_buf, u_buf, f_buf = (
+                        x[:, None] for x in (v_buf, s_buf, u_buf, f_buf)
+                    )
+                errors = self._failures(k0, u_buf, v_buf)
+                d_next = d_rows[1:, None]
+                # Rows of the s_optimality tail: steps from opt_start on.
+                lo = min(max(ledgers[0].opt_start - 1 - k0, 0), m)
+                near_opt = np.abs(
+                    s_buf[lo:] - self.bank.argmax(v_buf[lo:], d_next[lo:])
+                ) < S_OPT_TOL
+                w_rows = weights / bank_eval(s_buf, v_buf, d_next)
+                phi = w_rows - v_buf * w_rows.sum(axis=-1, keepdims=True)
+                phi_sq = (phi * phi).sum(axis=-1)
+                for p, r in enumerate(live):
+                    error = errors[p]
+                    done = k1 if error is None else error.step
+                    m_r = done - k0
+                    if m_r:
+                        vc = v_buf[:m_r, p]
+                        v_pre = np.vstack([v_start[p], vc[:-1]])
+                        ledgers[r].fold(k0, v_pre, vc, f_buf[:m_r, p], phi_sq[:m_r, p],
+                                        lam_ratio, near_opt[:max(m_r - lo, 0), p])
+                        # Local rows whose step k0 + j + 1 is a multiple of
+                        # stride, and the records they fill.
+                        keep = slice((-k0 - 1) % stride, m_r, stride)
+                        rows = slice(k0 // stride, done // stride)
+                        for rec, buf in zip(records[r], (v_buf, s_buf, u_buf, f_buf,
+                                                         phi, phi_sq)):
+                            rec[rows] = buf[keep, p]
+                    if error is not None:
+                        error.trace = _trace(records[r], ledgers[r], stride, done, error)
+                        results[r] = error
+                alive = [p for p, error in enumerate(errors) if error is None]
+                if len(alive) < len(live):
+                    live = [live[p] for p in alive]
+                    if not live:
+                        break
+                    v, s, u_lp, s_lp = (x[alive] for x in (v, s, u_lp, s_lp))
+
+        for r in live:
+            results[r] = _trace(records[r], ledgers[r], stride, horizon, None)
+        return results
+
+    def _lane_noise(self, r: int, cfg: EngineConfig) -> NoiseSource:
+        """Noise of lane ``r``, the engine's own if its noise fields match."""
+        for f in fields(EngineConfig):
+            mine, theirs = getattr(self.cfg, f.name), getattr(cfg, f.name)
+            if f.name not in _LANE_FIELDS and theirs != mine:
+                raise ConfigError(
+                    f"lane {r}: {f.name} = {theirs!r} differs from the engine's "
+                    f"{mine!r}; lanes may differ only in {', '.join(_LANE_FIELDS)}"
+                )
+        if all(getattr(cfg, k) == getattr(self.cfg, k) for k in _LANE_FIELDS):
+            return self.noise
+        report = validate_config(cfg, self.n, self.specs)
+        if not report.ok:
+            raise ConfigError(f"lane {r}: " + "; ".join(report.errors))
+        return NoiseSource(cfg.seed, cfg.eta_bar, cfg.zeta_bar)
+
+    def _ledger(self) -> RunLedger:
+        """An empty ledger with the recurrence windows and the tail of a run."""
+        horizon = self.cfg.horizon
         # The windows the recurrence verdicts read: whole windows from step
         # max(horizon // 10, 1), the first step not before the burn-in.
         window = recurrence_window(self.cfg.epsilon, self.lam_min, self.c_bar)
         start = max(horizon // 10, 1)
         n_windows = (horizon - start + 1) // window
-        ledger = RunLedger(
+        # s_optimality reads the final 20% of the steps.
+        opt_steps = max(1, int(round(horizon * 0.2)))
+        return RunLedger(
             window_start=start, window_steps=window,
-            window_v_max=np.full((n_windows, n), -np.inf),
-            window_v_min=np.full((n_windows, n), np.inf),
+            window_v_max=np.full((n_windows, self.n), -np.inf),
+            window_v_min=np.full((n_windows, self.n), np.inf),
+            opt_start=horizon - opt_steps + 1, opt_steps=opt_steps,
+            opt_hits=np.zeros(self.n, dtype=np.int64),
         )
-        lam_ratio = self.lam_min / self.c_bar
-        weights = self.weights
-        advance = self._advance
-        bank_eval = self.bank.eval
-        chunk = _CHUNK_STEPS
-        v_buf, s_buf, u_buf, f_buf = (np.empty((chunk, n)) for _ in range(4))
 
-        done = 0
-        failure: StepError | None = None
-        # Every bad measurement raises from the kernel's own check, and the
-        # failing state's diagnostics may read NaN: neither needs a warning.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            snap0 = self.initial_snapshot()
-            v, s = snap0.v, snap0.s
-            u_lp, s_lp = snap0.u_lp, snap0.s_lp
-            for k0 in range(0, horizon, chunk):
-                k1 = min(k0 + chunk, horizon)
-                # Demand of the measurements at steps k0..k1-1, then of the
-                # diagnostics at the states after them, k0+1..k1.
-                d_rows = self.demand_at(np.arange(k0, k1 + 1))
-                eta = self.noise.measurement_block(k0, k1, n)
-                zeta = repeat(None) if freeze_levels else self.noise.dither_block(k0, k1, n)
-                v_start = v
-                try:
-                    for j, k, d_k, eta_k, zeta_k in zip(
-                        range(chunk), range(k0, k1), d_rows, eta, zeta
-                    ):
-                        u_meas = bank_eval(s, v, d_k) + eta_k
-                        f, v, s, u_lp, s_lp = advance(k, v, s, u_lp, s_lp, u_meas, zeta_k)
-                        v_buf[j] = v
-                        s_buf[j] = s
-                        u_buf[j] = u_meas
-                        f_buf[j] = f
-                except StepError as err:
-                    failure = err
-                done = k1 if failure is None else failure.step
-                m = done - k0
-                if m:
-                    vc, sc = v_buf[:m], s_buf[:m]
-                    w_rows = weights / bank_eval(sc, vc, d_rows[1:m + 1])
-                    phi = w_rows - vc * w_rows.sum(axis=1, keepdims=True)
-                    phi_sq = (phi * phi).sum(axis=1)
-                    v_pre = np.vstack([v_start, vc[:-1]])
-                    ledger.fold(k0, v_pre, vc, f_buf[:m], phi_sq, lam_ratio)
-                    # Local rows whose step k0 + j + 1 is a multiple of stride,
-                    # and the records they fill.
-                    keep = slice((-k0 - 1) % stride, m, stride)
-                    rows = slice(k0 // stride, done // stride)
-                    v_rec[rows] = vc[keep]
-                    s_rec[rows] = sc[keep]
-                    u_rec[rows] = u_buf[keep]
-                    f_rec[rows] = f_buf[keep]
-                    phi_rec[rows] = phi[keep]
-                    phi_sq_rec[rows] = phi_sq[keep]
-                if failure is not None:
-                    break
 
-        n_rec = done // stride
-        trace = RunTrace(
-            steps=np.arange(stride, n_rec * stride + 1, stride, dtype=np.int64),
-            v=v_rec[:n_rec], s=s_rec[:n_rec], u_meas=u_rec[:n_rec],
-            f_obs=f_rec[:n_rec], phi=phi_rec[:n_rec], phi_sq=phi_sq_rec[:n_rec],
-            ledger=ledger, stride=stride, complete=failure is None,
-            breach_step=None if failure is None else failure.step,
-        )
-        if failure is not None:
-            failure.trace = trace
-            raise failure
-        return trace
+def _trace(records, ledger: RunLedger, stride: int, done: int,
+           failure: StepError | None) -> RunTrace:
+    """The RunTrace of a lane whose first ``done`` steps completed."""
+    n_rec = done // stride
+    v, s, u_meas, f_obs, phi, phi_sq = (x[:n_rec] for x in records)
+    return RunTrace(
+        steps=np.arange(stride, n_rec * stride + 1, stride, dtype=np.int64),
+        v=v, s=s, u_meas=u_meas, f_obs=f_obs, phi=phi, phi_sq=phi_sq,
+        ledger=ledger, stride=stride, complete=failure is None,
+        breach_step=None if failure is None else failure.step,
+    )
 
 
 def run(

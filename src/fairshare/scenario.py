@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, DemandSchedule, EngineConfig, TaskSpec, demand_table
-from .dynamics import RunTrace, recurrence_window
+from .dynamics import S_OPT_TOL, RunTrace, recurrence_window
 from .utility import (
     MODEL_TYPES,
     AffineNormalizer,
@@ -228,11 +228,13 @@ def summarize(
 ) -> ScenarioResult:
     """Tail statistics per zone and property verdicts over the whole run.
 
-    The zone statistics and ``s_optimality`` read the recorded rows; every
-    other verdict reads the ledger, which the run folded chunk by chunk over
-    every step, so ``starvation`` and ``balance`` (per-window share extrema)
-    are decided at any stride. An incomplete run skips those two. Zones with
-    fewer than 40 records are marked insufficient and carry no statistics.
+    The zone statistics read the recorded rows; every verdict reads the
+    ledger, which the run folded chunk by chunk over every step, so
+    ``starvation`` and ``balance`` (per-window share extrema) and
+    ``s_optimality`` (near-optimal level counts over the final 20% of the
+    steps) are decided at any stride. An incomplete run skips those three.
+    Zones with fewer than 40 records are marked insufficient and carry no
+    statistics.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
@@ -274,7 +276,7 @@ def summarize(
         d_opt = demand_matrix(specs, zsteps[opt_mask])
         s_star = bank.argmax(zv[opt_mask], d_opt)
         frac = float(
-            (np.abs(zs[opt_mask] - s_star) < 0.05).mean(axis=0).min()
+            (np.abs(zs[opt_mask] - s_star) < S_OPT_TOL).mean(axis=0).min()
         )
 
         zone_summaries.append(ZoneSummary(
@@ -338,13 +340,13 @@ def summarize(
         "detail": f"min sum(phi^2) = {led.phi_sq_min:.3e} at step "
                   f"{led.phi_sq_min_step} (tolerance {tol_f:.3e})",
     }
-    tail_n = max(1, int(round(len(trace) * 0.2)))
-    d_tail = demand_matrix(specs, steps[-tail_n:])
-    s_star = bank.argmax(trace.v[-tail_n:], d_tail)
-    frac_all = (np.abs(trace.s[-tail_n:] - s_star) < 0.05).mean(axis=0)
-    verdicts["s_optimality"] = {
-        "pass": bool(frac_all.min() > 0.9),
-        "detail": f"min per-task near-optimal fraction {frac_all.min():.3f} "
-                  "over final 20% of the run",
-    }
+    if trace.complete:
+        frac_all = led.opt_hits / led.opt_steps
+        verdicts["s_optimality"] = {
+            "pass": bool(frac_all.min() > 0.9),
+            "detail": f"min per-task near-optimal fraction {frac_all.min():.3f} "
+                      "over final 20% of the run",
+        }
+    else:
+        verdicts["s_optimality"] = {"pass": None, "detail": "run incomplete"}
     return ScenarioResult(zones=zone_summaries, verdicts=verdicts)

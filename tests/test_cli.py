@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -12,10 +13,15 @@ from fairshare.cli import (
     main,
     model_from_dict,
     model_to_dict,
+    resolve_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    write_trace_csv,
 )
-from fairshare.core import ConfigError
+import fairshare.cli as cli
+from fairshare.core import ConfigError, StepError
+from fairshare.dynamics import Engine
+from fairshare.scenario import summarize, zone_starts
 from fairshare.utility import (
     AffineNormalizer,
     CpuBandwidthModel,
@@ -187,6 +193,47 @@ class TestRunCommand:
         assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
 
 
+def whole_block_csv(path, trace):
+    """trace.csv from one np.savetxt call over all rows; the reference."""
+    n = trace.v.shape[1]
+    cols = ["step"] + [f"{name}_{i}" for name in ("v", "s", "u", "F", "Phi")
+                       for i in range(n)] + ["phi_sq_sum"]
+    data = np.column_stack([
+        trace.steps.astype(float), trace.v, trace.s, trace.u_meas,
+        trace.f_obs, trace.phi, trace.phi_sq,
+    ])
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\n")
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_row_blocks_write_the_bytes_of_one_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+        specs, cfg, _, _ = resolve_scenario("paper-fig5", {"zone_steps": 20})
+        trace = Engine(specs, cfg).run()
+        bad_specs, bad_cfg = scenario_from_dict(BAD_MEASUREMENT)
+        with pytest.raises(StepError) as info:
+            Engine(bad_specs, bad_cfg).run()
+        # A whole run, one cut mid-block, one cut at a block edge, and the
+        # empty partial trace of a run that failed at step 0.
+        traces = [trace] + [
+            dataclasses.replace(trace, steps=trace.steps[:r], v=trace.v[:r],
+                                s=trace.s[:r], u_meas=trace.u_meas[:r],
+                                f_obs=trace.f_obs[:r], phi=trace.phi[:r],
+                                phi_sq=trace.phi_sq[:r], complete=False,
+                                breach_step=r)
+            for r in (13, 14)
+        ] + [info.value.trace]
+        assert [len(t) for t in traces] == [60, 13, 14, 0]
+        for t in traces:
+            write_trace_csv(tmp_path / "blocks.csv", t)
+            whole_block_csv(tmp_path / "whole.csv", t)
+            blocks = (tmp_path / "blocks.csv").read_bytes()
+            assert blocks == (tmp_path / "whole.csv").read_bytes()
+
+
 class TestModelSerialization:
     HOME = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
     CPU = CpuBandwidthModel(a=0.5, b=3.0, h=1.2, theta=0.7, v_floor=0.02)
@@ -334,6 +381,26 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["model_assumptions"]["pass"] is True
         assert checks["model_assumptions"]["detail"] == "4 task model(s) hold"
+
+    def test_lanes_give_the_rows_of_separate_runs(self, tmp_path):
+        out = tmp_path / "v"
+        run_cli("verify", "paper-fig5", "--out", str(out), "--set", "zone_steps=300")
+        rows = {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
+        specs, cfg, _, _ = resolve_scenario("paper-fig5", {"zone_steps": 300})
+        quiet = dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4)
+        expected = {}
+        for label, run_cfg, freeze, names in (
+            ("", cfg, False, ("feasibility", "fairness_zero_sum",
+                              "fairness_increment_bounds", "starvation", "balance")),
+            ("frozen-level run: ", cfg, True, ("fairness_residual",)),
+            ("noise-free regime: ", quiet, False, ("s_optimality",)),
+        ):
+            trace = Engine(specs, run_cfg).run(stride=1, freeze_levels=freeze)
+            verdicts = summarize(trace, zone_starts(specs), specs, run_cfg).verdicts
+            for name in names:
+                expected[name] = {"name": name, "pass": verdicts[name]["pass"],
+                                  "detail": label + verdicts[name]["detail"]}
+        assert {name: rows[name] for name in expected} == expected
 
     def test_fig5_ode_tracking_passes_with_moving_shares(self):
         from fairshare.scenario import build_identical_four

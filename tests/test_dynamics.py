@@ -13,15 +13,18 @@ from hypothesis import strategies as st
 import fairshare as fs
 import fairshare.dynamics as dynamics
 from fairshare.core import (
+    ConfigError,
     DemandSchedule,
     EngineConfig,
     FeasibilityBreach,
     MeasurementError,
+    StepError,
     TaskSpec,
 )
 from fairshare.dynamics import (
     Engine,
     EngineSnapshot,
+    RunTrace,
     fairness_from_utilities,
     fairness_measure,
     run,
@@ -614,3 +617,122 @@ class TestStreamingRun:
         peak_8, kept_8 = traced(8 * h)
         # Horizon-sized buffers would add about 13 * 7h * 3 * 8 bytes (2.2 MB).
         assert peak_8 - peak_1 <= (kept_8 - kept_1) + 64_000
+
+
+class TrapModel(UtilityModel):
+    """Utility 1.5, except from demand 1 on, where it is -1 once the level
+    has left 0.5, and from demand 2 on, where it is 1e-5 once the share has
+    left 0.5."""
+
+    bound_c = 2.0
+
+    def eval(self, s, v, d):
+        d = np.asarray(d)
+        u = np.where((d >= 1.0) & (s != 0.5), -1.0, 1.5)
+        return np.where((d >= 2.0) & (v != 0.5), 1e-5, u)
+
+
+def separate_runs(specs, lanes, stride):
+    """What one Engine.run per lane returns or raises."""
+    out = []
+    for cfg, freeze_levels in lanes:
+        try:
+            out.append(Engine(specs, cfg).run(stride, freeze_levels))
+        except StepError as err:
+            out.append(err)
+    return out
+
+
+def assert_same_result(got, ref):
+    assert type(got) is type(ref)
+    if isinstance(ref, StepError):
+        assert (got.step, got.task, str(got)) == (ref.step, ref.task, str(ref))
+        np.testing.assert_equal(got.value, ref.value)
+        got, ref = got.trace, ref.trace
+    assert_same_trace(got, ref)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLanes:
+    """Each lane of Engine.run_lanes is, bit for bit, its own Engine.run."""
+
+    @staticmethod
+    def mixed_lanes(cfg):
+        return [
+            (cfg, False),
+            (cfg, True),
+            (dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4), False),
+            (dataclasses.replace(cfg, seed=11), True),
+        ]
+
+    @pytest.mark.parametrize("stride", [1, 3, 100])
+    def test_each_lane_is_its_own_run(self, monkeypatch, stride):
+        specs, cfg = streaming_scenario()
+        lanes = self.mixed_lanes(cfg)
+        refs = separate_runs(specs, lanes, stride)
+        assert all(isinstance(r, RunTrace) for r in refs)
+        for chunk in (1, 7, DEFAULT_CHUNK, cfg.horizon + 5):
+            monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+            for got, ref in zip(Engine(specs, cfg).run_lanes(lanes, stride), refs):
+                assert_same_result(got, ref)
+
+    def test_wide_task_sets_sum_alike(self, monkeypatch):
+        # More than eight tasks, where numpy sums a row pairwise.
+        specs, cfg = fs.build_random(12, seed=3, cfg_overrides={"zone_steps": 200})
+        lanes = self.mixed_lanes(cfg)
+        refs = separate_runs(specs, lanes, 1)
+        for chunk in (7, DEFAULT_CHUNK):
+            monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+            for got, ref in zip(Engine(specs, cfg).run_lanes(lanes), refs):
+                assert_same_result(got, ref)
+
+    def test_frozen_lane_keeps_its_levels_under_a_huge_measurement(self):
+        # From step 5 task 1 measures 1e308: valid, but the filter step
+        # gamma * (u_meas - u_lp) overflows to inf.
+        specs = [
+            TaskSpec(id=0, weight=1.0, utility=ConstantModel(1.5),
+                     demand=DemandSchedule.constant(0.4)),
+            TaskSpec(id=1, weight=0.8, utility=ConstantModel(1.5, high=1e308),
+                     demand=DemandSchedule(((0, 0.4), (5, 1.0)))),
+        ]
+        cfg = make_cfg(horizon=40, eta_bar=0.0, zeta_bar=1e-3)
+        lanes = [(cfg, True), (cfg, False)]
+        got = Engine(specs, cfg).run_lanes(lanes)
+        for g, ref in zip(got, separate_runs(specs, lanes, 1)):
+            assert_same_result(g, ref)
+        assert got[0].complete
+        assert (got[0].s == cfg.s_init).all()
+
+    @pytest.mark.parametrize("k_meas, k_breach", [(7, 10), (10, 14), (6, 13)])
+    def test_failed_lanes_leave_the_others_running(self, monkeypatch, k_meas, k_breach):
+        # With chunks of 7 steps, steps 6 and 13 end a chunk, 7 and 14 start
+        # one and 10 lies inside one.
+        specs = [
+            TaskSpec(id=0, weight=1.0, utility=ConstantModel(1.5),
+                     demand=DemandSchedule.constant(0.4)),
+            TaskSpec(id=1, weight=1.0, utility=TrapModel(),
+                     demand=DemandSchedule(((0, 0.4), (k_meas, 1.0), (k_breach, 2.0)))),
+        ]
+        cfg = make_cfg(horizon=30, eta_bar=0.0, zeta_bar=0.0)
+        lanes = [
+            (cfg, False),  # neither level nor share moves
+            (cfg, True),
+            (dataclasses.replace(cfg, zeta_bar=1e-3), False),  # the level moves
+            (dataclasses.replace(cfg, eta_bar=1e-7), True),    # the share moves
+        ]
+        for stride in (1, 3):
+            refs = separate_runs(specs, lanes, stride)
+            assert [type(r) for r in refs] == [RunTrace, RunTrace,
+                                               MeasurementError, FeasibilityBreach]
+            assert (refs[2].step, refs[2].task, refs[2].value) == (k_meas, 1, -1.0)
+            assert refs[3].step == k_breach
+            for chunk in (7, cfg.horizon + 1):
+                monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+                for got, ref in zip(Engine(specs, cfg).run_lanes(lanes, stride), refs):
+                    assert_same_result(got, ref)
+
+    def test_lane_differing_in_another_field_is_config_error(self):
+        specs, cfg = streaming_scenario(horizon=10)
+        other = dataclasses.replace(cfg, epsilon=1e-3)
+        with pytest.raises(ConfigError, match=r"lane 1: epsilon = 0\.001 differs"):
+            Engine(specs, cfg).run_lanes([(cfg, False), (other, False)])

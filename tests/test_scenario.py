@@ -15,7 +15,7 @@ from fairshare.scenario import (
     summarize,
     zone_starts,
 )
-from fairshare.utility import validate_assumptions
+from fairshare.utility import ModelBank, validate_assumptions
 
 
 class TestBuildIdenticalFour:
@@ -180,6 +180,41 @@ class TestRecurrenceVerdicts:
         partial = dataclasses.replace(trace, complete=False, breach_step=len(trace))
         for verdict in self.recurrence(partial, specs, cfg):
             assert verdict == {"pass": None, "detail": "run incomplete", "windows": 0}
+
+    @staticmethod
+    def s_optimality(trace, specs, cfg):
+        return summarize(trace, zone_starts(specs), specs, cfg).verdicts["s_optimality"]
+
+    def test_s_optimality_counts_the_final_fifth_of_the_steps(self, short_windows):
+        specs, cfg, trace = short_windows
+        led = trace.ledger
+        tail = trace.steps >= led.opt_start
+        assert tail.sum() == led.opt_steps == round(0.2 * cfg.horizon)
+        s_star = ModelBank([t.utility for t in specs]).argmax(
+            trace.v[tail], demand_matrix(specs, trace.steps[tail])
+        )
+        near = np.abs(trace.s[tail] - s_star) < 0.05
+        np.testing.assert_array_equal(led.opt_hits, near.sum(axis=0))
+        verdict = self.s_optimality(trace, specs, cfg)
+        frac = near.mean(axis=0).min()
+        assert verdict == {
+            "pass": bool(frac > 0.9),
+            "detail": f"min per-task near-optimal fraction {frac:.3f} "
+                      "over final 20% of the run",
+        }
+
+    def test_stride_keeps_the_stride_one_s_optimality(self, short_windows):
+        specs, cfg, trace = short_windows
+        full = self.s_optimality(trace, specs, cfg)
+        for stride in (7, 100):
+            assert self.s_optimality(fs.run(specs, cfg, stride=stride), specs, cfg) == full
+
+    def test_incomplete_run_skips_s_optimality(self, short_windows):
+        specs, cfg, trace = short_windows
+        partial = dataclasses.replace(trace, complete=False, breach_step=len(trace))
+        assert self.s_optimality(partial, specs, cfg) == {
+            "pass": None, "detail": "run incomplete",
+        }
 
 
 class TestHelpers:
