@@ -46,7 +46,6 @@ from .scenario import (
     build_random,
     recurrence_window,
     summarize,
-    zone_starts,
 )
 from .utility import (
     AffineNormalizer,

@@ -23,6 +23,7 @@ from .core import (
     FeasibilityBreach,
     StepError,
     TaskSpec,
+    demand_table,
     validate_config,
 )
 from .dynamics import Engine, RunTrace
@@ -38,7 +39,6 @@ from .scenario import (
     build_identical_four,
     build_random,
     summarize,
-    zone_starts,
 )
 from .utility import (
     MODEL_TYPES,
@@ -57,7 +57,6 @@ EXIT_BREACH = 2
 _BUILTIN_FIG6_SEED = 30
 # Rows of trace.csv formatted per np.savetxt call.
 _CSV_BLOCK_ROWS = 4096
-_ENGINE_KEYS = tuple(f.name for f in dataclasses.fields(EngineConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +136,7 @@ def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"tasks[{i}]: {exc}") from exc
-    engine_doc = dict(doc["engine"])
-    unknown = set(engine_doc) - set(_ENGINE_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown engine key(s): {sorted(unknown)}")
-    for key in ("horizon", "seed"):
-        if key in engine_doc:
-            engine_doc[key] = int(engine_doc[key])
-    if engine_doc.get("v_init") is not None:
-        engine_doc["v_init"] = tuple(float(x) for x in engine_doc["v_init"])
-    try:
-        cfg = EngineConfig(**engine_doc)
-    except TypeError as exc:
-        raise ConfigError(f"engine: {exc}") from exc
-    return specs, cfg
+    return specs, EngineConfig.from_dict(doc["engine"])
 
 
 def _parse_set(items: list[str] | None) -> dict:
@@ -183,7 +169,7 @@ def resolve_scenario(
         specs, cfg = build_identical_four(overrides)
     elif name_or_path == "paper-fig6":
         seed = overrides.pop("seed", _BUILTIN_FIG6_SEED)
-        specs, cfg = build_random(30, seed=int(seed), cfg_overrides=overrides)
+        specs, cfg = build_random(30, seed=seed, cfg_overrides=overrides)
     else:
         path = Path(name_or_path)
         if not path.exists():
@@ -202,9 +188,7 @@ def resolve_scenario(
                 "zone_steps applies only to the builtin scenarios; set "
                 "demand_zones and horizon in the scenario file instead"
             )
-        engine_doc = dict(doc.get("engine", {}))
-        engine_doc.update(overrides)
-        doc = {**doc, "engine": engine_doc}
+        doc = {**doc, "engine": {**doc.get("engine", {}), **overrides}}
         specs, cfg = scenario_from_dict(doc)
     return specs, cfg, scenario_to_dict(specs, cfg), extras
 
@@ -302,7 +286,7 @@ def cmd_run(args) -> int:
         return EXIT_BREACH if breach else EXIT_CONFIG
     if "json" in formats:
         if len(trace) > 0:
-            result = summarize(trace, zone_starts(specs), specs, cfg)
+            result = summarize(trace, specs, cfg)
             doc_out = {"status": "ok", **summary_to_dict(result)}
         else:
             doc_out = {"status": "ok", "zones": [], "verdicts": {}}
@@ -329,7 +313,6 @@ def _verify_checks(specs, cfg) -> list[dict]:
     add("model_assumptions", not violations,
         "; ".join(violations) or f"{len(specs)} task model(s) hold")
 
-    zones = zone_starts(specs)
     quiet_cfg = dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4)
     # Three lanes of one run; each feeds the verdicts listed with it, and an
     # aborted lane fails all of them. Every verdict read here comes from the
@@ -350,11 +333,11 @@ def _verify_checks(specs, cfg) -> list[dict]:
             for name in names:
                 add(name, False, f"{label}{type(trace).__name__}: {trace}")
             continue
-        verdicts = summarize(trace, zones, specs, run_cfg).verdicts
+        verdicts = summarize(trace, specs, run_cfg).verdicts
         for name in names:
             add(name, verdicts[name]["pass"], label + verdicts[name]["detail"])
 
-    d0 = np.array([t.demand.at(0) for t in specs])
+    d0 = demand_table(specs).at(0)
     add("ode_tracking", *_ode_tracking(specs, cfg, d0))
 
     bank = ModelBank([t.utility for t in specs])

@@ -1,12 +1,15 @@
 """Shared domain types: task descriptions, engine configuration, seeded noise.
 
-Everything here is immutable after construction. ``NoiseSource`` is a pure
-function of its key, so values can be drawn in any order (or in bulk) and
-replayed exactly from the same seed.
+Everything here is immutable after construction. ``DemandTable`` is the one
+step -> demand lookup of a task set, which the engine and the summaries
+read; ``EngineConfig.from_dict`` is the one reader of engine settings, for
+builtin overrides, scenario files and manifests alike. ``NoiseSource`` is a
+pure function of its key, so values can be drawn in any order (or in bulk)
+and replayed exactly from the same seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -17,6 +20,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ConfigError",
     "DemandSchedule",
+    "DemandTable",
     "EngineConfig",
     "FairshareError",
     "FeasibilityBreach",
@@ -100,15 +104,9 @@ class DemandSchedule:
             value = zone_value
         return value
 
-    def starts(self) -> tuple[int, ...]:
-        return tuple(z[0] for z in self.zones)
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(z[1] for z in self.zones)
-
     def span(self) -> tuple[float, float]:
         """(min, max) over all zone values; used to size validation grids."""
-        vals = self.values()
+        vals = [value for _, value in self.zones]
         return min(vals), max(vals)
 
 
@@ -128,16 +126,36 @@ class TaskSpec:
             )
 
 
-def demand_table(specs: Sequence[TaskSpec]) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class DemandTable:
     """Merged demand lookup over all tasks' schedules.
 
-    Returns the sorted distinct zone starts and, per start, the demand
-    vector in effect from that step on. Row ``searchsorted(breaks, k,
-    side="right") - 1`` holds the demands at step ``k``.
+    ``breaks`` are the sorted distinct zone starts; row ``r`` of ``values``
+    is the demand vector in effect from ``breaks[r]`` up to the next break.
     """
-    breaks = sorted({k0 for t in specs for k0 in t.demand.starts()})
+
+    breaks: np.ndarray
+    values: np.ndarray
+
+    def at(self, k) -> np.ndarray:
+        """Demand vector at step ``k``; one row per step for an array of steps."""
+        return self.values[np.searchsorted(self.breaks, k, side="right") - 1]
+
+
+def demand_table(specs: Sequence[TaskSpec]) -> DemandTable:
+    """The merged demand lookup of a task set."""
+    breaks = sorted({k0 for t in specs for k0, _ in t.demand.zones})
     values = [[t.demand.at(k0) for t in specs] for k0 in breaks]
-    return np.array(breaks, dtype=np.int64), np.array(values, dtype=float)
+    return DemandTable(np.array(breaks, dtype=np.int64), np.array(values, dtype=float))
+
+
+def _integral(key: str, value) -> int:
+    """``value`` as an int; a float with no fractional part (``1.2e5``) converts."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -189,6 +207,24 @@ class EngineConfig:
                 raise ConfigError(
                     f"v_init must lie on the unit simplex, sum={arr.sum()!r}"
                 )
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "EngineConfig":
+        """The config an engine section or override dict describes.
+
+        The one reader of builtin overrides, scenario files and manifests:
+        an unknown key is a ConfigError naming it, and ``horizon``/``seed``
+        must be integers (an integral float such as ``1.2e5`` converts).
+        """
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown engine key(s): {sorted(unknown)}")
+        doc = {k: _integral(k, v) if k in ("horizon", "seed") else v
+               for k, v in doc.items()}
+        try:
+            return cls(**doc)
+        except TypeError as exc:
+            raise ConfigError(f"engine: {exc}") from exc
 
     @property
     def mu(self) -> float:

@@ -66,10 +66,11 @@ def fairness_from_utilities(weights, utilities, v) -> np.ndarray:
     Component i is (1 - v_i) * w_i - v_i * sum_{j != i} w_j with
     w = weights / utilities, which simplifies to w_i - v_i * sum(w). Positive
     values flag resource deficiency, negative values a surplus; the vector
-    sums to zero whenever v sums to one.
+    sums to zero whenever v sums to one. The sum runs over the last (task)
+    axis, so a batch of rows gives one index per row.
     """
     w = np.asarray(weights, dtype=float) / np.asarray(utilities, dtype=float)
-    return w - np.asarray(v, dtype=float) * w.sum()
+    return w - np.asarray(v, dtype=float) * w.sum(axis=-1, keepdims=True)
 
 
 def fairness_measure(specs: Sequence[TaskSpec], s, v, d) -> np.ndarray:
@@ -210,8 +211,9 @@ class Engine:
     """Simulation engine for one task set and configuration.
 
     Construction validates the configuration (unstable-filter and noise
-    conditions are rejected before any simulation). A single engine instance
-    is single-writer: share it across threads only for read-only use.
+    conditions are rejected before any simulation). ``demand`` is the task
+    set's demand table, read at every step. A single engine instance is
+    single-writer: share it across threads only for read-only use.
     """
 
     def __init__(self, specs: Sequence[TaskSpec], cfg: EngineConfig,
@@ -234,25 +236,14 @@ class Engine:
         self._epsilon = cfg.epsilon
         self._gamma = cfg.gamma
         self._eps_mu = cfg.eps_mu
-        self._demand_breaks, self._demand_values = demand_table(specs)
-
-    def demand_at(self, k) -> np.ndarray:
-        """Demand vector in effect at step k; one row per step for an array."""
-        rows = np.searchsorted(self._demand_breaks, k, side="right") - 1
-        return self._demand_values[rows]
+        self.demand = demand_table(specs)
 
     def initial_snapshot(self) -> EngineSnapshot:
         cfg = self.cfg
-        if cfg.v_init is not None:
-            if len(cfg.v_init) != self.n:
-                raise ConfigError(
-                    f"v_init has {len(cfg.v_init)} entries for {self.n} tasks"
-                )
-            v0 = np.asarray(cfg.v_init, dtype=float)
-        else:
-            v0 = uniform_allocation(self.n)
+        v0 = (uniform_allocation(self.n) if cfg.v_init is None
+              else np.asarray(cfg.v_init, dtype=float))
         s0 = np.full(self.n, float(cfg.s_init))
-        d0 = self.demand_at(0)
+        d0 = self.demand.at(0)
         u0 = self.bank.eval(s0, v0, d0)
         f0 = fairness_from_utilities(self.weights, u0, v0)
         return EngineSnapshot(
@@ -330,7 +321,7 @@ class Engine:
         k, n = snap.step, self.n
         # As in run: the check below raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u_meas = (self.bank.eval(snap.s, snap.v, self.demand_at(k))
+            u_meas = (self.bank.eval(snap.s, snap.v, self.demand.at(k))
                       + self.noise.measurement_block(k, k + 1, n)[0])
             zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)[0]
             f, v, s, u_lp, s_lp = self._advance(
@@ -339,7 +330,7 @@ class Engine:
             (error,) = self._failures(k, u_meas[None, None], v[None, None])
             if error is not None:
                 raise error
-            u_next = self.bank.eval(s, v, self.demand_at(k + 1))
+            u_next = self.bank.eval(s, v, self.demand.at(k + 1))
             phi = fairness_from_utilities(self.weights, u_next, v)
         return EngineSnapshot(
             step=k + 1, v=v, s=s, u_lp=u_lp, s_lp=s_lp,
@@ -425,7 +416,7 @@ class Engine:
                 m = k1 - k0
                 # Demand of the measurements at steps k0..k1-1, then of the
                 # diagnostics at the states after them, k0+1..k1.
-                d_rows = self.demand_at(np.arange(k0, k1 + 1))
+                d_rows = self.demand.at(np.arange(k0, k1 + 1))
                 eta = draw([noises[r].measurement_block(k0, k1, n) for r in live])
                 moving = ~frozen[live]
                 if moving.any():
@@ -460,8 +451,7 @@ class Engine:
                 near_opt = np.abs(
                     s_buf[lo:] - self.bank.argmax(v_buf[lo:], d_next[lo:])
                 ) < S_OPT_TOL
-                w_rows = weights / bank_eval(s_buf, v_buf, d_next)
-                phi = w_rows - v_buf * w_rows.sum(axis=-1, keepdims=True)
+                phi = fairness_from_utilities(weights, bank_eval(s_buf, v_buf, d_next), v_buf)
                 phi_sq = (phi * phi).sum(axis=-1)
                 for p, r in enumerate(live):
                     error = errors[p]

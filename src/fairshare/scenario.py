@@ -2,16 +2,26 @@
 
 Both builders follow the same demand protocol: three time-zones where half
 the tasks double their demand in the middle zone and revert afterwards,
-which exercises the engine's adaptation to changing requests.
+which exercises the engine's adaptation to changing requests. Their engine
+settings go through ``EngineConfig.from_dict``, as a scenario file's do;
+``summarize`` reads its zones and demands from the task set's
+``demand_table``, as the engine does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, DemandSchedule, EngineConfig, TaskSpec, demand_table
+from .core import (
+    ConfigError,
+    DemandSchedule,
+    EngineConfig,
+    TaskSpec,
+    _integral,
+    demand_table,
+)
 from .dynamics import S_OPT_TOL, RunTrace, recurrence_window
 from .utility import (
     MODEL_TYPES,
@@ -27,15 +37,11 @@ __all__ = [
     "ZoneSummary",
     "build_identical_four",
     "build_random",
-    "demand_matrix",
     "recurrence_window",
     "summarize",
-    "zone_starts",
 ]
 
 DEFAULT_ZONE_STEPS = 40_000
-
-_ENGINE_FIELDS = tuple(f.name for f in fields(EngineConfig))
 
 # Engine parameters of the paper's studies; the builders add horizon and seed.
 _PAPER_ENGINE = {
@@ -63,13 +69,10 @@ def _paper_config(cfg_overrides: dict | None, seed: int) -> tuple[int, EngineCon
     ``DEFAULT_ZONE_STEPS``); the horizon spans three zones.
     """
     overrides = dict(cfg_overrides) if cfg_overrides else {}
-    zone_steps = int(overrides.pop("zone_steps", DEFAULT_ZONE_STEPS))
+    zone_steps = _integral("zone_steps", overrides.pop("zone_steps", DEFAULT_ZONE_STEPS))
     if zone_steps < 1:
         raise ConfigError(f"zone_steps must be >= 1, got {zone_steps}")
-    unknown = set(overrides) - set(_ENGINE_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown engine override(s): {sorted(unknown)}")
-    return zone_steps, EngineConfig(**{
+    return zone_steps, EngineConfig.from_dict({
         **_PAPER_ENGINE, "horizon": 3 * zone_steps, "seed": seed, **overrides,
     })
 
@@ -117,6 +120,8 @@ def build_random(
     Weights are drawn from [0.2, 1], demands from [0.2, 0.8]; every model is
     normalized into [1, 2) over its own demand span and must pass the
     assumption checks (redrawn up to 100 times, then the build fails).
+    ``seed`` seeds both the draws and the engine; a ``seed`` in
+    ``cfg_overrides`` replaces it for both.
     """
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
@@ -124,7 +129,7 @@ def build_random(
     if unknown or not model_mix:
         raise ConfigError(f"unsupported model kind(s): {sorted(unknown)}")
     zone_steps, cfg = _paper_config(cfg_overrides, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def draw_model(kind: str):
         return MODEL_TYPES[kind](**{
@@ -159,17 +164,6 @@ def build_random(
             )
         specs.append(TaskSpec(id=i, weight=weight, utility=model, demand=demand))
     return specs, cfg
-
-
-def zone_starts(specs: Sequence[TaskSpec]) -> list[int]:
-    """Merged, sorted zone boundaries across all task schedules."""
-    return demand_table(specs)[0].tolist()
-
-
-def demand_matrix(specs: Sequence[TaskSpec], steps: np.ndarray) -> np.ndarray:
-    """Demand values per (recorded step, task)."""
-    breaks, values = demand_table(specs)
-    return values[np.searchsorted(breaks, steps, side="right") - 1]
 
 
 @dataclass
@@ -221,14 +215,13 @@ def _window_verdict(crossed: np.ndarray, window: int, threshold: float) -> dict:
 
 
 def summarize(
-    trace: RunTrace,
-    zones: Sequence[int],
-    specs: Sequence[TaskSpec],
-    cfg: EngineConfig,
+    trace: RunTrace, specs: Sequence[TaskSpec], cfg: EngineConfig
 ) -> ScenarioResult:
     """Tail statistics per zone and property verdicts over the whole run.
 
-    The zone statistics read the recorded rows; every verdict reads the
+    The zones run from each break of the task set's demand table to the
+    next, the last to the horizon. Their statistics read the recorded rows,
+    as slices of the trace (the steps are sorted); every verdict reads the
     ledger, which the run folded chunk by chunk over every step, so
     ``starvation`` and ``balance`` (per-window share extrema) and
     ``s_optimality`` (near-optimal level counts over the final 20% of the
@@ -239,8 +232,8 @@ def summarize(
     if len(trace) == 0:
         raise ValueError("trace is empty")
     steps = trace.steps
-    horizon = cfg.horizon
-    boundaries = list(zones) + [horizon]
+    table = demand_table(specs)
+    boundaries = table.breaks.tolist() + [cfg.horizon]
     lam_min = min(t.weight for t in specs)
     c_bar = max(t.utility.bound_c for t in specs)
     bank = ModelBank([t.utility for t in specs])
@@ -248,8 +241,10 @@ def summarize(
     zone_summaries: list[ZoneSummary] = []
     for z in range(len(boundaries) - 1):
         start, end = boundaries[z], boundaries[z + 1]
-        mask = (steps > start) & (steps <= end)
-        n_rec = int(mask.sum())
+        # Rows of steps start+1..end.
+        rows = slice(*np.searchsorted(steps, (start, end), side="right"))
+        zsteps = steps[rows]
+        n_rec = len(zsteps)
         complete = trace.complete or (len(steps) > 0 and steps[-1] >= end)
         if n_rec < 40:
             zone_summaries.append(ZoneSummary(
@@ -257,36 +252,30 @@ def summarize(
                 n_records=n_rec, insufficient=True,
             ))
             continue
-        zsteps = steps[mask]
-        zv = trace.v[mask]
-        zs = trace.s[mask]
-        zf = trace.f_obs[mask]
-        zphi_sq = trace.phi_sq[mask]
-        tail_from = end - (end - start) // 4
-        tail = zsteps > tail_from
-        v_tail_mean = zv[tail].mean(axis=0)
+        zv = trace.v[rows]
+        # Row offsets, within the zone, of its final 25% and 20% of steps.
+        tail, opt = np.searchsorted(
+            zsteps, (end - (end - start) // 4, end - (end - start) // 5), side="right"
+        )
+        v_tail_mean = zv[tail:].mean(axis=0)
 
         dev_ok = np.abs(zv - v_tail_mean).max(axis=1) <= 0.02
         bad = np.flatnonzero(~dev_ok)
         adapt = int(zsteps[bad[-1] + 1] - start) if bad.size and bad[-1] + 1 < len(zsteps) \
             else (None if bad.size else 0)
 
-        opt_from = end - (end - start) // 5
-        opt_mask = zsteps > opt_from
-        d_opt = demand_matrix(specs, zsteps[opt_mask])
-        s_star = bank.argmax(zv[opt_mask], d_opt)
-        frac = float(
-            (np.abs(zs[opt_mask] - s_star) < S_OPT_TOL).mean(axis=0).min()
-        )
+        zs = trace.s[rows]
+        s_star = bank.argmax(zv[opt:], table.at(zsteps[opt:]))
+        frac = float((np.abs(zs[opt:] - s_star) < S_OPT_TOL).mean(axis=0).min())
 
         zone_summaries.append(ZoneSummary(
             start=start, end=end, complete=complete, n_records=n_rec,
             insufficient=False,
             v_mean=v_tail_mean,
-            v_std=zv[tail].std(axis=0),
-            s_mean=zs[tail].mean(axis=0),
-            f_abs_mean=np.abs(zf[tail]).mean(axis=0),
-            phi_sq_mean=float(zphi_sq[tail].mean()),
+            v_std=zv[tail:].std(axis=0),
+            s_mean=zs[tail:].mean(axis=0),
+            f_abs_mean=np.abs(trace.f_obs[rows][tail:]).mean(axis=0),
+            phi_sq_mean=float(trace.phi_sq[rows][tail:].mean()),
             adapt_steps=adapt,
             s_opt_fraction=frac,
         ))

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 import fairshare as fs
-from fairshare.core import DemandSchedule, EngineConfig, TaskSpec
+from fairshare.core import DemandSchedule, EngineConfig, TaskSpec, demand_table
 from fairshare.oracle import fair_fixed_point, integrate_full_ode, integrate_limiting_ode
 from fairshare.scenario import (
     build_identical_four,
     build_random,
-    demand_matrix,
     recurrence_window,
-    zone_starts,
 )
 from fairshare.utility import (
     AffineNormalizer,
@@ -234,7 +232,7 @@ def test_criterion_07_operation_level_optimality(fig5_quiet):
     bank = ModelBank([t.utility for t in specs])
     tail = int(round(0.2 * len(trace)))
     steps = trace.steps[-tail:]
-    d = demand_matrix(specs, steps)
+    d = demand_table(specs).at(steps)
     s_star = bank.argmax(trace.v[-tail:], d, tol=1e-6)
     frac = (np.abs(trace.s[-tail:] - s_star) < 0.05).mean(axis=0)
     ok = bool(frac.min() > 0.9)

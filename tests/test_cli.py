@@ -21,7 +21,7 @@ from fairshare.cli import (
 import fairshare.cli as cli
 from fairshare.core import ConfigError, StepError
 from fairshare.dynamics import Engine
-from fairshare.scenario import summarize, zone_starts
+from fairshare.scenario import summarize
 from fairshare.utility import (
     AffineNormalizer,
     CpuBandwidthModel,
@@ -365,6 +365,65 @@ class TestValidateCommand:
         assert "FAILED" in capsys.readouterr().out
 
 
+ONE_TASK = {
+    "tasks": [{
+        "weight": 1.0,
+        "model": {"type": "home_energy", "a": 2.0, "b": 1.0, "c": 2.0,
+                  "kappa": 1.0, "h": 0.5, "normalize": {"c_target": 2.0}},
+        "demand_zones": [[0, 0.4]],
+    }],
+    "engine": {"epsilon": 5e-4, "horizon": 10, "seed": 1},
+}
+
+
+def one_task_file(tmp_path, manifest=False, **engine):
+    """ONE_TASK with ``engine`` merged in, as a scenario or a manifest file."""
+    doc = {**ONE_TASK, "engine": {**ONE_TASK["engine"], **engine}}
+    path = tmp_path / ("manifest.json" if manifest else "one.json")
+    path.write_text(json.dumps({"scenario": doc} if manifest else doc))
+    return str(path)
+
+
+class TestEngineSettings:
+    """Builtins, scenario files and manifests share one engine-config reader."""
+
+    @pytest.mark.parametrize("source, argv, message", [
+        ({"horizon": 1.5}, [], "horizon must be an integer, got 1.5"),
+        ({}, ["--set", "seed=2.7"], "seed must be an integer, got 2.7"),
+        ("paper-fig6", ["--set", "seed=2.7"], "seed must be an integer, got 2.7"),
+        ("paper-fig5", ["--set", "zone_steps=1.5"],
+         "zone_steps must be an integer, got 1.5"),
+    ], ids=["file-horizon", "file-seed", "fig6-seed", "fig5-zone_steps"])
+    def test_non_integer_is_config_error_naming_key_and_value(
+        self, tmp_path, capsys, source, argv, message
+    ):
+        # A dict source is the engine section of a scenario file.
+        if isinstance(source, dict):
+            source = one_task_file(tmp_path, **source)
+        assert run_cli("validate", source, *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_floats_read_as_ints(self, tmp_path):
+        _, cfg, doc, _ = resolve_scenario(one_task_file(tmp_path, horizon=1.2e5), {})
+        assert cfg.horizon == 120_000 and type(cfg.horizon) is int
+        assert doc["engine"]["horizon"] == 120_000
+        _, cfg, _, _ = resolve_scenario("paper-fig5", {"horizon": 1e4, "seed": 3.0})
+        assert (cfg.horizon, cfg.seed) == (10_000, 3)
+        assert type(cfg.horizon) is int and type(cfg.seed) is int
+        assert run_cli("validate", "paper-fig5", "--set", "horizon=1e4", *FAST) == 0
+
+    def test_unknown_key_gives_one_message_on_every_path(self, tmp_path, capsys):
+        errors = []
+        for argv in (
+            ["paper-fig5", "--set", "nonsense=1"],
+            [one_task_file(tmp_path, nonsense=1)],
+            [one_task_file(tmp_path, manifest=True, nonsense=1)],
+        ):
+            assert run_cli("validate", *argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: unknown engine key(s): ['nonsense']\n"] * 3
+
+
 class TestVerifyCommand:
     def test_prints_table_and_reports_json(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -396,7 +455,7 @@ class TestVerifyCommand:
             ("noise-free regime: ", quiet, False, ("s_optimality",)),
         ):
             trace = Engine(specs, run_cfg).run(stride=1, freeze_levels=freeze)
-            verdicts = summarize(trace, zone_starts(specs), specs, run_cfg).verdicts
+            verdicts = summarize(trace, specs, run_cfg).verdicts
             for name in names:
                 expected[name] = {"name": name, "pass": verdicts[name]["pass"],
                                   "detail": label + verdicts[name]["detail"]}

@@ -146,6 +146,24 @@ class TestFairnessMeasure:
         assert f == pytest.approx([0.625, -0.625], abs=1e-15)
         assert f.sum() == pytest.approx(0.0, abs=1e-15)
 
+    def test_batch_of_rows_equals_calls_row_by_row(self):
+        weights = [1.0, 0.5]
+        u = np.array([[1.0, 2.0], [2.0, 1.5]])
+        v = np.array([[0.5, 0.5], [0.3, 0.7]])
+        f = fairness_from_utilities(weights, u, v)
+        for r in range(2):
+            assert np.array_equal(f[r], fairness_from_utilities(weights, u[r], v[r]))
+        assert np.abs(f.sum(axis=1)).max() <= 1e-12
+
+    def test_exact_measure_of_a_batch_equals_calls_row_by_row(self):
+        specs = make_specs(3, weights=[1.0, 0.5, 0.8])
+        s = np.array([[0.2, 0.5, 0.9], [0.6, 0.3, 0.4]])
+        v = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+        d = np.full((2, 3), 0.4)
+        f = fairness_measure(specs, s, v, d)
+        for r in range(2):
+            assert np.array_equal(f[r], fairness_measure(specs, s[r], v[r], d[r]))
+
     def test_task_with_no_share_has_positive_deficiency(self):
         specs = make_specs(3)
         f = fairness_measure(specs, [0.5] * 3, [0.0, 0.5, 0.5], [0.4] * 3)
@@ -429,6 +447,11 @@ class TestRun:
         with pytest.raises(fs.ConfigError):
             Engine(specs, make_cfg(epsilon=0.1, gamma=100.0))
 
+    def test_wrong_length_v_init_rejected_before_simulation(self):
+        specs = make_specs(2)
+        with pytest.raises(fs.ConfigError, match="v_init has 3 entries for 2 tasks"):
+            Engine(specs, make_cfg(v_init=(0.2, 0.3, 0.5)))
+
 
 class TestFilterConvergence:
     def test_filters_contract_geometrically_with_frozen_inputs(self):
@@ -487,8 +510,8 @@ class TestDemandSwitching:
         cfg = make_cfg(horizon=6, eta_bar=0.0, zeta_bar=0.0)
         trace = run(specs, cfg)
         eng = Engine(specs, cfg)
-        assert np.array_equal(eng.demand_at(2), [0.4, 0.4])
-        assert np.array_equal(eng.demand_at(3), [0.8, 0.4])
+        assert np.array_equal(eng.demand.at(2), [0.4, 0.4])
+        assert np.array_equal(eng.demand.at(3), [0.8, 0.4])
         # Measurements at steps 0..2 use the old demand; step 3 the new one.
         s2, v2 = trace.s[1], trace.v[1]
         expected = model.eval(s2[0], v2[0], 0.4)

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import fairshare as fs
+from fairshare.core import demand_table
 from fairshare.scenario import (
     build_identical_four,
     build_random,
-    demand_matrix,
     recurrence_window,
     summarize,
-    zone_starts,
 )
 from fairshare.utility import ModelBank, validate_assumptions
 
@@ -95,7 +94,7 @@ def small_run():
 class TestSummarize:
     def test_zone_tail_statistics(self, small_run):
         specs, cfg, trace = small_run
-        result = summarize(trace, zone_starts(specs), specs, cfg)
+        result = summarize(trace, specs, cfg)
         assert len(result.zones) == 3
         z1 = result.zones[0]
         assert not z1.insufficient
@@ -104,7 +103,7 @@ class TestSummarize:
 
     def test_verdicts_on_clean_run(self, small_run):
         specs, cfg, trace = small_run
-        result = summarize(trace, zone_starts(specs), specs, cfg)
+        result = summarize(trace, specs, cfg)
         assert result.verdicts["feasibility"]["pass"] is True
         assert result.verdicts["fairness_zero_sum"]["pass"] is True
         assert result.verdicts["fairness_increment_bounds"]["pass"] is True
@@ -113,15 +112,15 @@ class TestSummarize:
 
     def test_zone_determinism(self, small_run):
         specs, cfg, _ = small_run
-        r1 = summarize(fs.run(specs, cfg), zone_starts(specs), specs, cfg)
-        r2 = summarize(fs.run(specs, cfg), zone_starts(specs), specs, cfg)
+        r1 = summarize(fs.run(specs, cfg), specs, cfg)
+        r2 = summarize(fs.run(specs, cfg), specs, cfg)
         for a, b in zip(r1.zones, r2.zones):
             assert np.array_equal(a.v_mean, b.v_mean)
             assert a.adapt_steps == b.adapt_steps
 
     def test_adaptation_time_is_finite_after_switch(self, small_run):
         specs, cfg, trace = small_run
-        result = summarize(trace, zone_starts(specs), specs, cfg)
+        result = summarize(trace, specs, cfg)
         for z in result.zones:
             assert z.adapt_steps is not None
             assert z.adapt_steps < z.end - z.start
@@ -129,14 +128,14 @@ class TestSummarize:
     def test_tiny_zone_marked_insufficient(self):
         specs, cfg = build_identical_four({"zone_steps": 10})
         trace = fs.run(specs, cfg)
-        result = summarize(trace, zone_starts(specs), specs, cfg)
+        result = summarize(trace, specs, cfg)
         assert all(z.insufficient for z in result.zones)
 
     def test_empty_trace_rejected(self):
         specs, cfg = build_identical_four({"zone_steps": 10, "horizon": 0})
         trace = fs.run(specs, cfg)
         with pytest.raises(ValueError):
-            summarize(trace, zone_starts(specs), specs, cfg)
+            summarize(trace, specs, cfg)
 
 
 class TestRecurrenceVerdicts:
@@ -152,7 +151,7 @@ class TestRecurrenceVerdicts:
 
     @staticmethod
     def recurrence(trace, specs, cfg):
-        verdicts = summarize(trace, zone_starts(specs), specs, cfg).verdicts
+        verdicts = summarize(trace, specs, cfg).verdicts
         return verdicts["starvation"], verdicts["balance"]
 
     def test_stride_keeps_the_stride_one_verdicts(self, short_windows):
@@ -183,7 +182,7 @@ class TestRecurrenceVerdicts:
 
     @staticmethod
     def s_optimality(trace, specs, cfg):
-        return summarize(trace, zone_starts(specs), specs, cfg).verdicts["s_optimality"]
+        return summarize(trace, specs, cfg).verdicts["s_optimality"]
 
     def test_s_optimality_counts_the_final_fifth_of_the_steps(self, short_windows):
         specs, cfg, trace = short_windows
@@ -191,7 +190,7 @@ class TestRecurrenceVerdicts:
         tail = trace.steps >= led.opt_start
         assert tail.sum() == led.opt_steps == round(0.2 * cfg.horizon)
         s_star = ModelBank([t.utility for t in specs]).argmax(
-            trace.v[tail], demand_matrix(specs, trace.steps[tail])
+            trace.v[tail], demand_table(specs).at(trace.steps[tail])
         )
         near = np.abs(trace.s[tail] - s_star) < 0.05
         np.testing.assert_array_equal(led.opt_hits, near.sum(axis=0))
@@ -218,17 +217,22 @@ class TestRecurrenceVerdicts:
 
 
 class TestHelpers:
-    def test_zone_starts_merges_schedules(self):
+    def test_demand_table_merges_schedules(self):
         specs, _ = build_identical_four({"zone_steps": 100})
-        assert zone_starts(specs) == [0, 100, 200]
+        assert demand_table(specs).breaks.tolist() == [0, 100, 200]
 
-    def test_demand_matrix_matches_schedules(self):
-        specs, _ = build_identical_four({"zone_steps": 100})
-        steps = np.array([1, 99, 100, 150, 200, 201])
-        mat = demand_matrix(specs, steps)
-        for j, t in enumerate(specs):
-            for r, k in enumerate(steps):
-                assert mat[r, j] == t.demand.at(int(k))
+    def test_demand_table_matches_schedules(self):
+        specs, cfg = build_identical_four({"zone_steps": 100})
+        table = demand_table(specs)
+        # At each break, between breaks, and past the horizon.
+        steps = np.array([0, 1, 99, 100, 150, 199, 200, 201, cfg.horizon,
+                          cfg.horizon + 1, 10 * cfg.horizon])
+        mat = table.at(steps)
+        assert mat.shape == (len(steps), len(specs))
+        for r, k in enumerate(steps):
+            row = table.at(int(k))
+            for j, t in enumerate(specs):
+                assert mat[r, j] == row[j] == t.demand.at(int(k))
 
     def test_recurrence_window_formula(self):
         assert recurrence_window(5e-4, 0.2, 2.0) == 100_000
