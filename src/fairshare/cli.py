@@ -55,6 +55,8 @@ EXIT_CONFIG = 1
 EXIT_BREACH = 2
 
 _BUILTIN_FIG6_SEED = 30
+# Outputs `run` can write: trace.csv and summary.json.
+_FORMATS = ("csv", "json")
 # Rows of trace.csv formatted per np.savetxt call.
 _CSV_BLOCK_ROWS = 4096
 
@@ -255,8 +257,13 @@ def cmd_run(args) -> int:
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     formats = args.formats if args.formats is not None else set(
-        extras.get("formats", ["csv", "json"])
+        extras.get("formats", _FORMATS)
     )
+    unknown = sorted(formats - set(_FORMATS))
+    if unknown:
+        raise ConfigError(
+            f"unknown output format(s) {unknown}; allowed: {', '.join(_FORMATS)}"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -285,7 +292,7 @@ def cmd_run(args) -> int:
         print(f"{status.replace('_', ' ')}: {failure}", file=sys.stderr)
         return EXIT_BREACH if breach else EXIT_CONFIG
     if "json" in formats:
-        if len(trace) > 0:
+        if cfg.horizon >= 1:
             result = summarize(trace, specs, cfg)
             doc_out = {"status": "ok", **summary_to_dict(result)}
         else:

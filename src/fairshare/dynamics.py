@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -242,7 +241,9 @@ class Engine:
         cfg = self.cfg
         v0 = (uniform_allocation(self.n) if cfg.v_init is None
               else np.asarray(cfg.v_init, dtype=float))
-        s0 = np.full(self.n, float(cfg.s_init))
+        # + 0.0 turns an s_init of -0.0 into 0.0, so no level is ever -0.0
+        # (see _advance).
+        s0 = np.full(self.n, float(cfg.s_init) + 0.0)
         d0 = self.demand.at(0)
         u0 = self.bank.eval(s0, v0, d0)
         f0 = fairness_from_utilities(self.weights, u0, v0)
@@ -253,33 +254,86 @@ class Engine:
             phi_sq_sum=float((f0 * f0).sum()),
         )
 
-    def _advance(self, v, s, u_lp, s_lp, u_meas, zeta, moving=None):
-        """The update on measurement ``u_meas``; every step and run goes through it.
+    def _advance(self, state, d_rows, eta, zeta, keep, bufs) -> None:
+        """The update kernel: walks ``len(eta)`` steps from ``state``.
 
-        Moves the shares along the observed fairness index, then the levels
-        by the filtered difference quotient plus dither ``zeta``. The state
-        is ``(n,)`` for one lane and ``(R, n)`` for R lanes. ``zeta=None``
-        freezes every lane's levels; a boolean ``moving`` of shape ``(R, 1)``
-        freezes the lanes where it is False by keeping their old ``s`` (a
+        ``state`` is ``(v, s, u_lp, s_lp)``, shaped ``(n,)`` for one lane
+        and ``(R, n)`` for R lanes; the filters ``u_lp`` and ``s_lp`` are
+        updated in place, ``v`` and ``s`` only read. Step ``j`` measures at
+        demand ``d_rows[j]`` with noise ``eta[j]``, moves the shares along
+        the observed fairness index, then the levels by the filtered
+        difference quotient plus dither ``zeta[j]``, and writes the
+        measurement, the index and the new shares and levels into row ``j``
+        of ``bufs = (v_buf, s_buf, u_buf, f_buf)``. ``zeta=None`` freezes
+        every lane's levels; a boolean ``keep`` of shape ``(R, 1)``
+        freezes the lanes where it is True by keeping their old ``s`` (a
         zero level step would not: a huge measurement makes the filter step
         inf, and 0 * inf is NaN); their filters move on but are never read.
-        Returns ``(f, v, s, u_lp, s_lp)``. It checks nothing: ``_failures``
-        finds the first bad step of a whole chunk afterwards.
+        Every :meth:`step` and run goes through here, and it checks nothing:
+        ``_failures`` finds the first bad step of a whole chunk afterwards.
+
+        Each element goes through the operations of
+        ``v + eps * (w - v * sum(w))`` with ``w = weights / u_meas``, and of
+        ``clip(s + em * tanh(du / ds) + em * zeta, 0, 1)``, in that order;
+        the constants are arrays shaped like the state, since a same-shape
+        operand is the cheapest ufunc call. The clip is ``maximum`` then
+        ``minimum``, which can differ from ``np.clip`` only on a -0.0
+        operand. The pre-clip level cannot be -0.0: a rounded sum is -0.0
+        only when both addends are, so ``s`` would have to be -0.0, yet
+        every level is either the initial one (never -0.0, see
+        :meth:`initial_snapshot`) or a previous step's clip of a level that
+        was not -0.0, and ``maximum(x, 0.0)`` is -0.0 only for x = -0.0.
         """
-        w = self.weights / u_meas
-        f = w - v * w.sum(axis=-1, keepdims=True)
-        v_new = v + self._epsilon * f
+        v, s, u_lp, s_lp = state
+        v_buf, s_buf, u_buf, f_buf = bufs
+        shape = v.shape
+        weights = np.broadcast_to(self.weights, shape).copy()
+        eps = np.full(shape, self._epsilon)
+        w, tmp = np.empty(shape), np.empty(shape)
         if zeta is None:
-            return f, v_new, s, u_lp, s_lp
-        em, gamma = self._eps_mu, self._gamma
-        du = gamma * (u_meas - u_lp)
-        ds = gamma * (s - s_lp)
-        mask = np.abs(ds) >= RATIO_GUARD
-        ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
-        s_new = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
-        if moving is not None:
-            s_new = np.where(moving, s_new, s)
-        return f, v_new, s_new, u_lp + em * du, s_lp + em * ds
+            s_buf[:len(eta)] = s
+        else:
+            em = np.full(shape, self._eps_mu)
+            gamma = np.full(shape, self._gamma)
+            guard = np.full(shape, RATIO_GUARD)
+            lo, hi = np.zeros(shape), np.ones(shape)
+            du, ds = np.empty(shape), np.empty(shape)
+            mask = np.empty(shape, dtype=bool)
+            # The dither enters the level step as em * zeta: scaled once here.
+            zeta = self._eps_mu * zeta
+            if keep is not None:
+                keep = np.broadcast_to(keep, shape).copy()
+        bank_eval = self.bank.eval
+        for j, d_k, eta_k in zip(range(len(eta)), d_rows, eta):
+            u, f, v_new, s_new = u_buf[j], f_buf[j], v_buf[j], s_buf[j]
+            np.add(bank_eval(s, v, d_k), eta_k, out=u)
+            np.divide(weights, u, out=w)
+            np.multiply(v, np.add.reduce(w, axis=-1, keepdims=True), out=tmp)
+            np.subtract(w, tmp, out=f)
+            np.multiply(eps, f, out=tmp)
+            np.add(v, tmp, out=v_new)
+            if zeta is not None:
+                np.subtract(u, u_lp, out=du)
+                np.multiply(gamma, du, out=du)
+                np.subtract(s, s_lp, out=ds)
+                np.multiply(gamma, ds, out=ds)
+                np.absolute(ds, out=tmp)
+                np.greater_equal(tmp, guard, out=mask)
+                ratio = np.zeros(shape)
+                np.divide(du, ds, out=ratio, where=mask)
+                np.tanh(ratio, out=ratio)
+                np.multiply(em, ratio, out=ratio)
+                np.add(s, ratio, out=ratio)
+                np.add(ratio, zeta[j], out=ratio)
+                np.maximum(ratio, lo, out=ratio)
+                np.minimum(ratio, hi, out=s_new)
+                if keep is not None:
+                    np.copyto(s_new, s, where=keep)
+                np.multiply(em, du, out=du)
+                np.add(u_lp, du, out=u_lp)
+                np.multiply(em, ds, out=ds)
+                np.add(s_lp, ds, out=s_lp)
+            v, s = v_new, s_new
 
     def _failures(self, k0: int, u_meas, v_new) -> list[StepError | None]:
         """Per lane, the error of its first bad step among steps ``k0, k0 + 1, ...``.
@@ -319,18 +373,19 @@ class Engine:
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
         """Advance one step: measure, update shares, update levels, diagnose."""
         k, n = snap.step, self.n
+        bufs = [np.empty((1, n)) for _ in range(4)]
+        u_lp, s_lp = snap.u_lp.copy(), snap.s_lp.copy()
         # As in run: the check below raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u_meas = (self.bank.eval(snap.s, snap.v, self.demand.at(k))
-                      + self.noise.measurement_block(k, k + 1, n)[0])
-            zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)[0]
-            f, v, s, u_lp, s_lp = self._advance(
-                snap.v, snap.s, snap.u_lp, snap.s_lp, u_meas, zeta
-            )
+            d_rows = self.demand.at(np.arange(k, k + 2))
+            zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)
+            self._advance((snap.v, snap.s, u_lp, s_lp), d_rows,
+                          self.noise.measurement_block(k, k + 1, n), zeta, None, bufs)
+            v, s, u_meas, f = (b[0] for b in bufs)
             (error,) = self._failures(k, u_meas[None, None], v[None, None])
             if error is not None:
                 raise error
-            u_next = self.bank.eval(s, v, self.demand.at(k + 1))
+            u_next = self.bank.eval(s, v, d_rows[1])
             phi = fairness_from_utilities(self.weights, u_next, v)
         return EngineSnapshot(
             step=k + 1, v=v, s=s, u_lp=u_lp, s_lp=s_lp,
@@ -390,9 +445,6 @@ class Engine:
         ledgers = [self._ledger() for _ in noises]
         results: list[RunTrace | StepError | None] = [None] * len(noises)
         lam_ratio = self.lam_min / self.c_bar
-        weights = self.weights
-        advance = self._advance
-        bank_eval = self.bank.eval
         # One lane keeps the state (n,), as step does; R lanes carry (R, n).
         flat = len(noises) == 1
         live = list(range(len(noises)))
@@ -406,7 +458,9 @@ class Engine:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             snap0 = self.initial_snapshot()
             state = (snap0.v, snap0.s, snap0.u_lp, snap0.s_lp)
-            if not flat:
+            if flat:
+                state = tuple(x.copy() for x in state)
+            else:
                 state = tuple(np.tile(x, (len(noises), 1)) for x in state)
             v, s, u_lp, s_lp = state
             chunk = _CHUNK_STEPS
@@ -419,24 +473,19 @@ class Engine:
                 d_rows = self.demand.at(np.arange(k0, k1 + 1))
                 eta = draw([noises[r].measurement_block(k0, k1, n) for r in live])
                 moving = ~frozen[live]
+                zeta, keep = None, None
                 if moving.any():
                     zeta = draw([noises[r].dither_block(k0, k1, n) if move
                                  else np.zeros((m, n)) for r, move in zip(live, moving)])
-                    moving = None if moving.all() else moving[:, None]
-                else:
-                    zeta, moving = repeat(None), None
-                v_start = v
+                    keep = None if moving.all() else ~moving[:, None]
                 # Failed lanes have left the state; their columns stay unused.
                 v_buf, s_buf, u_buf, f_buf = (
                     b[:m] if flat else b[:m, :len(live)] for b in bufs
                 )
-                for j, d_k, eta_k, zeta_k in zip(range(m), d_rows, eta, zeta):
-                    u_meas = bank_eval(s, v, d_k) + eta_k
-                    f, v, s, u_lp, s_lp = advance(v, s, u_lp, s_lp, u_meas, zeta_k, moving)
-                    v_buf[j] = v
-                    s_buf[j] = s
-                    u_buf[j] = u_meas
-                    f_buf[j] = f
+                self._advance((v, s, u_lp, s_lp), d_rows, eta, zeta, keep,
+                              (v_buf, s_buf, u_buf, f_buf))
+                v_start = v
+                v, s = v_buf[m - 1].copy(), s_buf[m - 1].copy()
 
                 # From here on every array has the lane axis second.
                 if flat:
@@ -451,7 +500,9 @@ class Engine:
                 near_opt = np.abs(
                     s_buf[lo:] - self.bank.argmax(v_buf[lo:], d_next[lo:])
                 ) < S_OPT_TOL
-                phi = fairness_from_utilities(weights, bank_eval(s_buf, v_buf, d_next), v_buf)
+                phi = fairness_from_utilities(
+                    self.weights, self.bank.eval(s_buf, v_buf, d_next), v_buf
+                )
                 phi_sq = (phi * phi).sum(axis=-1)
                 for p, r in enumerate(live):
                     error = errors[p]

@@ -227,10 +227,12 @@ def summarize(
     ``s_optimality`` (near-optimal level counts over the final 20% of the
     steps) are decided at any stride. An incomplete run skips those three.
     Zones with fewer than 40 records are marked insufficient and carry no
-    statistics.
+    statistics, so a stride longer than the run leaves every zone
+    insufficient but no verdict undecided. A run that completed no step has
+    no verdicts: that is a ValueError.
     """
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
+    if (cfg.horizon if trace.complete else trace.breach_step) < 1:
+        raise ValueError("the run completed no step")
     steps = trace.steps
     table = demand_table(specs)
     boundaries = table.breaks.tolist() + [cfg.horizon]

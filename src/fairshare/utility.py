@@ -366,12 +366,20 @@ class ModelBank:
         if self._single is not None:
             formula, _, _, params, scale, shift = self._single
             return scale * formula(s, v, d, *params) + shift
+        return self._eval_groups(s, v, d, affine=True)
+
+    def _eval_groups(self, s, v, d, affine: bool) -> np.ndarray:
+        """Each class group on its columns, then the models without ``params``.
+
+        With ``affine=False`` a group's tasks get their unwrapped ``formula``,
+        without the scale and shift of their wrappers.
+        """
         shape = np.broadcast_shapes(s.shape, v.shape, d.shape, (self.n,))
         out = np.empty(shape)
         s, v, d = (np.broadcast_to(x, shape) for x in (s, v, d))
         for formula, _, idx, params, scale, shift in self._groups:
             u = formula(s[..., idx], v[..., idx], d[..., idx], *params)
-            out[..., idx] = scale * u + shift
+            out[..., idx] = scale * u + shift if affine else u
         for i in self._other:
             out[..., i] = self.models[i].eval(s[..., i], v[..., i], d[..., i])
         return out
@@ -382,8 +390,10 @@ class ModelBank:
         Classes that declare ``argmax_formula`` are solved in closed form; an
         affine wrapper keeps the maximizer, since its scale is > 0. The other
         tasks get a vectorized golden-section search down to a bracket of
-        width ``tol``, valid because validated models are concave in s. The
-        result has shape ``broadcast_shapes(v, d, (n,))``.
+        width ``tol``, valid because validated models are concave in s. For
+        the same reason a class group is searched on its unwrapped
+        ``formula``: a tiny wrapper scale would flatten the peak to rounding.
+        The result has shape ``broadcast_shapes(v, d, (n,))``.
         """
         if tol <= 0.0:
             raise ValueError("tol must be > 0")
@@ -406,8 +416,8 @@ class ModelBank:
         b = np.ones(shape)
         x1 = b - _INVPHI * (b - a)
         x2 = a + _INVPHI * (b - a)
-        f1 = self.eval(x1, v, d)
-        f2 = self.eval(x2, v, d)
+        f1 = self._eval_groups(x1, v, d, affine=False)
+        f2 = self._eval_groups(x2, v, d, affine=False)
         width = 1.0
         while width > tol:
             take = f1 < f2
@@ -418,8 +428,8 @@ class ModelBank:
             # Only one bracket end moved per lane; re-evaluate both lanes
             # anyway, the evaluation is a cheap closed form.
             x1, x2 = x1_new, x2_new
-            f1 = self.eval(x1, v, d)
-            f2 = self.eval(x2, v, d)
+            f1 = self._eval_groups(x1, v, d, affine=False)
+            f2 = self._eval_groups(x2, v, d, affine=False)
             width *= _INVPHI
         # The search runs on every lane; only those without a closed form
         # keep its result.

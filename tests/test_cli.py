@@ -100,6 +100,34 @@ class TestRunCommand:
         n_rows = len((out / "trace.csv").read_text().splitlines()) - 1
         assert n_rows == 1200 // 100
 
+    def test_stride_longer_than_the_run_keeps_every_verdict(self, tmp_path):
+        # A 300-step run, which a stride of 1000 leaves without a record.
+        summaries = {}
+        for stride in ("1", "1000"):
+            out = tmp_path / stride
+            assert run_cli("run", "paper-fig5", "--out", str(out), "--stride", stride,
+                           "--set", "zone_steps=100") == 0
+            summaries[stride] = read_json(out / "summary.json")
+        thin = summaries["1000"]
+        assert len(thin["verdicts"]) == 7
+        assert thin["verdicts"] == summaries["1"]["verdicts"]
+        assert [(z["insufficient"], z["n_records"]) for z in thin["zones"]] == [(True, 0)] * 3
+
+    @pytest.mark.parametrize("source", ["cli", "manifest"])
+    def test_unknown_format_is_rejected_before_any_output(self, tmp_path, capsys, source):
+        if source == "cli":
+            argv = ["paper-fig5", "--formats", "json,cvs", *FAST]
+        else:
+            _, _, doc, _ = resolve_scenario("paper-fig5", {"zone_steps": 400})
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps({"scenario": doc, "stride": 1, "formats": ["cvs"]}))
+            argv = [str(path)]
+        out = tmp_path / "o"
+        assert run_cli("run", *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "['cvs']" in err and "allowed: csv, json" in err
+        assert not out.exists()
+
     def test_manifest_rerun_is_bit_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("run", "paper-fig5", "--out", str(out_a), "--stride", "3", *FAST)

@@ -29,7 +29,13 @@ from fairshare.dynamics import (
     fairness_measure,
     run,
 )
-from fairshare.utility import AffineNormalizer, HomeEnergyModel, ModelBank, UtilityModel
+from fairshare.utility import (
+    AffineNormalizer,
+    CpuBandwidthModel,
+    HomeEnergyModel,
+    ModelBank,
+    UtilityModel,
+)
 
 HOME = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
 
@@ -375,18 +381,76 @@ class TestRun:
         assert len(trace) == 0
         assert trace.complete
 
+    @staticmethod
+    def mixed_scenario():
+        """One task per path of ModelBank.eval: two class groups (one
+        wrapped), and a model without ``params``; task 0's demand switches."""
+        models = [
+            HOME,
+            CpuBandwidthModel(a=0.5, b=2.0, h=1.0, theta=0.5, v_floor=0.25),
+            AffineNormalizer.fit(HOME, (0.2, 0.8), c_target=2.0),
+            ConstantModel(1.5),
+        ]
+        demands = [DemandSchedule(((0, 0.3), (30, 0.6))), DemandSchedule.constant(0.5),
+                   DemandSchedule.constant(0.7), DemandSchedule.constant(0.4)]
+        specs = [TaskSpec(id=i, weight=w, utility=m, demand=d)
+                 for i, (w, m, d) in enumerate(zip([1.0, 0.7, 0.4, 0.9], models, demands))]
+        cfg = make_cfg(epsilon=0.01, gamma=20.0, horizon=80, eta_bar=0.01, zeta_bar=0.01)
+        return specs, cfg
+
     def test_run_matches_iterated_steps_bitwise(self):
-        specs = make_specs(3, weights=[1.0, 0.7, 0.4], demands=[0.3, 0.5, 0.7])
-        cfg = make_cfg(horizon=40, eta_bar=0.01, zeta_bar=0.01)
+        specs, cfg = self.mixed_scenario()
+        eng = Engine(specs, cfg)
+        for freeze_levels in (False, True):
+            snap = eng.initial_snapshot()
+            rows = {name: [] for name in ("v", "s", "u_meas", "f_obs", "phi", "phi_sq")}
+            for _ in range(cfg.horizon):
+                snap = eng.step(snap, freeze_levels)
+                for name in rows:
+                    rows[name].append(
+                        snap.phi_sq_sum if name == "phi_sq" else getattr(snap, name)
+                    )
+            trace = run(specs, cfg, freeze_levels=freeze_levels)
+            assert (trace.s[-1] != cfg.s_init).any() != freeze_levels
+            for name, got in rows.items():
+                np.testing.assert_array_equal(getattr(trace, name), np.array(got),
+                                              err_msg=f"{name}, frozen {freeze_levels}",
+                                              strict=True)
+
+    @pytest.mark.parametrize("freeze_levels", [False, True])
+    def test_run_matches_the_update_written_out(self, freeze_levels):
+        # The update as plain numpy expressions, one step at a time.
+        specs, cfg = self.mixed_scenario()
         eng = Engine(specs, cfg)
         snap = eng.initial_snapshot()
-        for _ in range(40):
-            snap = eng.step(snap)
-        trace = run(specs, cfg)
-        assert np.array_equal(trace.v[-1], snap.v)
-        assert np.array_equal(trace.s[-1], snap.s)
-        assert np.array_equal(trace.phi[-1], snap.phi)
-        assert trace.phi_sq[-1] == snap.phi_sq_sum
+        v, s, u_lp, s_lp = snap.v, snap.s, snap.u_lp, snap.s_lp
+        em, n = cfg.eps_mu, len(specs)
+        rows = []
+        for k in range(cfg.horizon):
+            u = (eng.bank.eval(s, v, eng.demand.at(k))
+                 + eng.noise.measurement_block(k, k + 1, n)[0])
+            w = eng.weights / u
+            f = w - v * w.sum()
+            v = v + cfg.epsilon * f
+            if not freeze_levels:
+                du, ds = cfg.gamma * (u - u_lp), cfg.gamma * (s - s_lp)
+                ratio = np.divide(du, ds, out=np.zeros(n),
+                                  where=np.abs(ds) >= dynamics.RATIO_GUARD)
+                zeta = eng.noise.dither_block(k, k + 1, n)[0]
+                s = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
+                u_lp, s_lp = u_lp + em * du, s_lp + em * ds
+            rows.append((v, s, u, f))
+        trace = run(specs, cfg, freeze_levels=freeze_levels)
+        for name, got in zip(("v", "s", "u_meas", "f_obs"), zip(*rows)):
+            np.testing.assert_array_equal(getattr(trace, name), np.array(got),
+                                          err_msg=name, strict=True)
+
+    def test_lanes_of_a_mixed_task_set_are_separate_runs(self):
+        specs, cfg = self.mixed_scenario()
+        lanes = [(cfg, False), (dataclasses.replace(cfg, seed=8), False), (cfg, True)]
+        got = Engine(specs, cfg).run_lanes(lanes)
+        for g, ref in zip(got, separate_runs(specs, lanes, 1)):
+            assert_same_result(g, ref)
 
     def test_same_seed_reproduces_trace_bitwise(self):
         specs = make_specs(4)

@@ -357,6 +357,21 @@ class TestClosedFormArgmax:
         assert np.allclose(got[..., 3], 0.6 + 0.2 * d[..., 3], atol=1e-9)
         self.assert_matches_reference(models, v, d)
 
+    def test_search_is_not_flattened_by_a_tiny_wrapper_scale(self):
+        # The fit scales this model by about 1e-6, which flattens the wrapped
+        # utility near its peak to rounding; the search reads the unwrapped
+        # formula, whose maximizer is the same.
+        @dataclass(frozen=True)
+        class SearchedCpu(CpuBandwidthModel):
+            argmax_formula = None
+
+        model = AffineNormalizer.fit(SearchedCpu(a=1.0, b=2.0, h=1.0, theta=1.0), (0.0, 1.0))
+        assert model.scale < 1e-6
+        for tol in (1e-6, 1e-8):
+            got = ModelBank([model, HOME]).argmax(0.4, 0.0, tol=tol)
+            assert abs(got[0] - 0.4) <= tol
+            assert got[1] == 0.0
+
     def test_scalar_arguments_broadcast_over_tasks(self):
         bank = ModelBank([HOME, AffineNormalizer.fit(HOME, (0.2, 0.8))])
         out = bank.argmax(0.3, 0.6)
