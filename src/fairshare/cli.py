@@ -23,6 +23,7 @@ from .core import (
     FeasibilityBreach,
     StepError,
     TaskSpec,
+    _integral,
     demand_table,
     validate_config,
 )
@@ -121,14 +122,24 @@ def scenario_to_dict(specs: Sequence[TaskSpec], cfg: EngineConfig) -> dict:
     }
 
 
+def _object(key: str, value) -> dict:
+    """``value`` itself if it is a JSON object, else a ConfigError naming ``key``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
-    if "tasks" not in doc or "engine" not in doc:
+    if "tasks" not in _object("scenario", doc) or "engine" not in doc:
         raise ConfigError("scenario JSON needs 'tasks' and 'engine' sections")
+    if not isinstance(doc["tasks"], list):
+        raise ConfigError(f"tasks must be a JSON array, got {doc['tasks']!r}")
     specs = []
     for i, task_doc in enumerate(doc["tasks"]):
         try:
             zones = tuple(
-                (int(k), float(d)) for k, d in task_doc["demand_zones"]
+                (_integral("demand zone start", k), float(d))
+                for k, d in task_doc["demand_zones"]
             )
             demand = DemandSchedule(zones)
             model = model_from_dict(task_doc["model"], demand.span())
@@ -136,9 +147,9 @@ def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
                 id=i, weight=float(task_doc["weight"]),
                 utility=model, demand=demand,
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"tasks[{i}]: {exc}") from exc
-    return specs, EngineConfig.from_dict(doc["engine"])
+    return specs, EngineConfig.from_dict(_object("engine", doc["engine"]))
 
 
 def _parse_set(items: list[str] | None) -> dict:
@@ -163,7 +174,8 @@ def resolve_scenario(
     """Builtin name, scenario JSON path, or manifest JSON path.
 
     Returns (specs, cfg, resolved scenario dict, manifest extras); the
-    extras carry stride/formats when a manifest was given.
+    extras are a manifest's keys other than ``scenario``, which
+    ``run_options`` reads.
     """
     overrides = dict(overrides)
     extras: dict = {}
@@ -179,18 +191,18 @@ def resolve_scenario(
                 f"scenario {name_or_path!r} is neither a builtin name nor a file"
             )
         try:
-            doc = json.loads(path.read_text())
+            doc = _object(str(path), json.loads(path.read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if "scenario" in doc:
             extras = {k: v for k, v in doc.items() if k != "scenario"}
-            doc = doc["scenario"]
+            doc = _object("scenario", doc["scenario"])
         if "zone_steps" in overrides:
             raise ConfigError(
                 "zone_steps applies only to the builtin scenarios; set "
                 "demand_zones and horizon in the scenario file instead"
             )
-        doc = {**doc, "engine": {**doc.get("engine", {}), **overrides}}
+        doc = {**doc, "engine": {**_object("engine", doc.get("engine", {})), **overrides}}
         specs, cfg = scenario_from_dict(doc)
     return specs, cfg, scenario_to_dict(specs, cfg), extras
 
@@ -251,26 +263,41 @@ def summary_to_dict(result: ScenarioResult) -> dict:
 # Commands
 
 
-def cmd_run(args) -> int:
-    specs, cfg, doc, extras = _resolve(args)
-    stride = args.stride if args.stride is not None else int(extras.get("stride", 1))
+def run_options(doc: dict) -> tuple[int, list[str]]:
+    """``stride`` and the sorted ``formats`` of a run.
+
+    The one reader of a manifest's run options and of the ``--stride`` and
+    ``--formats`` flags, which ``cmd_run`` lays over them. An unknown key,
+    a stride that is not an integer >= 1 (an integral float such as ``2.0``
+    converts) and formats that are not a list of known names are
+    ConfigErrors naming the key and the value.
+    """
+    unknown = sorted(set(doc) - {"stride", "formats"})
+    if unknown:
+        raise ConfigError(f"unknown manifest key(s): {unknown}")
+    stride = _integral("stride", doc.get("stride", 1))
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    formats = args.formats if args.formats is not None else set(
-        extras.get("formats", _FORMATS)
-    )
-    unknown = sorted(formats - set(_FORMATS))
+    formats = doc.get("formats", list(_FORMATS))
+    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
+        raise ConfigError(f"formats must be a list of names, got {formats!r}")
+    unknown = sorted(set(formats) - set(_FORMATS))
     if unknown:
         raise ConfigError(
             f"unknown output format(s) {unknown}; allowed: {', '.join(_FORMATS)}"
         )
+    return stride, sorted(set(formats))
+
+
+def cmd_run(args) -> int:
+    specs, cfg, doc, extras = _resolve(args)
+    flags = {"stride": args.stride, "formats": args.formats}
+    stride, formats = run_options(
+        {**extras, **{k: v for k, v in flags.items() if v is not None}}
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "scenario": doc,
-        "stride": stride,
-        "formats": sorted(formats),
-    }
+    manifest = {"scenario": doc, "stride": stride, "formats": formats}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     engine = Engine(specs, cfg)
     failure: StepError | None = None
@@ -480,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="record every Nth step (default 1 or the "
                                 "manifest value)")
             p.add_argument("--formats", default=None,
-                           type=lambda s: set(s.split(",")),
+                           type=lambda s: s.split(","),
                            help="comma-separated outputs (default csv,json)")
         p.set_defaults(fn=fn)
     return parser

@@ -9,6 +9,8 @@ and replayed exactly from the same seed.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
@@ -158,6 +160,14 @@ def _integral(key: str, value) -> int:
     return value
 
 
+def _finite(key: str, value):
+    """``value`` itself if it is a finite real number, else a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Step sizes, filter gain, noise bounds, horizon and seed for one run.
@@ -178,6 +188,8 @@ class EngineConfig:
     v_init: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("epsilon", "mu_exponent", "gamma", "eta_bar", "zeta_bar", "s_init"):
+            _finite(name, getattr(self, name))
         if self.epsilon <= 0.0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if not (0.0 < self.mu_exponent < 1.0):
@@ -197,7 +209,8 @@ class EngineConfig:
         if not (0.0 <= self.s_init <= 1.0):
             raise ConfigError(f"s_init must be in [0, 1], got {self.s_init}")
         if self.v_init is not None:
-            object.__setattr__(self, "v_init", tuple(float(x) for x in self.v_init))
+            object.__setattr__(self, "v_init",
+                               tuple(float(_finite("v_init", x)) for x in self.v_init))
             arr = np.asarray(self.v_init, dtype=float)
             if arr.size == 0:
                 raise ConfigError("v_init cannot be empty")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DemandTable,
     EngineConfig,
     FeasibilityBreach,
     MeasurementError,
@@ -55,8 +56,19 @@ _LANE_FIELDS = ("seed", "eta_bar", "zeta_bar")
 
 
 def recurrence_window(epsilon: float, lam_min: float, c_bar: float) -> int:
-    """Window length over which the recurrence properties are checked."""
-    return int(math.ceil(5.0 / (epsilon * lam_min / c_bar)))
+    """Window length over which the recurrence properties are checked.
+
+    A ConfigError when ``epsilon * lam_min / c_bar`` is so small that the
+    window overflows a float.
+    """
+    rate = epsilon * lam_min / c_bar
+    window = 5.0 / rate if rate > 0.0 else math.inf
+    if window == math.inf:
+        raise ConfigError(
+            f"the recurrence window 5 / (epsilon * lam_min / c_bar) overflows at "
+            f"epsilon = {epsilon!r}, lam_min = {lam_min!r}, c_bar = {c_bar!r}"
+        )
+    return int(math.ceil(window))
 
 
 def fairness_from_utilities(weights, utilities, v) -> np.ndarray:
@@ -254,18 +266,18 @@ class Engine:
             phi_sq_sum=float((f0 * f0).sum()),
         )
 
-    def _advance(self, state, d_rows, eta, zeta, keep, bufs) -> None:
+    def _advance(self, bank, state, d_rows, eta, zeta, keep, bufs) -> None:
         """The update kernel: walks ``len(eta)`` steps from ``state``.
 
-        ``state`` is ``(v, s, u_lp, s_lp)``, shaped ``(n,)`` for one lane
-        and ``(R, n)`` for R lanes; the filters ``u_lp`` and ``s_lp`` are
-        updated in place, ``v`` and ``s`` only read. Step ``j`` measures at
-        demand ``d_rows[j]`` with noise ``eta[j]``, moves the shares along
+        ``state`` is ``(v, s, u_lp, s_lp)``, each shaped ``(R, n)``, one row
+        per lane; the filters ``u_lp`` and ``s_lp`` are updated in place,
+        ``v`` and ``s`` only read. Step ``j`` measures with ``bank.eval`` at
+        demand ``d_rows[j]`` plus noise ``eta[j]``, moves the shares along
         the observed fairness index, then the levels by the filtered
         difference quotient plus dither ``zeta[j]``, and writes the
         measurement, the index and the new shares and levels into row ``j``
         of ``bufs = (v_buf, s_buf, u_buf, f_buf)``. ``zeta=None`` freezes
-        every lane's levels; a boolean ``keep`` of shape ``(R, 1)``
+        every lane's levels; a boolean ``keep`` shaped like the state
         freezes the lanes where it is True by keeping their old ``s`` (a
         zero level step would not: a huge measurement makes the filter step
         inf, and 0 * inf is NaN); their filters move on but are never read.
@@ -301,9 +313,7 @@ class Engine:
             mask = np.empty(shape, dtype=bool)
             # The dither enters the level step as em * zeta: scaled once here.
             zeta = self._eps_mu * zeta
-            if keep is not None:
-                keep = np.broadcast_to(keep, shape).copy()
-        bank_eval = self.bank.eval
+        bank_eval = bank.eval
         for j, d_k, eta_k in zip(range(len(eta)), d_rows, eta):
             u, f, v_new, s_new = u_buf[j], f_buf[j], v_buf[j], s_buf[j]
             np.add(bank_eval(s, v, d_k), eta_k, out=u)
@@ -373,22 +383,24 @@ class Engine:
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
         """Advance one step: measure, update shares, update levels, diagnose."""
         k, n = snap.step, self.n
-        bufs = [np.empty((1, n)) for _ in range(4)]
-        u_lp, s_lp = snap.u_lp.copy(), snap.s_lp.copy()
+        # One lane: the state and every row carry a lane axis of length 1.
+        bufs = [np.empty((1, 1, n)) for _ in range(4)]
+        u_lp, s_lp = snap.u_lp[None].copy(), snap.s_lp[None].copy()
         # As in run: the check below raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d_rows = self.demand.at(np.arange(k, k + 2))
-            zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)
-            self._advance((snap.v, snap.s, u_lp, s_lp), d_rows,
-                          self.noise.measurement_block(k, k + 1, n), zeta, None, bufs)
-            v, s, u_meas, f = (b[0] for b in bufs)
-            (error,) = self._failures(k, u_meas[None, None], v[None, None])
+            d_rows = self.demand.at(np.arange(k, k + 2))[:, None]
+            zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)[:, None]
+            self._advance(self.bank, (snap.v[None], snap.s[None], u_lp, s_lp), d_rows,
+                          self.noise.measurement_block(k, k + 1, n)[:, None], zeta, None,
+                          bufs)
+            (error,) = self._failures(k, bufs[2], bufs[0])
             if error is not None:
                 raise error
-            u_next = self.bank.eval(s, v, d_rows[1])
+            v, s, u_meas, f = (b[0, 0] for b in bufs)
+            u_next = self.bank.eval(s, v, d_rows[1, 0])
             phi = fairness_from_utilities(self.weights, u_next, v)
         return EngineSnapshot(
-            step=k + 1, v=v, s=s, u_lp=u_lp, s_lp=s_lp,
+            step=k + 1, v=v, s=s, u_lp=u_lp[0], s_lp=s_lp[0],
             u_meas=u_meas, f_obs=f, phi=phi,
             phi_sq_sum=float((phi * phi).sum()),
         )
@@ -415,11 +427,11 @@ class Engine:
         A lane's ``cfg`` may differ from the engine's only in ``seed``,
         ``eta_bar`` and ``zeta_bar``; any other difference is a ConfigError
         naming the lane and the field. The state carries a leading lane
-        axis (none for one lane), so R lanes cost one loop's numpy calls.
+        axis, one lane included, so R lanes cost one loop's numpy calls.
         Returns per lane, bit for bit, the RunTrace that
         ``Engine(specs, cfg).run(stride, freeze_levels)`` returns, or the
         StepError it raises with its partial ``.trace``; a failed lane
-        leaves the loop and the others go on.
+        stays in the loop, unrecorded, and the others go on.
 
         The horizon is walked in chunks of ``_CHUNK_STEPS`` steps; each
         chunk draws its noise, runs the update kernel, checks the chunk's
@@ -437,102 +449,82 @@ class Engine:
         noises = [self._lane_noise(r, cfg) for r, (cfg, _) in enumerate(lanes)]
         if not noises:
             raise ValueError("need at least one lane")
-        frozen = np.array([bool(freeze) for _, freeze in lanes])
-        horizon, n = self.cfg.horizon, self.n
+        # Lanes whose levels stay, laid out (R, n) like the state.
+        frozen = np.array([[bool(freeze)] * self.n for _, freeze in lanes])
+        horizon, n, lanes_n = self.cfg.horizon, self.n, len(noises)
         kept = horizon // stride
         records = [[np.empty((kept, n)) for _ in range(5)] + [np.empty(kept)]
                    for _ in noises]
         ledgers = [self._ledger() for _ in noises]
-        results: list[RunTrace | StepError | None] = [None] * len(noises)
+        results: list[RunTrace | StepError | None] = [None] * lanes_n
         lam_ratio = self.lam_min / self.c_bar
-        # One lane keeps the state (n,), as step does; R lanes carry (R, n).
-        flat = len(noises) == 1
-        live = list(range(len(noises)))
-
-        def draw(blocks):
-            return blocks[0] if flat else np.stack(blocks, axis=1)
+        # The bank and the demand rows are laid out (R, n), like the state,
+        # so that no operand of a step's model evaluation broadcasts.
+        bank = self.bank.laid_out(lanes_n)
+        demand = DemandTable(self.demand.breaks,
+                             np.repeat(self.demand.values[:, None], lanes_n, axis=1))
 
         # Every bad measurement is caught by _failures, and the steps after
         # a lane's failure, like the failing state's diagnostics, may read
         # NaN: neither needs a warning.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             snap0 = self.initial_snapshot()
-            state = (snap0.v, snap0.s, snap0.u_lp, snap0.s_lp)
-            if flat:
-                state = tuple(x.copy() for x in state)
-            else:
-                state = tuple(np.tile(x, (len(noises), 1)) for x in state)
-            v, s, u_lp, s_lp = state
+            v, s, u_lp, s_lp = (np.tile(x, (lanes_n, 1))
+                                for x in (snap0.v, snap0.s, snap0.u_lp, snap0.s_lp))
             chunk = _CHUNK_STEPS
-            bufs = [np.empty((chunk, *v.shape)) for _ in range(4)]
+            # The chunk's records, then its measurement noise and dither.
+            bufs = [np.empty((chunk, lanes_n, n)) for _ in range(6)]
             for k0 in range(0, horizon, chunk):
                 k1 = min(k0 + chunk, horizon)
                 m = k1 - k0
                 # Demand of the measurements at steps k0..k1-1, then of the
                 # diagnostics at the states after them, k0+1..k1.
-                d_rows = self.demand.at(np.arange(k0, k1 + 1))
-                eta = draw([noises[r].measurement_block(k0, k1, n) for r in live])
-                moving = ~frozen[live]
-                zeta, keep = None, None
-                if moving.any():
-                    zeta = draw([noises[r].dither_block(k0, k1, n) if move
-                                 else np.zeros((m, n)) for r, move in zip(live, moving)])
-                    keep = None if moving.all() else ~moving[:, None]
-                # Failed lanes have left the state; their columns stay unused.
-                v_buf, s_buf, u_buf, f_buf = (
-                    b[:m] if flat else b[:m, :len(live)] for b in bufs
-                )
-                self._advance((v, s, u_lp, s_lp), d_rows, eta, zeta, keep,
+                d_rows = demand.at(np.arange(k0, k1 + 1))
+                v_buf, s_buf, u_buf, f_buf, eta, zeta = (b[:m] for b in bufs)
+                for r, nz in enumerate(noises):
+                    eta[:, r] = nz.measurement_block(k0, k1, n)
+                    zeta[:, r] = 0.0 if frozen[r, 0] else nz.dither_block(k0, k1, n)
+                self._advance(bank, (v, s, u_lp, s_lp), d_rows, eta,
+                              None if frozen.all() else zeta, frozen if frozen.any() else None,
                               (v_buf, s_buf, u_buf, f_buf))
                 v_start = v
                 v, s = v_buf[m - 1].copy(), s_buf[m - 1].copy()
 
-                # From here on every array has the lane axis second.
-                if flat:
-                    v_start = v_start[None]
-                    v_buf, s_buf, u_buf, f_buf = (
-                        x[:, None] for x in (v_buf, s_buf, u_buf, f_buf)
-                    )
                 errors = self._failures(k0, u_buf, v_buf)
-                d_next = d_rows[1:, None]
                 # Rows of the s_optimality tail: steps from opt_start on.
                 lo = min(max(ledgers[0].opt_start - 1 - k0, 0), m)
                 near_opt = np.abs(
-                    s_buf[lo:] - self.bank.argmax(v_buf[lo:], d_next[lo:])
+                    s_buf[lo:] - bank.argmax(v_buf[lo:], d_rows[1 + lo:])
                 ) < S_OPT_TOL
                 phi = fairness_from_utilities(
-                    self.weights, self.bank.eval(s_buf, v_buf, d_next), v_buf
+                    self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf
                 )
                 phi_sq = (phi * phi).sum(axis=-1)
-                for p, r in enumerate(live):
-                    error = errors[p]
+                for r, error in enumerate(errors):
+                    if results[r] is not None:
+                        continue
                     done = k1 if error is None else error.step
                     m_r = done - k0
                     if m_r:
-                        vc = v_buf[:m_r, p]
-                        v_pre = np.vstack([v_start[p], vc[:-1]])
-                        ledgers[r].fold(k0, v_pre, vc, f_buf[:m_r, p], phi_sq[:m_r, p],
-                                        lam_ratio, near_opt[:max(m_r - lo, 0), p])
+                        vc = v_buf[:m_r, r]
+                        v_pre = np.vstack([v_start[r], vc[:-1]])
+                        ledgers[r].fold(k0, v_pre, vc, f_buf[:m_r, r], phi_sq[:m_r, r],
+                                        lam_ratio, near_opt[:max(m_r - lo, 0), r])
                         # Local rows whose step k0 + j + 1 is a multiple of
                         # stride, and the records they fill.
-                        keep = slice((-k0 - 1) % stride, m_r, stride)
+                        picked = slice((-k0 - 1) % stride, m_r, stride)
                         rows = slice(k0 // stride, done // stride)
                         for rec, buf in zip(records[r], (v_buf, s_buf, u_buf, f_buf,
                                                          phi, phi_sq)):
-                            rec[rows] = buf[keep, p]
+                            rec[rows] = buf[picked, r]
                     if error is not None:
                         error.trace = _trace(records[r], ledgers[r], stride, done, error)
                         results[r] = error
-                alive = [p for p, error in enumerate(errors) if error is None]
-                if len(alive) < len(live):
-                    live = [live[p] for p in alive]
-                    if not live:
-                        break
-                    v, s, u_lp, s_lp = (x[alive] for x in (v, s, u_lp, s_lp))
+                if None not in results:
+                    break
 
-        for r in live:
-            results[r] = _trace(records[r], ledgers[r], stride, horizon, None)
-        return results
+        return [_trace(records[r], ledgers[r], stride, horizon, None) if result is None
+                else result for r, result in enumerate(results)]
 
     def _lane_noise(self, r: int, cfg: EngineConfig) -> NoiseSource:
         """Noise of lane ``r``, the engine's own if its noise fields match."""

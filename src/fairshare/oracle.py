@@ -110,8 +110,6 @@ class OdeTrajectory:
     times: np.ndarray
     v: np.ndarray
     s: np.ndarray
-    u_lp: np.ndarray | None = None
-    s_lp: np.ndarray | None = None
 
     def terminal(self) -> np.ndarray:
         return self.v[-1]
@@ -181,10 +179,8 @@ def integrate_full_ode(
     times = np.empty(n_steps + 1)
     vs = np.empty((n_steps + 1,) + y[0].shape)
     ss = np.empty_like(vs)
-    us = np.empty_like(vs)
-    gs = np.empty_like(vs)
     times[0] = 0.0
-    vs[0], ss[0], us[0], gs[0] = y
+    vs[0], ss[0] = y[:2]
     for step in range(1, n_steps + 1):
         # Each accepted state is checked on the utilities of its k1 stage.
         k1, u = field(y)
@@ -199,9 +195,9 @@ def integrate_full_ode(
                 f"non-finite mean-field state at t={step * dt:.6g}"
             )
         times[step] = step * dt
-        vs[step], ss[step], us[step], gs[step] = y
+        vs[step], ss[step] = y[:2]
     _check_domain(y[0], bank.eval(y[1], y[0], d_vec), f"t={n_steps * dt:.6g}")
-    return OdeTrajectory(times=times, v=vs, s=ss, u_lp=us, s_lp=gs)
+    return OdeTrajectory(times=times, v=vs, s=ss)
 
 
 def integrate_limiting_ode(

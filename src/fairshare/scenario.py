@@ -129,6 +129,8 @@ def build_random(
     if unknown or not model_mix:
         raise ConfigError(f"unsupported model kind(s): {sorted(unknown)}")
     zone_steps, cfg = _paper_config(cfg_overrides, seed=seed)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0 to draw the tasks, got {cfg.seed}")
     rng = np.random.default_rng(cfg.seed)
 
     def draw_model(kind: str):
@@ -190,10 +192,6 @@ class ScenarioResult:
 
     zones: list[ZoneSummary]
     verdicts: dict[str, dict]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v["pass"] is not False for v in self.verdicts.values())
 
 
 def _window_verdict(crossed: np.ndarray, window: int, threshold: float) -> dict:

@@ -7,13 +7,14 @@ rescales any model into that band without moving its level optimum.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, _finite
 
 __all__ = [
     "AffineNormalizer",
@@ -79,6 +80,8 @@ class HomeEnergyModel(UtilityModel):
     params = ("a", "b", "c", "kappa", "h")
 
     def __post_init__(self):
+        for name in (*self.params, "bound_c"):
+            _finite(f"HomeEnergyModel.{name}", getattr(self, name))
         for name in self.params:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"HomeEnergyModel.{name} must be > 0")
@@ -121,6 +124,8 @@ class CpuBandwidthModel(UtilityModel):
     params = ("a", "b", "h", "theta", "v_floor")
 
     def __post_init__(self):
+        for name in (*self.params, "bound_c"):
+            _finite(f"CpuBandwidthModel.{name}", getattr(self, name))
         for name in ("a", "b", "h", "theta"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"CpuBandwidthModel.{name} must be > 0")
@@ -164,6 +169,8 @@ class AffineNormalizer(UtilityModel):
     bound_c: float
 
     def __post_init__(self):
+        for name in ("scale", "shift", "bound_c"):
+            _finite(f"AffineNormalizer.{name}", getattr(self, name))
         if self.scale <= 0.0:
             raise ConfigError("scale must be > 0")
         if self.bound_c <= 1.0:
@@ -234,10 +241,10 @@ def validate_assumptions(
 ) -> AssumptionReport:
     """Check 1 <= u < bound_c and concavity in s on a grid_n^3 lattice.
 
-    Concavity uses centered second differences along s (tolerance +1e-8 on
-    the curvature estimate). If the model exposes an analytic gradient, a
-    central finite difference is compared against it at every interior
-    lattice point.
+    A utility that is not finite fails the bounds check. Concavity uses
+    centered second differences along s (tolerance +1e-8 on the curvature
+    estimate). If the model exposes an analytic gradient, a central finite
+    difference is compared against it at every interior lattice point.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be >= 3, got {grid_n}")
@@ -259,7 +266,8 @@ def validate_assumptions(
             "value": float(values[tuple(idx)]),
         }
 
-    bad = (u < 1.0 - 1e-9) | (u >= model.bound_c)
+    # Written so that a NaN utility counts as a violation.
+    bad = ~((u >= 1.0 - 1e-9) & (u < model.bound_c))
     bounds_ok = not bool(bad.any())
     if not bounds_ok:
         first_violation = _locate(bad, "bounds", u)
@@ -357,6 +365,20 @@ class ModelBank:
         self._single = self._groups[0] if len(self._groups) == 1 and not other else None
         # Tasks without a closed-form maximizer, left to the search.
         self._search = np.array(sorted(search), dtype=int)
+
+    def laid_out(self, lanes: int) -> "ModelBank":
+        """This bank with each group's parameter, scale and shift arrays
+        tiled to ``(lanes, k)`` for its k tasks, so that on ``(lanes, n)``
+        arguments no operand of ``eval`` broadcasts; it computes the same
+        values."""
+        bank = copy.copy(self)
+        bank._groups = [
+            (formula, argmax_formula, idx, tuple(np.tile(p, (lanes, 1)) for p in params),
+             np.tile(scale, (lanes, 1)), np.tile(shift, (lanes, 1)))
+            for formula, argmax_formula, idx, params, scale, shift in self._groups
+        ]
+        bank._single = bank._groups[0] if self._single is not None else None
+        return bank
 
     def eval(self, s, v, d) -> np.ndarray:
         """Utilities for all tasks; s, v, d broadcast with tasks last."""

@@ -452,6 +452,87 @@ class TestEngineSettings:
         assert errors == ["error: unknown engine key(s): ['nonsense']\n"] * 3
 
 
+class TestOutsideValues:
+    """Run options, zone starts, document shapes and non-finite numbers from
+    outside are ConfigErrors that name the key or task and the value."""
+
+    @pytest.mark.parametrize("extras, argv, message", [
+        ({"stride": "x"}, [], "stride must be an integer, got 'x'"),
+        ({"stride": 2.7}, [], "stride must be an integer, got 2.7"),
+        ({"stride": 0}, [], "stride must be >= 1, got 0"),
+        ({"formats": "json"}, [], "formats must be a list of names, got 'json'"),
+        ({"formats": [1]}, [], "formats must be a list of names, got [1]"),
+        ({"strides": 2}, [], "unknown manifest key(s): ['strides']"),
+        ({"stride": "x"}, ["--stride", "0"], "stride must be >= 1, got 0"),
+        ({}, ["--formats", "json,cvs"],
+         "unknown output format(s) ['cvs']; allowed: csv, json"),
+    ], ids=["stride-str", "stride-float", "stride-zero", "formats-str",
+            "formats-int", "unknown-key", "flag-stride", "flag-formats"])
+    def test_bad_run_option_is_config_error(self, tmp_path, capsys, extras, argv, message):
+        path = one_task_file(tmp_path, manifest=True)
+        manifest = {**read_json(tmp_path / "manifest.json"), **extras}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert run_cli("run", path, *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_integral_float_stride_reads_as_int(self, tmp_path):
+        path = one_task_file(tmp_path, manifest=True)
+        manifest = {**read_json(tmp_path / "manifest.json"), "stride": 2.0}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("run", path, "--out", str(tmp_path / "o")) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["stride"] == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["tasks"][0].update(demand_zones=[[0, 0.4], [50.7, 0.5]]),
+         "tasks[0]: demand zone start must be an integer, got 50.7"),
+        (lambda d: d["tasks"][0]["model"].update(a=float("nan")),
+         "tasks[0]: HomeEnergyModel.a must be a finite number, got nan"),
+        (lambda d: d["tasks"][0]["model"].update(bound_c=float("inf")),
+         "tasks[0]: HomeEnergyModel.bound_c must be a finite number, got inf"),
+        (lambda d: d["tasks"][0]["model"].update(normalize={"c_target": float("inf")}),
+         "tasks[0]: AffineNormalizer.scale must be a finite number, got inf"),
+        (lambda d: d["engine"].update(v_init=[float("nan")]),
+         "v_init must be a finite number, got nan"),
+        (lambda d: d.update(engine=[]), "engine must be a JSON object, got []"),
+        (lambda d: d.update(tasks={}), "tasks must be a JSON array, got {}"),
+    ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-v_init",
+            "engine-list", "tasks-object"])
+    def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(ONE_TASK))
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--out", str(tmp_path / "o")]):
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_top_level_list_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("[]")
+        assert run_cli("validate", str(path)) == 1
+        assert capsys.readouterr().err == f"error: {path} must be a JSON object, got []\n"
+
+    @pytest.mark.parametrize("setting, message", [
+        ("epsilon=NaN", "epsilon must be a finite number, got nan"),
+        ("gamma=Infinity", "gamma must be a finite number, got inf"),
+        ("zeta_bar=-Infinity", "zeta_bar must be a finite number, got -inf"),
+        ("eta_bar=true", "eta_bar must be a finite number, got True"),
+        ("epsilon=5e-324", "the recurrence window 5 / (epsilon * lam_min / c_bar) "
+                           "overflows at epsilon = 5e-324, lam_min = 1.0, c_bar = 4.0"),
+    ])
+    def test_bad_set_value_is_config_error(self, tmp_path, capsys, setting, message):
+        assert run_cli("run", "paper-fig5", "--set", setting, *FAST,
+                       "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_seed_of_the_random_draw_is_config_error(self, tmp_path, capsys):
+        assert run_cli("validate", "paper-fig6", "--seed", "-1", *FAST) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0 to draw the tasks, got -1\n"
+
+
 class TestVerifyCommand:
     def test_prints_table_and_reports_json(self, tmp_path, capsys):
         out = tmp_path / "v"

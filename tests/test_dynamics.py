@@ -719,6 +719,15 @@ class TrapModel(UtilityModel):
         return np.where((d >= 2.0) & (v != 0.5), 1e-5, u)
 
 
+class NanOffHalf(UtilityModel):
+    """Utility 1.5, except NaN once the level has left 0.5."""
+
+    bound_c = 2.0
+
+    def eval(self, s, v, d):
+        return np.where(np.asarray(s) != 0.5, math.nan, 1.5 + 0.0 * v)
+
+
 def separate_runs(specs, lanes, stride):
     """What one Engine.run per lane returns or raises."""
     out = []
@@ -817,6 +826,32 @@ class TestLanes:
                 monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
                 for got, ref in zip(Engine(specs, cfg).run_lanes(lanes, stride), refs):
                     assert_same_result(got, ref)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(chunk=st.integers(3, 9), chunks=st.integers(3, 5),
+           seeds=st.tuples(*[st.integers(0, 2**32)] * 3))
+    def test_a_lane_gone_non_finite_leaves_the_others_bit_identical(
+        self, chunk, chunks, seeds
+    ):
+        # Lane 0's dither moves its level at step 0, so it measures NaN at
+        # step 1; lane 1 is frozen and lane 2 has neither noise nor drift,
+        # so both keep the level at 0.5 and run on for chunks - 1 chunks.
+        specs = [TaskSpec(id=i, weight=w, utility=NanOffHalf(),
+                          demand=DemandSchedule.constant(0.4))
+                 for i, w in enumerate((1.0, 0.7))]
+        cfg = EngineConfig(epsilon=0.1, gamma=5.0, horizon=chunk * chunks,
+                           seed=seeds[0], zeta_bar=1.0)
+        lanes = [(cfg, False),
+                 (dataclasses.replace(cfg, seed=seeds[1], eta_bar=0.1, zeta_bar=0.0), True),
+                 (dataclasses.replace(cfg, seed=seeds[2], zeta_bar=0.0), False)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK_STEPS", chunk)
+            got = Engine(specs, cfg).run_lanes(lanes)
+        refs = separate_runs(specs, lanes, 1)
+        assert (type(refs[0]), refs[0].step) == (MeasurementError, 1)
+        assert [len(r) for r in refs[1:]] == [cfg.horizon] * 2
+        for g, ref in zip(got, refs):
+            assert_same_result(g, ref)
 
     def test_lane_differing_in_another_field_is_config_error(self):
         specs, cfg = streaming_scenario(horizon=10)

@@ -382,3 +382,19 @@ class TestClosedFormArgmax:
 def test_validate_assumptions_requires_three_grid_points():
     with pytest.raises(ValueError):
         validate_assumptions(HOME, (0.2, 0.8), grid_n=2)
+
+
+class NanModel(UtilityModel):
+    """Within bounds, except NaN for levels above one half."""
+
+    bound_c = 2.0
+
+    def eval(self, s, v, d):
+        return np.where(np.asarray(s) > 0.5, math.nan, 1.5 + 0.0 * (v + d))
+
+
+def test_non_finite_utility_fails_the_bounds_check():
+    report = validate_assumptions(NanModel(), (0.4, 0.6))
+    assert not report.bounds_ok and not report.passed
+    assert report.first_violation["check"] == "bounds"
+    assert math.isnan(report.first_violation["value"])
