@@ -329,23 +329,32 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(specs, cfg) -> list[dict]:
-    checks: list[dict] = []
+def _static_checks(specs, cfg) -> list[dict]:
+    """The ``config`` and ``model_assumptions`` rows, which need no simulation.
 
-    def add(name: str, ok: bool | None, detail: str) -> None:
-        checks.append({"name": name, "pass": ok, "detail": detail})
-
+    ``validate`` prints them; ``verify`` starts with them.
+    """
     report = validate_config(cfg, len(specs), specs)
     notes = report.errors + [f"warning: {w}" for w in report.warnings]
-    add("config", report.ok, "; ".join(notes) or "all conditions hold")
-    if not report.ok:
-        return checks
     violations = [
         f"task {t.id}: {r.first_violation}" for t in specs
         if not (r := validate_assumptions(t.utility, t.demand.span())).passed
     ]
-    add("model_assumptions", not violations,
-        "; ".join(violations) or f"{len(specs)} task model(s) hold")
+    return [
+        {"name": "config", "pass": report.ok,
+         "detail": "; ".join(notes) or "all conditions hold"},
+        {"name": "model_assumptions", "pass": not violations,
+         "detail": "; ".join(violations) or f"{len(specs)} task model(s) hold"},
+    ]
+
+
+def _verify_checks(specs, cfg) -> list[dict]:
+    checks = _static_checks(specs, cfg)
+    if not checks[0]["pass"]:
+        return checks[:1]
+
+    def add(name: str, ok: bool | None, detail: str) -> None:
+        checks.append({"name": name, "pass": ok, "detail": detail})
 
     quiet_cfg = dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4)
     # Three lanes of one run; each feeds the verdicts listed with it, and an
@@ -435,26 +444,25 @@ def _tracking_gap(trace: RunTrace, ode, epsilon: float) -> float:
     return gap
 
 
-def cmd_verify(args) -> int:
-    specs, cfg, _doc, _extras = _resolve(args)
-    checks = _verify_checks(specs, cfg)
-    b = bounds(specs, cfg)
-    bound_info = {
-        "starvation_threshold": b.starvation_threshold,
-        "balance_threshold": b.balance_threshold,
-        "safe_epsilon": b.safe_epsilon,
-        "eps_mu_gamma": b.eps_mu_gamma,
-    }
+def _print_checks(checks: list[dict]) -> bool:
+    """Print one row per check; True unless some check FAILs."""
     width = max(len(c["name"]) for c in checks)
     for c in checks:
         status = {True: "PASS", False: "FAIL", None: "SKIP"}[c["pass"]]
         print(f"{c['name']:<{width}}  {status}  {c['detail']}")
-    all_pass = all(c["pass"] is not False for c in checks)
+    return all(c["pass"] is not False for c in checks)
+
+
+def cmd_verify(args) -> int:
+    specs, cfg, _doc, _extras = _resolve(args)
+    checks = _verify_checks(specs, cfg)
+    all_pass = _print_checks(checks)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "verify.json").write_text(json.dumps(_jsonable({
-            "scenario": args.scenario, "bounds": bound_info,
+            "scenario": args.scenario,
+            "bounds": dataclasses.asdict(bounds(specs, cfg)),
             "checks": checks, "all_pass": all_pass,
         }), indent=2) + "\n")
     print("verify:", "PASS" if all_pass else "FAIL")
@@ -463,22 +471,7 @@ def cmd_verify(args) -> int:
 
 def cmd_validate(args) -> int:
     specs, cfg, _doc, _extras = _resolve(args)
-    report = validate_config(cfg, len(specs), specs)
-    ok = report.ok
-    for err in report.errors:
-        print(f"config ERROR: {err}")
-    for warning in report.warnings:
-        print(f"config WARNING: {warning}")
-    if report.ok:
-        print("config OK")
-    for t in specs:
-        assumption = validate_assumptions(t.utility, t.demand.span())
-        if assumption.passed:
-            print(f"task {t.id}: model OK")
-        else:
-            ok = False
-            print(f"task {t.id}: model FAILED {assumption.first_violation}")
-    return EXIT_OK if ok else EXIT_CONFIG
+    return EXIT_OK if _print_checks(_static_checks(specs, cfg)) else EXIT_CONFIG
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -273,8 +273,8 @@ def validate_config(
 
     Errors: the step condition ``epsilon * mu * gamma < 1`` (unstable filters
     otherwise) and ``eta_bar >= 1`` (inverse-measurement bounds break down).
-    Warning: epsilon above the conservative feasibility threshold computed
-    from the task set (requires ``specs``).
+    Warning: epsilon above the conservative feasibility threshold of the
+    task set, ``oracle.bounds(specs, cfg).safe_epsilon`` (requires ``specs``).
     """
     if n < 1:
         raise ValueError(f"task count must be >= 1, got {n}")
@@ -294,11 +294,9 @@ def validate_config(
             f"v_init has {len(cfg.v_init)} entries for {len(specs)} tasks"
         )
     if specs is not None and not report.errors:
-        from .oracle import safe_epsilon
+        from .oracle import bounds
 
-        lam_min = min(t.weight for t in specs)
-        c_bar = max(t.utility.bound_c for t in specs)
-        eps_safe = safe_epsilon(lam_min, c_bar, n, cfg.eta_bar)
+        eps_safe = bounds(specs, cfg).safe_epsilon
         if cfg.epsilon > eps_safe:
             report.warnings.append(
                 f"epsilon = {cfg.epsilon:.6g} exceeds the conservative "

@@ -9,6 +9,7 @@ step ``epsilon * mu(epsilon)``, so levels settle quickly relative to shares.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -69,6 +70,19 @@ def recurrence_window(epsilon: float, lam_min: float, c_bar: float) -> int:
             f"epsilon = {epsilon!r}, lam_min = {lam_min!r}, c_bar = {c_bar!r}"
         )
     return int(math.ceil(window))
+
+
+@contextmanager
+def _fits_in_memory(what: str, nbytes: int, horizon: int, stride: int):
+    """Turn a failed allocation inside into a ConfigError naming the run's
+    size. numpy raises a ValueError for a shape beyond its largest dimension."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(
+            f"horizon {horizon} at stride {stride} does not fit in memory: "
+            f"the {what} need {nbytes:.4g} bytes"
+        ) from exc
 
 
 def fairness_from_utilities(weights, utilities, v) -> np.ndarray:
@@ -453,9 +467,10 @@ class Engine:
         frozen = np.array([[bool(freeze)] * self.n for _, freeze in lanes])
         horizon, n, lanes_n = self.cfg.horizon, self.n, len(noises)
         kept = horizon // stride
-        records = [[np.empty((kept, n)) for _ in range(5)] + [np.empty(kept)]
-                   for _ in noises]
-        ledgers = [self._ledger() for _ in noises]
+        with _fits_in_memory("records", 8 * lanes_n * kept * (5 * n + 1), horizon, stride):
+            records = [[np.empty((kept, n)) for _ in range(5)] + [np.empty(kept)]
+                       for _ in noises]
+        ledgers = [self._ledger(stride) for _ in noises]
         results: list[RunTrace | StepError | None] = [None] * lanes_n
         lam_ratio = self.lam_min / self.c_bar
         # The bank and the demand rows are laid out (R, n), like the state,
@@ -542,8 +557,9 @@ class Engine:
             raise ConfigError(f"lane {r}: " + "; ".join(report.errors))
         return NoiseSource(cfg.seed, cfg.eta_bar, cfg.zeta_bar)
 
-    def _ledger(self) -> RunLedger:
-        """An empty ledger with the recurrence windows and the tail of a run."""
+    def _ledger(self, stride: int) -> RunLedger:
+        """An empty ledger with the recurrence windows and the tail of a run;
+        ``stride`` names the run if the windows do not fit in memory."""
         horizon = self.cfg.horizon
         # The windows the recurrence verdicts read: whole windows from step
         # max(horizon // 10, 1), the first step not before the burn-in.
@@ -552,10 +568,13 @@ class Engine:
         n_windows = (horizon - start + 1) // window
         # s_optimality reads the final 20% of the steps.
         opt_steps = max(1, int(round(horizon * 0.2)))
+        with _fits_in_memory("recurrence windows", 16 * n_windows * self.n,
+                             horizon, stride):
+            v_max = np.full((n_windows, self.n), -np.inf)
+            v_min = np.full((n_windows, self.n), np.inf)
         return RunLedger(
             window_start=start, window_steps=window,
-            window_v_max=np.full((n_windows, self.n), -np.inf),
-            window_v_min=np.full((n_windows, self.n), np.inf),
+            window_v_max=v_max, window_v_min=v_min,
             opt_start=horizon - opt_steps + 1, opt_steps=opt_steps,
             opt_hits=np.zeros(self.n, dtype=np.int64),
         )

@@ -286,10 +286,11 @@ def fair_fixed_point(
     level_fn: Callable = s if callable(s) else (lambda _v: np.asarray(s, dtype=float))
 
     v = uniform_allocation(len(specs))
+    # Each iterate's utilities serve its check and then the next step.
+    u = bank.eval(level_fn(v), v, d_vec)
     residual = math.inf
     for it in range(1, max_iter + 1):
-        levels = level_fn(v)
-        w = weights / bank.eval(levels, v, d_vec)
+        w = weights / u
         target = w / w.sum()
         v_new = (1.0 - relaxation) * v + relaxation * target
         change = float(np.abs(v_new - v).max())

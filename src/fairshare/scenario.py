@@ -23,6 +23,7 @@ from .core import (
     demand_table,
 )
 from .dynamics import S_OPT_TOL, RunTrace, recurrence_window
+from .oracle import bounds
 from .utility import (
     MODEL_TYPES,
     AffineNormalizer,
@@ -217,11 +218,12 @@ def summarize(
 ) -> ScenarioResult:
     """Tail statistics per zone and property verdicts over the whole run.
 
-    The zones run from each break of the task set's demand table to the
-    next, the last to the horizon. Their statistics read the recorded rows,
-    as slices of the trace (the steps are sorted); every verdict reads the
-    ledger, which the run folded chunk by chunk over every step, so
-    ``starvation`` and ``balance`` (per-window share extrema) and
+    The zones run from each break of the task set's demand table before the
+    horizon to the next, the last to the horizon. Their statistics read the
+    recorded rows, as slices of the trace (the steps are sorted); every
+    verdict reads the ledger, which the run folded chunk by chunk over every
+    step, so ``starvation`` and ``balance`` (per-window share extrema, against
+    the thresholds of ``oracle.bounds``) and
     ``s_optimality`` (near-optimal level counts over the final 20% of the
     steps) are decided at any stride. An incomplete run skips those three.
     Zones with fewer than 40 records are marked insufficient and carry no
@@ -233,9 +235,7 @@ def summarize(
         raise ValueError("the run completed no step")
     steps = trace.steps
     table = demand_table(specs)
-    boundaries = table.breaks.tolist() + [cfg.horizon]
-    lam_min = min(t.weight for t in specs)
-    c_bar = max(t.utility.bound_c for t in specs)
+    boundaries = [k for k in table.breaks.tolist() if k < cfg.horizon] + [cfg.horizon]
     bank = ModelBank([t.utility for t in specs])
 
     zone_summaries: list[ZoneSummary] = []
@@ -305,8 +305,8 @@ def summarize(
     }
     if trace.complete:
         window = led.window_steps
-        alpha_star = lam_min / (len(specs) * c_bar)
-        beta = c_bar / (len(specs) * lam_min) + 0.05
+        b = bounds(specs, cfg)
+        alpha_star, beta = b.starvation_threshold, b.balance_threshold + 0.05
         verdicts["starvation"] = _window_verdict(
             led.window_v_max > alpha_star, window, alpha_star
         )

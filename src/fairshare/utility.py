@@ -192,7 +192,7 @@ class AffineNormalizer(UtilityModel):
         """
         if c_target <= 1.0:
             raise ConfigError("c_target must be > 1")
-        u = _grid_eval(inner, demand_range, grid_n)
+        *_, u = _grid_eval(inner, demand_range, grid_n)
         lo, hi = float(u.min()), float(u.max())
         if hi - lo < 1e-12:
             raise ConfigError("inner model is constant on the grid; cannot fit")
@@ -227,11 +227,13 @@ class AssumptionReport:
 
 
 def _grid_eval(model: UtilityModel, demand_range, grid_n: int):
+    """The (s, v, d) axes of the grid_n^3 lattice over the model's certified
+    box, and the utility at every lattice point."""
     v_lo, v_hi = model.v_range()
     s = np.linspace(0.0, 1.0, grid_n)
     v = np.linspace(v_lo, v_hi, grid_n)
     d = np.linspace(demand_range[0], demand_range[1], grid_n)
-    return model.eval(s[:, None, None], v[None, :, None], d[None, None, :])
+    return s, v, d, model.eval(s[:, None, None], v[None, :, None], d[None, None, :])
 
 
 def validate_assumptions(
@@ -245,43 +247,32 @@ def validate_assumptions(
     centered second differences along s (tolerance +1e-8 on the curvature
     estimate). If the model exposes an analytic gradient, a central finite
     difference is compared against it at every interior lattice point.
+    ``first_violation`` is the first flagged point of the first failing
+    check, in the order bounds, concavity, gradient.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be >= 3, got {grid_n}")
-    v_lo, v_hi = model.v_range()
-    s = np.linspace(0.0, 1.0, grid_n)
-    v = np.linspace(v_lo, v_hi, grid_n)
-    d = np.linspace(demand_range[0], demand_range[1], grid_n)
-    u = model.eval(s[:, None, None], v[None, :, None], d[None, None, :])
+    s, v, d, u = _grid_eval(model, demand_range, grid_n)
+    violations = []
 
-    first_violation = None
-
-    def _locate(mask3d, check: str, values) -> dict:
-        idx = np.argwhere(mask3d)[0]
-        return {
-            "check": check,
-            "s": float(s[idx[0]]),
-            "v": float(v[idx[1]]),
-            "d": float(d[idx[2]]),
-            "value": float(values[tuple(idx)]),
-        }
+    def locate(mask, check: str, values, s_axis) -> None:
+        """Note the first point of ``mask``, whose level axis is ``s_axis``."""
+        i, j, k = np.argwhere(mask)[0]
+        violations.append({"check": check, "s": float(s_axis[i]), "v": float(v[j]),
+                           "d": float(d[k]), "value": float(values[i, j, k])})
 
     # Written so that a NaN utility counts as a violation.
     bad = ~((u >= 1.0 - 1e-9) & (u < model.bound_c))
     bounds_ok = not bool(bad.any())
     if not bounds_ok:
-        first_violation = _locate(bad, "bounds", u)
+        locate(bad, "bounds", u, s)
 
     ds = s[1] - s[0]
     curvature = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (ds * ds)
-    bad_curv = curvature > 1e-8
-    concave_ok = not bool(bad_curv.any())
-    if not concave_ok and first_violation is None:
-        pad = np.zeros_like(u, dtype=bool)
-        pad[1:-1] = bad_curv
-        padded_vals = np.zeros_like(u)
-        padded_vals[1:-1] = curvature
-        first_violation = _locate(pad, "concavity", padded_vals)
+    bad = curvature > 1e-8
+    concave_ok = not bool(bad.any())
+    if not concave_ok:
+        locate(bad, "concavity", curvature, s[1:-1])
 
     gradient_ok: bool | None = None
     if model.grad_s is not None:
@@ -297,22 +288,16 @@ def validate_assumptions(
         if g is not None:
             g_fd = (model.eval(si + h, vi, di) - model.eval(si - h, vi, di)) / (2.0 * h)
             err = np.abs(g_fd - g) - 1e-6 * (1.0 + np.abs(g))
-            gradient_ok = not bool((err > 0.0).any())
-            if not gradient_ok and first_violation is None:
-                idx = np.argwhere(err > 0.0)[0]
-                first_violation = {
-                    "check": "gradient",
-                    "s": float(s_in[idx[0]]),
-                    "v": float(v[idx[1]]),
-                    "d": float(d[idx[2]]),
-                    "value": float(np.broadcast_to(g_fd - g, err.shape)[tuple(idx)]),
-                }
+            bad = err > 0.0
+            gradient_ok = not bool(bad.any())
+            if not gradient_ok:
+                locate(bad, "gradient", np.broadcast_to(g_fd - g, err.shape), s_in)
 
     return AssumptionReport(
         bounds_ok=bounds_ok,
         concave_ok=concave_ok,
         gradient_ok=gradient_ok,
-        first_violation=first_violation,
+        first_violation=violations[0] if violations else None,
     )
 
 

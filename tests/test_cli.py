@@ -56,6 +56,12 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def printed_rows(out: str) -> dict:
+    """The (status, detail) of each check row printed by validate or verify."""
+    rows = re.findall(r"^(\w+) +(PASS|FAIL|SKIP)  (.*)$", out, flags=re.M)
+    return {name: (status, detail) for name, status, detail in rows}
+
+
 class TestRunCommand:
     def test_builtin_scenario_writes_all_outputs(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -319,9 +325,9 @@ class TestModelSerialization:
 class TestValidateCommand:
     def test_builtin_defaults_are_valid(self, capsys):
         assert run_cli("validate", "paper-fig5", *FAST) == 0
-        out = capsys.readouterr().out
-        assert "config OK" in out
-        assert "model OK" in out
+        rows = printed_rows(capsys.readouterr().out)
+        assert rows["config"][0] == "PASS"
+        assert rows["model_assumptions"] == ("PASS", "4 task model(s) hold")
 
     def test_invalid_model_parameter_fails(self, tmp_path, capsys):
         scenario = {
@@ -390,7 +396,31 @@ class TestValidateCommand:
         path = tmp_path / "raw.json"
         path.write_text(json.dumps(scenario))
         assert run_cli("validate", str(path)) == 1
-        assert "FAILED" in capsys.readouterr().out
+        status, detail = printed_rows(capsys.readouterr().out)["model_assumptions"]
+        assert status == "FAIL"
+        assert detail.startswith("task 0: {'check': 'bounds'")
+
+    @pytest.mark.parametrize("case", ["failing-model", "failing-config"])
+    def test_validate_prints_the_rows_verify_starts_with(self, case, tmp_path, capsys):
+        if case == "failing-model":
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(BAD_MEASUREMENT))
+            argv = [str(path)]
+            expected = {"config": "PASS", "model_assumptions": "FAIL"}
+        else:
+            argv = ["paper-fig5", "--set", "gamma=10000.0", *FAST]
+            expected = {"config": "FAIL", "model_assumptions": "PASS"}
+        assert run_cli("validate", *argv) == 1
+        validated = printed_rows(capsys.readouterr().out)
+        assert {name: row[0] for name, row in validated.items()} == expected
+        assert run_cli("verify", *argv, "--out", str(tmp_path / "v")) == 1
+        checks = {c["name"]: c for c in read_json(tmp_path / "v" / "verify.json")["checks"]}
+        # A failing config stops verify after its first row.
+        shared = [name for name in expected if name in checks]
+        assert shared == (["config"] if case == "failing-config" else list(expected))
+        for name in shared:
+            status = {True: "PASS", False: "FAIL"}[checks[name]["pass"]]
+            assert validated[name] == (status, checks[name]["detail"])
 
 
 ONE_TASK = {
@@ -531,6 +561,27 @@ class TestOutsideValues:
     def test_negative_seed_of_the_random_draw_is_config_error(self, tmp_path, capsys):
         assert run_cli("validate", "paper-fig6", "--seed", "-1", *FAST) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0 to draw the tasks, got -1\n"
+
+    @pytest.mark.parametrize("scenario, horizon, stride, what", [
+        ("paper-fig5", 3 * 10**15, 1, "records need 5.04e+17 bytes"),
+        ("file", 10**20, 1, "records need 4.8e+21 bytes"),
+        ("file", 10**20, 10**11, "recurrence windows need 7.2e+16 bytes"),
+    ])
+    def test_horizon_too_large_to_allocate_is_config_error(
+        self, scenario, horizon, stride, what, tmp_path, capsys
+    ):
+        # Each allocation exceeds the address space or numpy's largest
+        # dimension, so it fails without touching memory.
+        if scenario == "file":
+            argv = [one_task_file(tmp_path, horizon=float(horizon))]
+        else:
+            argv = [scenario, "--set", f"zone_steps={horizon // 3:.0e}"]
+        assert run_cli("run", *argv, "--stride", str(stride),
+                       "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err == (
+            f"error: horizon {horizon} at stride {stride} does not fit in "
+            f"memory: the {what}\n"
+        )
 
 
 class TestVerifyCommand:

@@ -245,6 +245,17 @@ class TestFairFixedPoint:
         res = fair_fixed_point(specs, np.full(3, 0.5), tol=1e-12, max_iter=2)
         assert not res.converged
 
+    def test_each_iterate_is_evaluated_once(self, monkeypatch):
+        calls = []
+        eval_ = ModelBank.eval
+        monkeypatch.setattr(ModelBank, "eval",
+                            lambda self, *a: calls.append(1) or eval_(self, *a))
+        specs = random_specs(5, seed=3)
+        res = fair_fixed_point(specs, np.full(5, 0.5), tol=1e-9)
+        assert res.converged and res.iterations > 1
+        # The start, then one evaluation per iterate.
+        assert len(calls) == res.iterations + 1
+
     def test_agrees_with_limiting_ode_on_random_instances(self):
         for seed in (11, 12, 13):
             specs = random_specs(5, seed=seed, with_cpu=False)

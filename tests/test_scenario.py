@@ -131,6 +131,28 @@ class TestSummarize:
         result = summarize(trace, specs, cfg)
         assert all(z.insufficient for z in result.zones)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zones_end_at_the_horizon(self):
+        # The second zone of task 0 starts after the horizon of 120 steps.
+        model = fs.AffineNormalizer.fit(
+            fs.HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=1.0),
+            demand_range=(0.4, 0.8), c_target=4.0,
+        )
+        specs = [
+            fs.TaskSpec(id=0, weight=1.0, utility=model,
+                        demand=fs.DemandSchedule(((0, 0.4), (300, 0.8)))),
+            fs.TaskSpec(id=1, weight=1.0, utility=model,
+                        demand=fs.DemandSchedule.constant(0.4)),
+        ]
+        _, cfg = build_identical_four({"horizon": 120})
+        result = summarize(fs.run(specs, cfg), specs, cfg)
+        assert [(z.start, z.end) for z in result.zones] == [(0, 120)]
+        (zone,) = result.zones
+        assert zone.n_records == 120 and not zone.insufficient
+        for stat in (zone.v_mean, zone.v_std, zone.s_mean, zone.f_abs_mean,
+                     zone.phi_sq_mean):
+            assert np.isfinite(stat).all()
+
     def test_empty_trace_rejected(self):
         specs, cfg = build_identical_four({"zone_steps": 10, "horizon": 0})
         trace = fs.run(specs, cfg)

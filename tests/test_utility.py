@@ -398,3 +398,47 @@ def test_non_finite_utility_fails_the_bounds_check():
     assert not report.bounds_ok and not report.passed
     assert report.first_violation["check"] == "bounds"
     assert math.isnan(report.first_violation["value"])
+
+
+class ConvexModel(UtilityModel):
+    """Within bounds, but convex in the level: curvature 2 everywhere."""
+
+    bound_c = 2.0
+
+    def eval(self, s, v, d):
+        return 1.5 + (s - 0.5) ** 2 + 0.0 * (v + d)
+
+
+class WrongGradientModel(UtilityModel):
+    """Concave and within bounds; ``grad_s`` is off by one everywhere."""
+
+    bound_c = 3.0
+
+    def eval(self, s, v, d):
+        return 2.0 - (s - d) ** 2 + 0.0 * v
+
+    def grad_s(self, s, v, d):
+        return 1.0 - 2.0 * (s - d)
+
+
+def test_concavity_violation_located_on_the_interior_levels():
+    report = validate_assumptions(ConvexModel(), (0.2, 0.8))
+    assert report.bounds_ok and not report.concave_ok
+    value = report.first_violation.pop("value")
+    # The first interior level of the 33-point grid, at the lowest share
+    # and demand.
+    assert report.first_violation == {
+        "check": "concavity", "s": 1.0 / 32.0, "v": 0.0, "d": 0.2,
+    }
+    assert value == pytest.approx(2.0, rel=1e-9)
+
+
+def test_gradient_violation_located_on_the_inner_levels():
+    report = validate_assumptions(WrongGradientModel(), (0.2, 0.8))
+    assert report.bounds_ok and report.concave_ok
+    assert report.gradient_ok is False and not report.passed
+    value = report.first_violation.pop("value")
+    assert report.first_violation == {
+        "check": "gradient", "s": 1.0 / 32.0, "v": 0.0, "d": 0.2,
+    }
+    assert value == pytest.approx(-1.0, rel=1e-6)
