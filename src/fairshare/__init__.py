@@ -26,7 +26,7 @@ from .dynamics import (
     RunTrace,
     fairness_from_utilities,
     fairness_measure,
-    run,
+    recurrence_window,
 )
 from .oracle import (
     BoundSet,
@@ -44,7 +44,6 @@ from .scenario import (
     ZoneSummary,
     build_identical_four,
     build_random,
-    recurrence_window,
     summarize,
 )
 from .utility import (

@@ -334,7 +334,7 @@ def _static_checks(specs, cfg) -> list[dict]:
 
     ``validate`` prints them; ``verify`` starts with them.
     """
-    report = validate_config(cfg, len(specs), specs)
+    report = validate_config(cfg, specs)
     notes = report.errors + [f"warning: {w}" for w in report.warnings]
     violations = [
         f"task {t.id}: {r.first_violation}" for t in specs
@@ -367,11 +367,15 @@ def _verify_checks(specs, cfg) -> list[dict]:
         ("frozen-level run: ", cfg, True, ("fairness_residual",)),
         ("noise-free regime: ", quiet_cfg, False, ("s_optimality",)),
     )
-    results = Engine(specs, cfg).run_lanes(
-        [(run_cfg, freeze) for _, run_cfg, freeze, _ in lanes],
-        stride=max(cfg.horizon, 1),
+    # A run of no step decides no verdict.
+    results = [None] * len(lanes) if cfg.horizon < 1 else Engine(specs, cfg).run_lanes(
+        [(run_cfg, freeze) for _, run_cfg, freeze, _ in lanes], stride=cfg.horizon,
     )
     for (label, run_cfg, _, names), trace in zip(lanes, results):
+        if trace is None:
+            for name in names:
+                add(name, None, "vacuous: the run completed no step")
+            continue
         if isinstance(trace, StepError):
             for name in names:
                 add(name, False, f"{label}{type(trace).__name__}: {trace}")

@@ -88,6 +88,9 @@ class DemandSchedule:
             raise ConfigError("first demand zone must start at step 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ConfigError("demand zone starts must be strictly increasing")
+        if starts[-1] >= 2**63:
+            # The demand table indexes steps as int64.
+            raise ConfigError(f"demand zone starts must be below 2**63, got {starts[-1]}")
         if any(not np.isfinite(z[1]) for z in self.zones):
             raise ConfigError("demand values must be finite")
 
@@ -206,6 +209,9 @@ class EngineConfig:
             raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not (0 <= self.seed < 2**64):
+            # The noise keys and the oracles' random starts take 64-bit seeds.
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not (0.0 <= self.s_init <= 1.0):
             raise ConfigError(f"s_init must be in [0, 1], got {self.s_init}")
         if self.v_init is not None:
@@ -266,18 +272,17 @@ class ValidationReport:
         return not self.errors
 
 
-def validate_config(
-    cfg: EngineConfig, n: int, specs: Sequence[TaskSpec] | None = None
-) -> ValidationReport:
+def validate_config(cfg: EngineConfig, specs: Sequence[TaskSpec]) -> ValidationReport:
     """Check a configuration against the stability and noise conditions.
 
     Errors: the step condition ``epsilon * mu * gamma < 1`` (unstable filters
-    otherwise) and ``eta_bar >= 1`` (inverse-measurement bounds break down).
-    Warning: epsilon above the conservative feasibility threshold of the
-    task set, ``oracle.bounds(specs, cfg).safe_epsilon`` (requires ``specs``).
+    otherwise), ``eta_bar >= 1`` (inverse-measurement bounds break down) and
+    a ``v_init`` whose length is not the task count. Warning: epsilon above
+    the conservative feasibility threshold of the task set,
+    ``oracle.bounds(specs, cfg).safe_epsilon``.
     """
-    if n < 1:
-        raise ValueError(f"task count must be >= 1, got {n}")
+    if not specs:
+        raise ValueError("need at least one task")
     report = ValidationReport()
     if cfg.eps_mu_gamma >= 1.0:
         report.errors.append(
@@ -289,11 +294,11 @@ def validate_config(
             f"eta_bar = {cfg.eta_bar:.6g} >= 1 makes measured utilities "
             "non-invertible (utilities are only guaranteed >= 1)"
         )
-    if cfg.v_init is not None and specs is not None and len(cfg.v_init) != len(specs):
+    if cfg.v_init is not None and len(cfg.v_init) != len(specs):
         report.errors.append(
             f"v_init has {len(cfg.v_init)} entries for {len(specs)} tasks"
         )
-    if specs is not None and not report.errors:
+    if not report.errors:
         from .oracle import bounds
 
         eps_safe = bounds(specs, cfg).safe_epsilon

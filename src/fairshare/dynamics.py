@@ -38,7 +38,6 @@ __all__ = [
     "fairness_from_utilities",
     "fairness_measure",
     "recurrence_window",
-    "run",
 ]
 
 # Initial gap between a level and its filter; avoids a degenerate zero
@@ -248,7 +247,7 @@ class Engine:
         self.specs = tuple(specs)
         self.cfg = cfg
         self.n = len(specs)
-        report = validate_config(cfg, self.n, specs)
+        report = validate_config(cfg, specs)
         if not report.ok:
             raise ConfigError("; ".join(report.errors))
         self.weights = np.array([t.weight for t in specs], dtype=float)
@@ -258,9 +257,6 @@ class Engine:
         )
         self.lam_min = float(self.weights.min())
         self.c_bar = float(max(t.utility.bound_c for t in specs))
-        self._epsilon = cfg.epsilon
-        self._gamma = cfg.gamma
-        self._eps_mu = cfg.eps_mu
         self.demand = demand_table(specs)
 
     def initial_snapshot(self) -> EngineSnapshot:
@@ -290,11 +286,11 @@ class Engine:
         the observed fairness index, then the levels by the filtered
         difference quotient plus dither ``zeta[j]``, and writes the
         measurement, the index and the new shares and levels into row ``j``
-        of ``bufs = (v_buf, s_buf, u_buf, f_buf)``. ``zeta=None`` freezes
-        every lane's levels; a boolean ``keep`` shaped like the state
-        freezes the lanes where it is True by keeping their old ``s`` (a
-        zero level step would not: a huge measurement makes the filter step
-        inf, and 0 * inf is NaN); their filters move on but are never read.
+        of ``bufs = (v_buf, s_buf, u_buf, f_buf)``. A boolean ``keep``
+        shaped like the state (or None) freezes the levels where it is True
+        by keeping their old ``s`` (a zero level step would not: a huge
+        measurement makes the filter step inf, and 0 * inf is NaN); their
+        filters move on but are not read while the levels stay.
         Every :meth:`step` and run goes through here, and it checks nothing:
         ``_failures`` finds the first bad step of a whole chunk afterwards.
 
@@ -313,20 +309,17 @@ class Engine:
         v, s, u_lp, s_lp = state
         v_buf, s_buf, u_buf, f_buf = bufs
         shape = v.shape
+        cfg = self.cfg
         weights = np.broadcast_to(self.weights, shape).copy()
-        eps = np.full(shape, self._epsilon)
+        eps, em = np.full(shape, cfg.epsilon), np.full(shape, cfg.eps_mu)
+        gamma = np.full(shape, cfg.gamma)
+        guard = np.full(shape, RATIO_GUARD)
+        lo, hi = np.zeros(shape), np.ones(shape)
         w, tmp = np.empty(shape), np.empty(shape)
-        if zeta is None:
-            s_buf[:len(eta)] = s
-        else:
-            em = np.full(shape, self._eps_mu)
-            gamma = np.full(shape, self._gamma)
-            guard = np.full(shape, RATIO_GUARD)
-            lo, hi = np.zeros(shape), np.ones(shape)
-            du, ds = np.empty(shape), np.empty(shape)
-            mask = np.empty(shape, dtype=bool)
-            # The dither enters the level step as em * zeta: scaled once here.
-            zeta = self._eps_mu * zeta
+        du, ds = np.empty(shape), np.empty(shape)
+        mask = np.empty(shape, dtype=bool)
+        # The dither enters the level step as em * zeta: scaled once here.
+        zeta = cfg.eps_mu * zeta
         bank_eval = bank.eval
         for j, d_k, eta_k in zip(range(len(eta)), d_rows, eta):
             u, f, v_new, s_new = u_buf[j], f_buf[j], v_buf[j], s_buf[j]
@@ -336,27 +329,26 @@ class Engine:
             np.subtract(w, tmp, out=f)
             np.multiply(eps, f, out=tmp)
             np.add(v, tmp, out=v_new)
-            if zeta is not None:
-                np.subtract(u, u_lp, out=du)
-                np.multiply(gamma, du, out=du)
-                np.subtract(s, s_lp, out=ds)
-                np.multiply(gamma, ds, out=ds)
-                np.absolute(ds, out=tmp)
-                np.greater_equal(tmp, guard, out=mask)
-                ratio = np.zeros(shape)
-                np.divide(du, ds, out=ratio, where=mask)
-                np.tanh(ratio, out=ratio)
-                np.multiply(em, ratio, out=ratio)
-                np.add(s, ratio, out=ratio)
-                np.add(ratio, zeta[j], out=ratio)
-                np.maximum(ratio, lo, out=ratio)
-                np.minimum(ratio, hi, out=s_new)
-                if keep is not None:
-                    np.copyto(s_new, s, where=keep)
-                np.multiply(em, du, out=du)
-                np.add(u_lp, du, out=u_lp)
-                np.multiply(em, ds, out=ds)
-                np.add(s_lp, ds, out=s_lp)
+            np.subtract(u, u_lp, out=du)
+            np.multiply(gamma, du, out=du)
+            np.subtract(s, s_lp, out=ds)
+            np.multiply(gamma, ds, out=ds)
+            np.absolute(ds, out=tmp)
+            np.greater_equal(tmp, guard, out=mask)
+            ratio = np.zeros(shape)
+            np.divide(du, ds, out=ratio, where=mask)
+            np.tanh(ratio, out=ratio)
+            np.multiply(em, ratio, out=ratio)
+            np.add(s, ratio, out=ratio)
+            np.add(ratio, zeta[j], out=ratio)
+            np.maximum(ratio, lo, out=ratio)
+            np.minimum(ratio, hi, out=s_new)
+            if keep is not None:
+                np.copyto(s_new, s, where=keep)
+            np.multiply(em, du, out=du)
+            np.add(u_lp, du, out=u_lp)
+            np.multiply(em, ds, out=ds)
+            np.add(s_lp, ds, out=s_lp)
             v, s = v_new, s_new
 
     def _failures(self, k0: int, u_meas, v_new) -> list[StepError | None]:
@@ -403,9 +395,12 @@ class Engine:
         # As in run: the check below raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             d_rows = self.demand.at(np.arange(k, k + 2))[:, None]
-            zeta = None if freeze_levels else self.noise.dither_block(k, k + 1, n)[:, None]
+            # A frozen step keeps its levels; its filters move on as usual.
+            zeta = (np.zeros((1, 1, n)) if freeze_levels
+                    else self.noise.dither_block(k, k + 1, n)[:, None])
+            keep = np.ones((1, n), dtype=bool) if freeze_levels else None
             self._advance(self.bank, (snap.v[None], snap.s[None], u_lp, s_lp), d_rows,
-                          self.noise.measurement_block(k, k + 1, n)[:, None], zeta, None,
+                          self.noise.measurement_block(k, k + 1, n)[:, None], zeta, keep,
                           bufs)
             (error,) = self._failures(k, bufs[2], bufs[0])
             if error is not None:
@@ -499,9 +494,8 @@ class Engine:
                 for r, nz in enumerate(noises):
                     eta[:, r] = nz.measurement_block(k0, k1, n)
                     zeta[:, r] = 0.0 if frozen[r, 0] else nz.dither_block(k0, k1, n)
-                self._advance(bank, (v, s, u_lp, s_lp), d_rows, eta,
-                              None if frozen.all() else zeta, frozen if frozen.any() else None,
-                              (v_buf, s_buf, u_buf, f_buf))
+                self._advance(bank, (v, s, u_lp, s_lp), d_rows, eta, zeta,
+                              frozen if frozen.any() else None, (v_buf, s_buf, u_buf, f_buf))
                 v_start = v
                 v, s = v_buf[m - 1].copy(), s_buf[m - 1].copy()
 
@@ -552,7 +546,7 @@ class Engine:
                 )
         if all(getattr(cfg, k) == getattr(self.cfg, k) for k in _LANE_FIELDS):
             return self.noise
-        report = validate_config(cfg, self.n, self.specs)
+        report = validate_config(cfg, self.specs)
         if not report.ok:
             raise ConfigError(f"lane {r}: " + "; ".join(report.errors))
         return NoiseSource(cfg.seed, cfg.eta_bar, cfg.zeta_bar)
@@ -592,12 +586,3 @@ def _trace(records, ledger: RunLedger, stride: int, done: int,
         breach_step=None if failure is None else failure.step,
     )
 
-
-def run(
-    specs: Sequence[TaskSpec],
-    cfg: EngineConfig,
-    stride: int = 1,
-    freeze_levels: bool = False,
-) -> RunTrace:
-    """Simulate ``cfg.horizon`` steps from the initial state."""
-    return Engine(specs, cfg).run(stride=stride, freeze_levels=freeze_levels)

@@ -84,10 +84,6 @@ class BoundSet:
     safe_epsilon: float
     eps_mu_gamma: float
 
-    @property
-    def ordered(self) -> bool:
-        return self.starvation_threshold <= self.balance_threshold
-
 
 def bounds(specs: Sequence[TaskSpec], cfg: EngineConfig) -> BoundSet:
     n = len(specs)
@@ -111,9 +107,6 @@ class OdeTrajectory:
     v: np.ndarray
     s: np.ndarray
 
-    def terminal(self) -> np.ndarray:
-        return self.v[-1]
-
 
 def _demand_vector(specs: Sequence[TaskSpec], d) -> np.ndarray:
     if d is None:
@@ -135,6 +128,36 @@ def initial_mean_state(
     bank = ModelBank([t.utility for t in specs])
     u0 = bank.eval(s0, v0, _demand_vector(specs, d))
     return v0, s0, u0, s0 - FILTER_INIT_OFFSET
+
+
+def _rk4(field, y, dt: float, n_steps: int, stop=None, project=None) -> OdeTrajectory:
+    """Classical RK4 on ``field`` from ``y``, sampled at every accepted state.
+
+    ``field(y)`` returns ``(dy/dt, v, u, s)``: the derivative at ``y`` and
+    the shares, utilities and levels of that state. Each accepted state, the
+    start included, is checked by ``_check_domain`` on the utilities of its
+    k1 stage and recorded; the integration ends at ``n_steps`` steps or at
+    the first accepted state where ``stop(k1)`` holds. ``project(y, t)``
+    corrects each new state in place, or raises, before it is accepted.
+    """
+    # Rows for every step, tasks last; an early stop returns those it filled.
+    shape = (n_steps + 1, y.shape[-1])
+    times, vs, ss = np.empty(n_steps + 1), np.empty(shape), np.empty(shape)
+    step = 0
+    while True:
+        k1, vs[step], u, ss[step] = field(y)
+        _check_domain(vs[step], u, f"t={step * dt:.6g}")
+        times[step] = step * dt
+        if step == n_steps or (stop is not None and stop(k1)):
+            done = slice(step + 1)
+            return OdeTrajectory(times=times[done], v=vs[done], s=ss[done])
+        k2 = field(y + 0.5 * dt * k1)[0]
+        k3 = field(y + 0.5 * dt * k2)[0]
+        k4 = field(y + dt * k3)[0]
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        step += 1
+        if project is not None:
+            project(y, step * dt)
 
 
 def integrate_full_ode(
@@ -161,8 +184,8 @@ def integrate_full_ode(
     mu = cfg.mu
     gamma = cfg.gamma
 
-    def field(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The vector field at y, and the utilities it was computed from."""
+    def field(y: np.ndarray):
+        """The vector field at y, and the shares, utilities and levels of y."""
         v, s, u_lp, s_lp = y
         u = bank.eval(s, v, d_vec)
         phi = fairness_from_utilities(weights, u, v)
@@ -172,32 +195,16 @@ def integrate_full_ode(
         ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
         return np.stack(
             (phi, mu * np.tanh(ratio), mu * gamma * du, mu * gamma * ds)
-        ), u
+        ), v, u, s
 
-    y = np.stack(initial_mean_state(specs, cfg, d_vec) if init is None else init)
-    n_steps = int(round(t_end / dt))
-    times = np.empty(n_steps + 1)
-    vs = np.empty((n_steps + 1,) + y[0].shape)
-    ss = np.empty_like(vs)
-    times[0] = 0.0
-    vs[0], ss[0] = y[:2]
-    for step in range(1, n_steps + 1):
-        # Each accepted state is checked on the utilities of its k1 stage.
-        k1, u = field(y)
-        _check_domain(y[0], u, f"t={(step - 1) * dt:.6g}")
-        k2 = field(y + 0.5 * dt * k1)[0]
-        k3 = field(y + 0.5 * dt * k2)[0]
-        k4 = field(y + dt * k3)[0]
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def project(y: np.ndarray, t: float) -> None:
+        """Clamp the levels of a new state; a non-finite state is an error."""
         y[1] = np.clip(y[1], 0.0, 1.0)
         if not np.isfinite(y).all():
-            raise OracleError(
-                f"non-finite mean-field state at t={step * dt:.6g}"
-            )
-        times[step] = step * dt
-        vs[step], ss[step] = y[:2]
-    _check_domain(y[0], bank.eval(y[1], y[0], d_vec), f"t={n_steps * dt:.6g}")
-    return OdeTrajectory(times=times, v=vs, s=ss)
+            raise OracleError(f"non-finite mean-field state at t={t:.6g}")
+
+    y = np.stack(initial_mean_state(specs, cfg, d_vec) if init is None else init)
+    return _rk4(field, y, dt, int(round(t_end / dt)), project=project)
 
 
 def integrate_limiting_ode(
@@ -213,7 +220,8 @@ def integrate_limiting_ode(
 
     The per-task maximizing level is recomputed at every stage evaluation.
     With ``stop_residual`` set, integration stops early once the fairness
-    residual falls below it. A state with a share outside [0, 1] or a
+    residual falls below it; rows for all ``t_end / dt`` steps are allocated
+    up front all the same. A state with a share outside [0, 1] or a
     utility that is not finite and > 0 raises ``OracleError``.
     """
     if dt <= 0.0 or t_end < 0.0:
@@ -222,33 +230,17 @@ def integrate_limiting_ode(
     bank = ModelBank([t.utility for t in specs])
     d_vec = _demand_vector(specs, d)
 
-    def field(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Maximizing levels, their utilities and the vector field at v."""
+    def field(v: np.ndarray):
+        """The vector field at v, and v, its utilities and its maximizing
+        levels."""
         s_star = bank.argmax(v, d_vec)
         u = bank.eval(s_star, v, d_vec)
-        return s_star, u, fairness_from_utilities(weights, u, v)
+        return fairness_from_utilities(weights, u, v), v, u, s_star
 
-    v = np.asarray(v_init, dtype=float).copy()
-    n_steps = int(round(t_end / dt))
-    times, vs, ss = [], [], []
-    for step in range(n_steps + 1):
-        # An accepted state is checked and recorded from its k1 stage.
-        s_star, u, k1 = field(v)
-        _check_domain(v, u, f"t={step * dt:.6g}")
-        times.append(step * dt)
-        vs.append(v)
-        ss.append(s_star)
-        if step == n_steps or (
-            stop_residual is not None and float(np.abs(k1).max()) < stop_residual
-        ):
-            break
-        k2 = field(v + 0.5 * dt * k1)[2]
-        k3 = field(v + 0.5 * dt * k2)[2]
-        k4 = field(v + dt * k3)[2]
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return OdeTrajectory(
-        times=np.array(times), v=np.array(vs), s=np.array(ss)
-    )
+    stop = None if stop_residual is None else (
+        lambda k1: float(np.abs(k1).max()) < stop_residual)
+    return _rk4(field, np.asarray(v_init, dtype=float).copy(), dt,
+                int(round(t_end / dt)), stop=stop)
 
 
 @dataclass
@@ -267,11 +259,10 @@ def fair_fixed_point(
     d=None,
     tol: float = 1e-9,
     max_iter: int = 10_000,
-    relaxation: float = 0.5,
 ) -> FixedPointResult:
     """Fair allocation for fixed levels via damped normalization iteration.
 
-    Iterates v <- (1-w)*v + w*normalize(weights / utilities(v)) until the
+    Iterates v <- (v + normalize(weights / utilities(v))) / 2 until the
     sup-norm change drops below ``tol`` and the fairness residual below
     ``10*tol``. ``s`` may be a level vector or a callable v -> levels (used
     to couple the levels to their maximizers). Non-convergence is reported
@@ -292,7 +283,7 @@ def fair_fixed_point(
     for it in range(1, max_iter + 1):
         w = weights / u
         target = w / w.sum()
-        v_new = (1.0 - relaxation) * v + relaxation * target
+        v_new = 0.5 * v + 0.5 * target
         change = float(np.abs(v_new - v).max())
         v = v_new
         u = bank.eval(level_fn(v), v, d_vec)
@@ -310,15 +301,15 @@ def probe_limit_points(
     d=None,
     n_starts: int = 8,
     seed: int = 0,
-    radius: float = 1e-3,
     t_end: float = 200.0,
     dt: float = 0.02,
 ) -> list[np.ndarray]:
     """Terminal allocations of the slow dynamics from random simplex starts.
 
-    Endpoints are greedily clustered at the given radius; the returned list
-    holds one representative per cluster. More than one cluster means the
-    long-run behavior is not captured by a single fair point.
+    Endpoints are greedily clustered at a sup-norm radius of 1e-3; the
+    returned list holds one representative per cluster. More than one
+    cluster means the long-run behavior is not captured by a single fair
+    point.
     """
     rng = np.random.default_rng(seed)
     n = len(specs)
@@ -329,7 +320,7 @@ def probe_limit_points(
         traj = integrate_limiting_ode(
             specs, cfg, v0, d=d, t_end=t_end, dt=dt, stop_residual=1e-8
         )
-        end = traj.terminal()
-        if not any(np.abs(end - r).max() <= radius for r in reps):
+        end = traj.v[-1]
+        if not any(np.abs(end - r).max() <= 1e-3 for r in reps):
             reps.append(end)
     return reps

@@ -22,7 +22,7 @@ from .core import (
     _integral,
     demand_table,
 )
-from .dynamics import S_OPT_TOL, RunTrace, recurrence_window
+from .dynamics import S_OPT_TOL, RunTrace
 from .oracle import bounds
 from .utility import (
     MODEL_TYPES,
@@ -38,7 +38,6 @@ __all__ = [
     "ZoneSummary",
     "build_identical_four",
     "build_random",
-    "recurrence_window",
     "summarize",
 ]
 
@@ -130,8 +129,6 @@ def build_random(
     if unknown or not model_mix:
         raise ConfigError(f"unsupported model kind(s): {sorted(unknown)}")
     zone_steps, cfg = _paper_config(cfg_overrides, seed=seed)
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0 to draw the tasks, got {cfg.seed}")
     rng = np.random.default_rng(cfg.seed)
 
     def draw_model(kind: str):

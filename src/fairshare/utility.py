@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Points per axis of the lattice that fits and checks a model.
+_GRID_N = 33
 
 
 class UtilityModel:
@@ -182,21 +184,20 @@ class AffineNormalizer(UtilityModel):
         inner: UtilityModel,
         demand_range: tuple[float, float],
         c_target: float = 2.0,
-        grid_n: int = 33,
-        margin: float = 0.02,
     ) -> "AffineNormalizer":
         """Rescale ``inner`` into [1, c_target) over its certified box.
 
-        The grid extrema are mapped onto [1, 1 + (1-margin)*(c_target-1)];
-        the margin absorbs between-node wiggle of the continuous model.
+        The extrema on the lattice of ``validate_assumptions`` are mapped
+        onto [1, 1 + 0.98*(c_target-1)]; the 2 % margin absorbs between-node
+        wiggle of the continuous model.
         """
         if c_target <= 1.0:
             raise ConfigError("c_target must be > 1")
-        *_, u = _grid_eval(inner, demand_range, grid_n)
+        *_, u = _grid_eval(inner, demand_range, _GRID_N)
         lo, hi = float(u.min()), float(u.max())
         if hi - lo < 1e-12:
             raise ConfigError("inner model is constant on the grid; cannot fit")
-        scale = (1.0 - margin) * (c_target - 1.0) / (hi - lo)
+        scale = (1.0 - 0.02) * (c_target - 1.0) / (hi - lo)
         shift = 1.0 - scale * lo
         return cls(inner=inner, scale=scale, shift=shift, bound_c=c_target)
 
@@ -239,7 +240,7 @@ def _grid_eval(model: UtilityModel, demand_range, grid_n: int):
 def validate_assumptions(
     model: UtilityModel,
     demand_range: tuple[float, float],
-    grid_n: int = 33,
+    grid_n: int = _GRID_N,
 ) -> AssumptionReport:
     """Check 1 <= u < bound_c and concavity in s on a grid_n^3 lattice.
 
@@ -324,7 +325,6 @@ class ModelBank:
 
     def __init__(self, models: Sequence[UtilityModel]):
         self.n = len(models)
-        self.models = tuple(models)
         unwrapped = [_unwrap(m) for m in models]
         groups: dict[type, list[int]] = {}
         other = []
@@ -346,7 +346,8 @@ class ModelBank:
             ))
             if cls.argmax_formula is None:
                 search.extend(idx)
-        self._other = tuple(other)
+        # (task, model, unwrapped model) of each task without ``params``.
+        self._other = tuple((i, models[i], unwrapped[i][0]) for i in other)
         self._single = self._groups[0] if len(self._groups) == 1 and not other else None
         # Tasks without a closed-form maximizer, left to the search.
         self._search = np.array(sorted(search), dtype=int)
@@ -378,8 +379,9 @@ class ModelBank:
     def _eval_groups(self, s, v, d, affine: bool) -> np.ndarray:
         """Each class group on its columns, then the models without ``params``.
 
-        With ``affine=False`` a group's tasks get their unwrapped ``formula``,
-        without the scale and shift of their wrappers.
+        With ``affine=False`` every task gets its unwrapped model, without
+        the scale and shift of its wrappers: a group's tasks their
+        ``formula``, the others the ``eval`` of their innermost model.
         """
         shape = np.broadcast_shapes(s.shape, v.shape, d.shape, (self.n,))
         out = np.empty(shape)
@@ -387,8 +389,8 @@ class ModelBank:
         for formula, _, idx, params, scale, shift in self._groups:
             u = formula(s[..., idx], v[..., idx], d[..., idx], *params)
             out[..., idx] = scale * u + shift if affine else u
-        for i in self._other:
-            out[..., i] = self.models[i].eval(s[..., i], v[..., i], d[..., i])
+        for i, model, inner in self._other:
+            out[..., i] = (model if affine else inner).eval(s[..., i], v[..., i], d[..., i])
         return out
 
     def argmax(self, v, d, tol: float = 1e-6) -> np.ndarray:
@@ -398,8 +400,8 @@ class ModelBank:
         affine wrapper keeps the maximizer, since its scale is > 0. The other
         tasks get a vectorized golden-section search down to a bracket of
         width ``tol``, valid because validated models are concave in s. For
-        the same reason a class group is searched on its unwrapped
-        ``formula``: a tiny wrapper scale would flatten the peak to rounding.
+        the same reason every task is searched on its unwrapped model: a
+        tiny wrapper scale would flatten the peak to rounding.
         The result has shape ``broadcast_shapes(v, d, (n,))``.
         """
         if tol <= 0.0:

@@ -13,11 +13,8 @@ import pytest
 import fairshare as fs
 from fairshare.core import DemandSchedule, EngineConfig, TaskSpec, demand_table
 from fairshare.oracle import fair_fixed_point, integrate_full_ode, integrate_limiting_ode
-from fairshare.scenario import (
-    build_identical_four,
-    build_random,
-    recurrence_window,
-)
+from fairshare.dynamics import recurrence_window
+from fairshare.scenario import build_identical_four, build_random
 from fairshare.utility import (
     AffineNormalizer,
     CpuBandwidthModel,
@@ -84,7 +81,7 @@ def random_instance(n: int, seed: int):
 def fig5():
     specs, cfg = build_identical_four()
     t0 = time.perf_counter()
-    trace = fs.run(specs, cfg)
+    trace = fs.Engine(specs, cfg).run()
     elapsed = time.perf_counter() - t0
     return specs, cfg, trace, elapsed
 
@@ -92,14 +89,14 @@ def fig5():
 @pytest.fixture(scope="module")
 def fig6():
     specs, cfg = build_random(30, seed=30)
-    trace = fs.run(specs, cfg)
+    trace = fs.Engine(specs, cfg).run()
     return specs, cfg, trace
 
 
 @pytest.fixture(scope="module")
 def fig5_quiet():
     specs, cfg = build_identical_four({"eta_bar": 0.0, "zeta_bar": 1e-4})
-    trace = fs.run(specs, cfg)
+    trace = fs.Engine(specs, cfg).run()
     return specs, cfg, trace
 
 
@@ -160,7 +157,7 @@ def test_criterion_03_feasibility_and_deliberate_breach(fig5, fig6):
     )
     breached = False
     try:
-        fs.run(specs, cfg)
+        fs.Engine(specs, cfg).run()
     except fs.FeasibilityBreach as exc:
         breached = exc.step is not None
     ok = clean and breached
@@ -211,12 +208,12 @@ def test_criterion_05_balance(fig6):
 def test_criterion_06_fairness_recurrence_with_frozen_levels(fig5):
     specs, cfg, _, _ = fig5
     tol = 10.0 * (cfg.epsilon + cfg.eta_bar**2)
-    frozen = fs.run(specs, cfg, freeze_levels=True)
+    frozen = fs.Engine(specs, cfg).run(freeze_levels=True)
     minima = [("paper-fig5", frozen.ledger.phi_sq_min)]
     for seed in range(5):
         rspecs, rcfg = build_random(5, seed=seed,
                                     cfg_overrides={"zone_steps": 5000})
-        rtrace = fs.run(rspecs, rcfg, freeze_levels=True)
+        rtrace = fs.Engine(rspecs, rcfg).run(freeze_levels=True)
         rtol = 10.0 * (rcfg.epsilon + rcfg.eta_bar**2)
         minima.append((f"random-5[{seed}]", rtrace.ledger.phi_sq_min))
         assert rtrace.ledger.phi_sq_min < rtol
@@ -256,7 +253,7 @@ def test_criterion_08_ode_tracking():
             epsilon=eps, mu_exponent=0.05, gamma=100.0, eta_bar=0.0,
             zeta_bar=0.0, horizon=int(round(2.0 / eps)), seed=0, v_init=v0,
         )
-        trace = fs.run(specs, cfg)
+        trace = fs.Engine(specs, cfg).run()
         ode = integrate_full_ode(specs, cfg, t_end=2.0, dt=1e-3)
         t_disc = trace.steps * eps
         gaps[eps] = max(
@@ -289,7 +286,7 @@ def test_criterion_09_cross_oracle_agreement():
             specs, cfg, fs.uniform_allocation(n), d=d,
             t_end=300.0, dt=0.02, stop_residual=5e-7,
         )
-        v_ode = traj.terminal()
+        v_ode = traj.v[-1]
         res = fair_fixed_point(
             specs, lambda v: bank.argmax(v, d, tol=1e-7), d=d, tol=1e-8,
         )

@@ -94,7 +94,7 @@ class TestRunCommand:
         run_cli("run", "paper-fig5", "--out", str(out), *FAST)
         data = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
         specs, cfg = build_identical_four({"zone_steps": 400})
-        trace = fs.run(specs, cfg)
+        trace = fs.Engine(specs, cfg).run()
         assert np.array_equal(data[:, 0], trace.steps.astype(float))
         assert np.array_equal(data[:, 1:5], trace.v)
         assert np.array_equal(data[:, 9:13], trace.u_meas)
@@ -560,7 +560,22 @@ class TestOutsideValues:
 
     def test_negative_seed_of_the_random_draw_is_config_error(self, tmp_path, capsys):
         assert run_cli("validate", "paper-fig6", "--seed", "-1", *FAST) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0 to draw the tasks, got -1\n"
+        assert capsys.readouterr().err == "error: seed must lie in [0, 2**64), got -1\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify", "validate"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_config_error(self, command, seed, tmp_path, capsys):
+        out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+        assert run_cli(command, "paper-fig5", "--seed", str(seed), *FAST, *out) == 1
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_zone_start_past_int64_is_config_error(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert run_cli(command, "paper-fig5", "--set", "zone_steps=1e20", *out) == 1
+        assert capsys.readouterr().err == (
+            "error: demand zone starts must be below 2**63, got 200000000000000000000\n"
+        )
 
     @pytest.mark.parametrize("scenario, horizon, stride, what", [
         ("paper-fig5", 3 * 10**15, 1, "records need 5.04e+17 bytes"),
@@ -666,6 +681,16 @@ class TestVerifyCommand:
             run_cli(*argv, *FAST)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_zero_horizon_skips_every_simulation_row(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run_cli("verify", "paper-fig5", "--set", "horizon=0", "--out", str(out)) == 0
+        rows = {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
+        for name in ("feasibility", "fairness_zero_sum", "fairness_increment_bounds",
+                     "starvation", "balance", "fairness_residual", "s_optimality"):
+            assert rows[name] == {"name": name, "pass": None,
+                                  "detail": "vacuous: the run completed no step"}
+        assert rows["ode_tracking"]["pass"] is None
 
     def test_config_violation_fails_fast(self, capsys):
         assert run_cli("verify", "paper-fig5", "--set", "epsilon=0.1",

@@ -18,6 +18,12 @@ from fairshare.core import (
 from fairshare.utility import HomeEnergyModel
 
 
+def four_tasks() -> list[TaskSpec]:
+    model = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
+    return [TaskSpec(id=i, weight=1.0, utility=model, demand=DemandSchedule.constant(0.4))
+            for i in range(4)]
+
+
 def make_config(**kw) -> EngineConfig:
     base = dict(epsilon=5e-4, mu_exponent=0.05, gamma=100.0, horizon=100, seed=1)
     base.update(kw)
@@ -30,31 +36,25 @@ class TestEngineConfig:
         assert cfg.eps_mu == pytest.approx(0.0005**0.95)
         assert cfg.eps_mu == pytest.approx(7.3e-4, rel=2e-2)
         assert cfg.eps_mu < 1.0 / cfg.gamma
-        assert validate_config(cfg, 4).ok
+        assert validate_config(cfg, four_tasks()).ok
 
     def test_large_epsilon_violates_step_condition(self):
         cfg = make_config(epsilon=0.1)
         assert cfg.eps_mu == pytest.approx(0.1**0.95)
-        report = validate_config(cfg, 4)
+        report = validate_config(cfg, four_tasks())
         assert not report.ok
         assert any("step condition" in e for e in report.errors)
 
     def test_zero_noise_has_no_noise_violations(self):
-        report = validate_config(make_config(eta_bar=0.0), 4)
+        report = validate_config(make_config(eta_bar=0.0), four_tasks())
         assert not any("eta" in e for e in report.errors)
 
     def test_unit_noise_bound_is_an_error(self):
-        report = validate_config(make_config(eta_bar=1.0), 4)
+        report = validate_config(make_config(eta_bar=1.0), four_tasks())
         assert any("eta_bar" in e for e in report.errors)
 
     def test_oversized_epsilon_warns_against_task_set(self):
-        model = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
-        specs = [
-            TaskSpec(id=i, weight=1.0, utility=model,
-                     demand=DemandSchedule.constant(0.4))
-            for i in range(4)
-        ]
-        report = validate_config(make_config(epsilon=0.05, gamma=5.0), 4, specs)
+        report = validate_config(make_config(epsilon=0.05, gamma=5.0), four_tasks())
         assert report.ok
         assert any("feasibility threshold" in w for w in report.warnings)
 
@@ -70,6 +70,8 @@ class TestEngineConfig:
         dict(v_init=(0.6, 0.6)),
         dict(v_init=(0.5, 0.5 + 1e-6)),
         dict(v_init=(1.2, -0.2)),
+        dict(seed=-1),
+        dict(seed=2**64),
     ])
     def test_constructor_rejects_structural_violations(self, bad):
         with pytest.raises(ConfigError):
@@ -81,7 +83,7 @@ class TestEngineConfig:
 
     def test_task_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            validate_config(make_config(), 0)
+            validate_config(make_config(), [])
 
 
 class TestDemandSchedule:

@@ -27,7 +27,6 @@ from fairshare.dynamics import (
     RunTrace,
     fairness_from_utilities,
     fairness_measure,
-    run,
 )
 from fairshare.utility import (
     AffineNormalizer,
@@ -377,7 +376,7 @@ class TestEngineStep:
 
 class TestRun:
     def test_zero_horizon_yields_empty_trace(self):
-        trace = run(make_specs(2), make_cfg(horizon=0))
+        trace = Engine(make_specs(2), make_cfg(horizon=0)).run()
         assert len(trace) == 0
         assert trace.complete
 
@@ -410,7 +409,7 @@ class TestRun:
                     rows[name].append(
                         snap.phi_sq_sum if name == "phi_sq" else getattr(snap, name)
                     )
-            trace = run(specs, cfg, freeze_levels=freeze_levels)
+            trace = Engine(specs, cfg).run(freeze_levels=freeze_levels)
             assert (trace.s[-1] != cfg.s_init).any() != freeze_levels
             for name, got in rows.items():
                 np.testing.assert_array_equal(getattr(trace, name), np.array(got),
@@ -440,7 +439,7 @@ class TestRun:
                 s = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
                 u_lp, s_lp = u_lp + em * du, s_lp + em * ds
             rows.append((v, s, u, f))
-        trace = run(specs, cfg, freeze_levels=freeze_levels)
+        trace = Engine(specs, cfg).run(freeze_levels=freeze_levels)
         for name, got in zip(("v", "s", "u_meas", "f_obs"), zip(*rows)):
             np.testing.assert_array_equal(getattr(trace, name), np.array(got),
                                           err_msg=name, strict=True)
@@ -455,22 +454,22 @@ class TestRun:
     def test_same_seed_reproduces_trace_bitwise(self):
         specs = make_specs(4)
         cfg = make_cfg(horizon=200, eta_bar=1e-3, zeta_bar=1e-3)
-        a = run(specs, cfg)
-        b = run(specs, cfg)
+        a = Engine(specs, cfg).run()
+        b = Engine(specs, cfg).run()
         for name in ("v", "s", "u_meas", "f_obs", "phi", "phi_sq"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seed_changes_trace(self):
         specs = make_specs(4)
-        a = run(specs, make_cfg(horizon=50, eta_bar=1e-3, seed=1))
-        b = run(specs, make_cfg(horizon=50, eta_bar=1e-3, seed=2))
+        a = Engine(specs, make_cfg(horizon=50, eta_bar=1e-3, seed=1)).run()
+        b = Engine(specs, make_cfg(horizon=50, eta_bar=1e-3, seed=2)).run()
         assert not np.array_equal(a.u_meas, b.u_meas)
 
     def test_invariants_hold_on_noisy_run(self):
         specs = make_specs(5, weights=[1.0, 0.9, 0.8, 0.7, 0.6],
                            demands=[0.3, 0.4, 0.5, 0.6, 0.7])
         cfg = make_cfg(horizon=2000, eta_bar=1e-3, zeta_bar=1e-3)
-        trace = run(specs, cfg)
+        trace = Engine(specs, cfg).run()
         led = trace.ledger
         assert led.max_simplex_dev <= 1e-9
         assert led.v_min >= 0.0 and led.v_max <= 1.0
@@ -480,21 +479,21 @@ class TestRun:
 
     def test_stride_thins_records(self):
         specs = make_specs(2)
-        trace = run(specs, make_cfg(horizon=1000), stride=100)
+        trace = Engine(specs, make_cfg(horizon=1000)).run(stride=100)
         assert len(trace) == 10
         assert list(trace.steps) == [100 * (i + 1) for i in range(10)]
 
     def test_stride_rows_match_full_trace(self):
         specs = make_specs(2)
         cfg = make_cfg(horizon=100, eta_bar=1e-3)
-        full = run(specs, cfg)
-        thin = run(specs, cfg, stride=10)
+        full = Engine(specs, cfg).run()
+        thin = Engine(specs, cfg).run(stride=10)
         assert np.array_equal(thin.v, full.v[9::10])
 
     def test_breach_aborts_with_partial_records(self):
         specs, cfg = breach_scenario()
         with pytest.raises(FeasibilityBreach) as exc_info:
-            run(specs, cfg)
+            Engine(specs, cfg).run()
         breach = exc_info.value
         assert breach.step is not None
         assert breach.trace is not None and not breach.trace.complete
@@ -503,8 +502,20 @@ class TestRun:
     def test_frozen_levels_keep_level_state(self):
         specs = make_specs(3, demands=[0.2, 0.5, 0.8])
         cfg = make_cfg(horizon=300, eta_bar=1e-3, zeta_bar=1e-3)
-        trace = run(specs, cfg, freeze_levels=True)
+        trace = Engine(specs, cfg).run(freeze_levels=True)
         assert np.all(trace.s == cfg.s_init)
+
+    def test_frozen_step_keeps_levels_and_moves_filters(self):
+        # A frozen step differs from the unfrozen one only in its levels.
+        specs, cfg = self.mixed_scenario()
+        eng = Engine(specs, cfg)
+        snap = eng.initial_snapshot()
+        frozen, moving = eng.step(snap, freeze_levels=True), eng.step(snap)
+        np.testing.assert_array_equal(frozen.s, snap.s, strict=True)
+        assert (frozen.s_lp != snap.s_lp).all()
+        for name in ("v", "u_lp", "s_lp", "u_meas", "f_obs"):
+            np.testing.assert_array_equal(getattr(frozen, name), getattr(moving, name),
+                                          err_msg=name, strict=True)
 
     def test_step_condition_rejected_before_simulation(self):
         specs = make_specs(2)
@@ -572,7 +583,7 @@ class TestDemandSwitching:
                  TaskSpec(id=1, weight=1.0, utility=model,
                           demand=DemandSchedule.constant(0.4))]
         cfg = make_cfg(horizon=6, eta_bar=0.0, zeta_bar=0.0)
-        trace = run(specs, cfg)
+        trace = Engine(specs, cfg).run()
         eng = Engine(specs, cfg)
         assert np.array_equal(eng.demand.at(2), [0.4, 0.4])
         assert np.array_equal(eng.demand.at(3), [0.8, 0.4])

@@ -8,10 +8,10 @@ import pytest
 
 import fairshare as fs
 from fairshare.core import demand_table
+from fairshare.dynamics import recurrence_window
 from fairshare.scenario import (
     build_identical_four,
     build_random,
-    recurrence_window,
     summarize,
 )
 from fairshare.utility import ModelBank, validate_assumptions
@@ -87,7 +87,7 @@ class TestBuildRandom:
 @pytest.fixture(scope="module")
 def small_run():
     specs, cfg = build_identical_four({"zone_steps": 1500})
-    trace = fs.run(specs, cfg)
+    trace = fs.Engine(specs, cfg).run()
     return specs, cfg, trace
 
 
@@ -112,8 +112,8 @@ class TestSummarize:
 
     def test_zone_determinism(self, small_run):
         specs, cfg, _ = small_run
-        r1 = summarize(fs.run(specs, cfg), specs, cfg)
-        r2 = summarize(fs.run(specs, cfg), specs, cfg)
+        r1 = summarize(fs.Engine(specs, cfg).run(), specs, cfg)
+        r2 = summarize(fs.Engine(specs, cfg).run(), specs, cfg)
         for a, b in zip(r1.zones, r2.zones):
             assert np.array_equal(a.v_mean, b.v_mean)
             assert a.adapt_steps == b.adapt_steps
@@ -127,7 +127,7 @@ class TestSummarize:
 
     def test_tiny_zone_marked_insufficient(self):
         specs, cfg = build_identical_four({"zone_steps": 10})
-        trace = fs.run(specs, cfg)
+        trace = fs.Engine(specs, cfg).run()
         result = summarize(trace, specs, cfg)
         assert all(z.insufficient for z in result.zones)
 
@@ -145,7 +145,7 @@ class TestSummarize:
                         demand=fs.DemandSchedule.constant(0.4)),
         ]
         _, cfg = build_identical_four({"horizon": 120})
-        result = summarize(fs.run(specs, cfg), specs, cfg)
+        result = summarize(fs.Engine(specs, cfg).run(), specs, cfg)
         assert [(z.start, z.end) for z in result.zones] == [(0, 120)]
         (zone,) = result.zones
         assert zone.n_records == 120 and not zone.insufficient
@@ -155,7 +155,7 @@ class TestSummarize:
 
     def test_empty_trace_rejected(self):
         specs, cfg = build_identical_four({"zone_steps": 10, "horizon": 0})
-        trace = fs.run(specs, cfg)
+        trace = fs.Engine(specs, cfg).run()
         with pytest.raises(ValueError):
             summarize(trace, specs, cfg)
 
@@ -169,7 +169,7 @@ class TestRecurrenceVerdicts:
         specs, cfg = build_random(30, seed=30, cfg_overrides={
             "zone_steps": 2000, "epsilon": 0.02, "gamma": 20.0,
         })
-        return specs, cfg, fs.run(specs, cfg)
+        return specs, cfg, fs.Engine(specs, cfg).run()
 
     @staticmethod
     def recurrence(trace, specs, cfg):
@@ -182,7 +182,7 @@ class TestRecurrenceVerdicts:
         assert [v["windows"] for v in full] == [2, 2]
         assert all(v["pass"] is True for v in full)
         for stride in (7, 100):
-            assert self.recurrence(fs.run(specs, cfg, stride=stride), specs, cfg) == full
+            assert self.recurrence(fs.Engine(specs, cfg).run(stride=stride), specs, cfg) == full
 
     def test_one_starved_window_fails(self, short_windows):
         specs, cfg, trace = short_windows
@@ -228,7 +228,7 @@ class TestRecurrenceVerdicts:
         specs, cfg, trace = short_windows
         full = self.s_optimality(trace, specs, cfg)
         for stride in (7, 100):
-            assert self.s_optimality(fs.run(specs, cfg, stride=stride), specs, cfg) == full
+            assert self.s_optimality(fs.Engine(specs, cfg).run(stride=stride), specs, cfg) == full
 
     def test_incomplete_run_skips_s_optimality(self, short_windows):
         specs, cfg, trace = short_windows

@@ -372,6 +372,12 @@ class TestClosedFormArgmax:
             assert abs(got[0] - 0.4) <= tol
             assert got[1] == 0.0
 
+    def test_search_reads_the_unwrapped_model_without_params(self):
+        # Wrapped at scale 1e-9, the utility is flat to rounding within
+        # about 5e-4 of the peak; the inner model is not.
+        model = AffineNormalizer(inner=Quadratic(0.3), scale=1e-9, shift=1.0, bound_c=2.0)
+        assert abs(ModelBank([model]).argmax(0.5, 0.0)[0] - 0.3) <= 1e-6
+
     def test_scalar_arguments_broadcast_over_tasks(self):
         bank = ModelBank([HOME, AffineNormalizer.fit(HOME, (0.2, 0.8))])
         out = bank.argmax(0.3, 0.6)
