@@ -417,6 +417,8 @@ def _ode_tracking(specs, cfg, d0) -> tuple[bool | None, str]:
         horizon=min(cfg.horizon, int(math.ceil(t_end / cfg.epsilon))),
         v_init=tuple(ramp / ramp.sum()),
     )
+    if track_cfg.horizon < 1:
+        return None, "vacuous: the run completed no step"
     try:
         track = Engine(specs, track_cfg).run(stride=1)
     except StepError as exc:

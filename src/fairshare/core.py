@@ -171,6 +171,15 @@ def _finite(key: str, value):
     return value
 
 
+def _check_seed(seed) -> None:
+    """Raise ``ConfigError`` unless ``seed`` is an integer in [0, 2**64),
+    the seeds the noise keys and the oracles' random starts take."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not (0 <= seed < 2**64):
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Step sizes, filter gain, noise bounds, horizon and seed for one run.
@@ -207,11 +216,7 @@ class EngineConfig:
             raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (0 <= self.seed < 2**64):
-            # The noise keys and the oracles' random starts take 64-bit seeds.
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed)
         if not (0.0 <= self.s_init <= 1.0):
             raise ConfigError(f"s_init must be in [0, 1], got {self.s_init}")
         if self.v_init is not None:
@@ -319,7 +324,6 @@ def uniform_allocation(n: int) -> np.ndarray:
 
 # SplitMix64 finalizer constants (Steele et al. mixing function).
 _U64 = np.uint64
-_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLD = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
@@ -347,7 +351,7 @@ def _keyed_unit(seed, task, channel, step):
 
     Wraps uint64 arithmetic, so call it under ``np.errstate(over="ignore")``.
     """
-    h = _mix(_U64(seed & _MASK))
+    h = _mix(_U64(seed))
     h = _mix(h ^ task)
     h = _mix(h ^ channel)
     h = _mix(h ^ step)
@@ -368,6 +372,9 @@ class NoiseSource:
     seed: int
     eta_bar: float = 0.0
     zeta_bar: float = 0.0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
     def _draw_block(self, k0: int, k1: int, n: int, channel: int, bound: float) -> np.ndarray:
         if bound == 0.0:

@@ -8,6 +8,7 @@ these oracles.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -36,19 +37,19 @@ class OracleError(RuntimeError):
     """An oracle computation produced a non-finite or inconsistent state."""
 
 
-def _check_domain(v: np.ndarray, u: np.ndarray, where: str) -> None:
-    """Raise ``OracleError`` unless every share lies in [0, 1] and every
-    utility is finite and > 0, the domain the mean-field equations assume.
-
-    ``where`` names the time or iteration of the state.
-    """
-    for bad, what, values in (
-        (~((v >= 0.0) & (v <= 1.0)), "share outside [0, 1]", v),
-        (~(np.isfinite(u) & (u > 0.0)), "utility not finite and > 0", u),
-    ):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise OracleError(f"{where}, task {i}: {what}: {float(values[i])!r}")
+def _domain_error(v: np.ndarray, u: np.ndarray, where: str) -> tuple | None:
+    """The first state of the batch (v, u), tasks last, that lies outside the
+    domain of the mean-field equations, as its index and an ``OracleError``
+    naming ``where``, its first task at fault and the value; or None."""
+    checks = ((~((v >= 0.0) & (v <= 1.0)), "share outside [0, 1]", v),
+              (~(np.isfinite(u) & (u > 0.0)), "utility not finite and > 0", u))
+    rows = (checks[0][0] | checks[1][0]).any(axis=-1)
+    if not rows.any():
+        return None
+    j = int(np.argmax(rows))
+    bad, what, values = next(c for c in checks if c[0][j].any())
+    i = int(np.argmax(bad[j]))
+    return j, OracleError(f"{where}, task {i}: {what}: {float(values[j, i])!r}")
 
 
 def safe_epsilon(lambda_min: float, c_bar: float, n: int, eta_bar: float) -> float:
@@ -114,43 +115,39 @@ def _demand_vector(specs: Sequence[TaskSpec], d) -> np.ndarray:
     return np.asarray(d, dtype=float)
 
 
-def initial_mean_state(
-    specs: Sequence[TaskSpec], cfg: EngineConfig, d=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(v, s, u_lp, s_lp) matching the engine's initial snapshot."""
-    n = len(specs)
-    v0 = (
-        np.asarray(cfg.v_init, dtype=float)
-        if cfg.v_init is not None
-        else uniform_allocation(n)
-    )
-    s0 = np.full(n, float(cfg.s_init))
-    bank = ModelBank([t.utility for t in specs])
-    u0 = bank.eval(s0, v0, _demand_vector(specs, d))
-    return v0, s0, u0, s0 - FILTER_INIT_OFFSET
-
-
-def _rk4(field, y, dt: float, n_steps: int, stop=None, project=None) -> OdeTrajectory:
-    """Classical RK4 on ``field`` from ``y``, sampled at every accepted state.
+def _rk4(field, y, dt: float, t_end: float, stop=None, project=None) -> OdeTrajectory:
+    """Classical RK4 on ``field`` from the starts ``y`` (a batch on the
+    leading axis) up to ``t_end``, sampled at every accepted state.
 
     ``field(y)`` returns ``(dy/dt, v, u, s)``: the derivative at ``y`` and
-    the shares, utilities and levels of that state. Each accepted state, the
-    start included, is checked by ``_check_domain`` on the utilities of its
-    k1 stage and recorded; the integration ends at ``n_steps`` steps or at
-    the first accepted state where ``stop(k1)`` holds. ``project(y, t)``
-    corrects each new state in place, or raises, before it is accepted.
+    the shares, utilities and levels of its states, tasks last. Each
+    accepted state, the start included, is checked on the utilities of its
+    k1 stage and recorded. A start leaves the batch at the end, where
+    ``stop(k1)`` (one flag per start) first holds, or when its check fails,
+    the later starts with it; once the batch is empty, the earliest failed
+    start's ``OracleError`` is raised. A start that left holds its last
+    state in the later rows. ``project(y, t)`` corrects each new batch in
+    place, or raises, before it is accepted.
     """
-    # Rows for every step, tasks last; an early stop returns those it filled.
-    shape = (n_steps + 1, y.shape[-1])
-    times, vs, ss = np.empty(n_steps + 1), np.empty(shape), np.empty(shape)
-    step = 0
-    while True:
-        k1, vs[step], u, ss[step] = field(y)
-        _check_domain(vs[step], u, f"t={step * dt:.6g}")
-        times[step] = step * dt
-        if step == n_steps or (stop is not None and stop(k1)):
-            done = slice(step + 1)
-            return OdeTrajectory(times=times[done], v=vs[done], s=ss[done])
+    if dt <= 0.0 or t_end < 0.0:
+        raise ValueError("need dt > 0 and t_end >= 0")
+    # (step, start, task) rows for all steps; an early stop returns those filled.
+    n_starts, n_steps = y.shape[0], int(round(t_end / dt))
+    shape = (n_steps + 1, n_starts, y.shape[-1])
+    vs, ss = np.empty(shape), np.empty(shape)
+    live, last = np.arange(n_starts), np.empty(n_starts, dtype=int)
+    error, step = None, 0
+    while live.size:
+        k1, v, u, s = field(y)
+        rows = slice(None) if live.size == n_starts else live
+        vs[step, rows], ss[step, rows], last[rows] = v, s, step
+        if (bad := _domain_error(v, u, f"t={step * dt:.6g}")) is not None:
+            j, error = bad
+            live, y, k1 = live[:j], y[:j], k1[:j]
+        if stop is not None and (done := stop(k1)).any():
+            live, y, k1 = live[~done], y[~done], k1[~done]
+        if step == n_steps or not live.size:
+            break
         k2 = field(y + 0.5 * dt * k1)[0]
         k3 = field(y + 0.5 * dt * k2)[0]
         k4 = field(y + dt * k3)[0]
@@ -158,6 +155,11 @@ def _rk4(field, y, dt: float, n_steps: int, stop=None, project=None) -> OdeTraje
         step += 1
         if project is not None:
             project(y, step * dt)
+    if error is not None:
+        raise error
+    for i, k in enumerate(last):
+        vs[k + 1:step + 1, i], ss[k + 1:step + 1, i] = vs[k, i], ss[k, i]
+    return OdeTrajectory(times=np.arange(step + 1) * dt, v=vs[:step + 1], s=ss[:step + 1])
 
 
 def integrate_full_ode(
@@ -176,35 +178,45 @@ def integrate_full_ode(
     boundary correction. A state with a share outside [0, 1] or a utility
     that is not finite and > 0 raises ``OracleError``.
     """
-    if dt <= 0.0 or t_end < 0.0:
-        raise ValueError("need dt > 0 and t_end >= 0")
+    n = len(specs)
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = _demand_vector(specs, d)
-    mu = cfg.mu
-    gamma = cfg.gamma
+    mu, gamma = cfg.mu, cfg.gamma
+    # _rk4 needs a stage's derivative only until its step ends, so four
+    # buffers in turn serve its four field calls a step.
+    stages = itertools.cycle([np.empty((1, 4, n)) for _ in range(4)])
 
     def field(y: np.ndarray):
-        """The vector field at y, and the shares, utilities and levels of y."""
-        v, s, u_lp, s_lp = y
+        """The vector field at the batch y of one state, and the shares,
+        utilities and levels of that state."""
+        # The one state's rows are 1-D, so no operand broadcasts.
+        dy = next(stages)
+        v, s, u_lp, s_lp = y[0]
+        phi, level, du, ds = dy[0]
         u = bank.eval(s, v, d_vec)
-        phi = fairness_from_utilities(weights, u, v)
-        du = u - u_lp
-        ds = s - s_lp
-        mask = np.abs(ds) >= RATIO_GUARD
-        ratio = np.divide(du, ds, out=np.zeros_like(du), where=mask)
-        return np.stack(
-            (phi, mu * np.tanh(ratio), mu * gamma * du, mu * gamma * ds)
-        ), v, u, s
+        phi[...] = fairness_from_utilities(weights, u, v)
+        np.subtract(u, u_lp, out=du)
+        np.subtract(s, s_lp, out=ds)
+        level.fill(0.0)
+        np.divide(du, ds, out=level, where=np.abs(ds) >= RATIO_GUARD)
+        np.multiply(mu, np.tanh(level, out=level), out=level)
+        dy[0, 2:] *= mu * gamma
+        return dy, v[None], u[None], s[None]
 
     def project(y: np.ndarray, t: float) -> None:
         """Clamp the levels of a new state; a non-finite state is an error."""
-        y[1] = np.clip(y[1], 0.0, 1.0)
+        np.clip(y[:, 1], 0.0, 1.0, out=y[:, 1])
         if not np.isfinite(y).all():
             raise OracleError(f"non-finite mean-field state at t={t:.6g}")
 
-    y = np.stack(initial_mean_state(specs, cfg, d_vec) if init is None else init)
-    return _rk4(field, y, dt, int(round(t_end / dt)), project=project)
+    if init is None:
+        # (v, s, u_lp, s_lp) matching the engine's initial snapshot.
+        v0 = uniform_allocation(n) if cfg.v_init is None else np.array(cfg.v_init)
+        s0 = np.full(n, float(cfg.s_init))
+        init = (v0, s0, bank.eval(s0, v0, d_vec), s0 - FILTER_INIT_OFFSET)
+    traj = _rk4(field, np.stack(init)[None], dt, t_end, project=project)
+    return OdeTrajectory(times=traj.times, v=traj.v[:, 0], s=traj.s[:, 0])
 
 
 def integrate_limiting_ode(
@@ -221,11 +233,11 @@ def integrate_limiting_ode(
     The per-task maximizing level is recomputed at every stage evaluation.
     With ``stop_residual`` set, integration stops early once the fairness
     residual falls below it; rows for all ``t_end / dt`` steps are allocated
-    up front all the same. A state with a share outside [0, 1] or a
-    utility that is not finite and > 0 raises ``OracleError``.
+    up front all the same. ``v_init`` may hold a batch of starts on its
+    leading axis, each stopping on its own residual; the rows then run
+    (step, start, task). A state with a share outside [0, 1] or a utility
+    that is not finite and > 0 raises ``OracleError``.
     """
-    if dt <= 0.0 or t_end < 0.0:
-        raise ValueError("need dt > 0 and t_end >= 0")
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = _demand_vector(specs, d)
@@ -238,9 +250,11 @@ def integrate_limiting_ode(
         return fairness_from_utilities(weights, u, v), v, u, s_star
 
     stop = None if stop_residual is None else (
-        lambda k1: float(np.abs(k1).max()) < stop_residual)
-    return _rk4(field, np.asarray(v_init, dtype=float).copy(), dt,
-                int(round(t_end / dt)), stop=stop)
+        lambda k1: np.abs(k1).max(axis=-1) < stop_residual)
+    v0 = np.array(v_init, dtype=float)
+    traj = _rk4(field, v0.reshape(-1, v0.shape[-1]), dt, t_end, stop=stop)
+    return traj if v0.ndim > 1 else OdeTrajectory(
+        times=traj.times, v=traj.v[:, 0], s=traj.s[:, 0])
 
 
 @dataclass
@@ -287,7 +301,8 @@ def fair_fixed_point(
         change = float(np.abs(v_new - v).max())
         v = v_new
         u = bank.eval(level_fn(v), v, d_vec)
-        _check_domain(v, u, f"iteration {it}")
+        if (bad := _domain_error(v[None], u[None], f"iteration {it}")) is not None:
+            raise bad[1]
         phi = fairness_from_utilities(weights, u, v)
         residual = float(np.abs(phi).max())
         if change < tol and residual <= 10.0 * tol:
@@ -306,21 +321,16 @@ def probe_limit_points(
 ) -> list[np.ndarray]:
     """Terminal allocations of the slow dynamics from random simplex starts.
 
-    Endpoints are greedily clustered at a sup-norm radius of 1e-3; the
-    returned list holds one representative per cluster. More than one
-    cluster means the long-run behavior is not captured by a single fair
-    point.
+    The starts run as one batch of ``integrate_limiting_ode``. Endpoints
+    are greedily clustered at a sup-norm radius of 1e-3; the returned list
+    holds one representative per cluster. More than one cluster means the
+    long-run behavior is not captured by a single fair point.
     """
-    rng = np.random.default_rng(seed)
-    n = len(specs)
+    x = np.random.default_rng(seed).exponential(size=(n_starts, len(specs)))
+    traj = integrate_limiting_ode(specs, cfg, x / x.sum(axis=-1, keepdims=True), d=d,
+                                  t_end=t_end, dt=dt, stop_residual=1e-8)
     reps: list[np.ndarray] = []
-    for _ in range(n_starts):
-        x = rng.exponential(size=n)
-        v0 = x / x.sum()
-        traj = integrate_limiting_ode(
-            specs, cfg, v0, d=d, t_end=t_end, dt=dt, stop_residual=1e-8
-        )
-        end = traj.v[-1]
+    for end in traj.v[-1]:
         if not any(np.abs(end - r).max() <= 1e-3 for r in reps):
             reps.append(end)
     return reps

@@ -687,10 +687,10 @@ class TestVerifyCommand:
         assert run_cli("verify", "paper-fig5", "--set", "horizon=0", "--out", str(out)) == 0
         rows = {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
         for name in ("feasibility", "fairness_zero_sum", "fairness_increment_bounds",
-                     "starvation", "balance", "fairness_residual", "s_optimality"):
+                     "starvation", "balance", "fairness_residual", "s_optimality",
+                     "ode_tracking"):
             assert rows[name] == {"name": name, "pass": None,
                                   "detail": "vacuous: the run completed no step"}
-        assert rows["ode_tracking"]["pass"] is None
 
     def test_config_violation_fails_fast(self, capsys):
         assert run_cli("verify", "paper-fig5", "--set", "epsilon=0.1",

@@ -144,6 +144,13 @@ class TestNoiseSource:
         chunks = [draw(k0, min(k0 + 7, 20), 6) for k0 in range(0, 20, 7)]
         assert np.array_equal(np.vstack(chunks), block)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_config_error(self, seed):
+        # Masked to 64 bits, -1 would draw the stream of 2**64 - 1 and 2**64
+        # that of 0.
+        with pytest.raises(ConfigError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            NoiseSource(seed, eta_bar=0.1)
+
     def test_channels_are_distinct_streams(self):
         src = NoiseSource(seed=5, eta_bar=0.2, zeta_bar=0.2)
         assert src.measurement_block(3, 4, 2)[0, 1] != src.dither_block(3, 4, 2)[0, 1]

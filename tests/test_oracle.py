@@ -1,8 +1,12 @@
 """Analytic bounds, reference integrators, and the fair fixed-point solver."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fairshare as fs
 from fairshare.core import DemandSchedule, EngineConfig, TaskSpec, uniform_allocation
@@ -15,6 +19,7 @@ from fairshare.oracle import (
     probe_limit_points,
     safe_epsilon,
 )
+from fairshare.scenario import build_identical_four, build_random
 from fairshare.utility import (
     AffineNormalizer,
     CpuBandwidthModel,
@@ -326,3 +331,116 @@ class TestProbeLimitPoints:
                                   t_end=80.0)
         assert len(reps) == 1
         assert np.abs(reps[0] - 0.25).max() <= 1e-3
+
+    def test_batched_starts_match_their_own_integrations(self):
+        # Each start of the batch ends exactly where its own integration does.
+        mixed = random_specs(4, seed=2) + [TaskSpec(
+            id=4, weight=0.6, utility=BumpModel(0.8, 1.1),
+            demand=DemandSchedule.constant(0.5))]
+        for specs, cfg in (build_identical_four(), build_random(30, seed=30),
+                           (mixed, make_cfg())):
+            d0 = np.array([t.demand.at(0) for t in specs])
+            # The search of the model without ``params`` costs milliseconds a
+            # call, so the mixed set runs three starts over a short horizon.
+            n_starts, t_end = (3, 0.4) if specs is mixed else (8, 200.0)
+            starts = sequential_starts(len(specs), n_starts, cfg.seed)
+            batch = integrate_limiting_ode(specs, cfg, starts, d=d0, t_end=t_end,
+                                           stop_residual=1e-8)
+            assert batch.v.shape == (len(batch.times), n_starts, len(specs))
+            ends = [integrate_limiting_ode(specs, cfg, v0, d=d0, t_end=t_end,
+                                           stop_residual=1e-8).v[-1] for v0 in starts]
+            assert np.array_equal(batch.v[-1], np.array(ends))
+            reps = probe_limit_points(specs, cfg, d=d0, n_starts=n_starts,
+                                      seed=cfg.seed, t_end=t_end)
+            assert_same_points(reps, cluster(ends))
+
+    @pytest.mark.parametrize("failing", [(0.97, 0.99), (0.99, 0.97)])
+    def test_lowest_failing_start_raises_its_own_error(self, failing):
+        # At dt = 2 a start at share 0.99 leaves [0, 1] at t = 2 and one at
+        # 0.97 at t = 18. Whichever of the two comes first in the batch, its
+        # own error is raised, as the starts run one by one would raise it.
+        specs = identical_specs(2)
+        starts = np.array([[0.8, 0.2], [failing[0], 1.0 - failing[0]], [0.5, 0.5],
+                           [failing[1], 1.0 - failing[1]]])
+        errors = []
+        for v0 in starts[[1, 3]]:
+            with pytest.raises(OracleError) as exc:
+                integrate_limiting_ode(specs, make_cfg(), v0, dt=2.0, stop_residual=1e-8)
+            errors.append(str(exc.value))
+        assert sorted(e.split(",")[0] for e in errors) == ["t=18", "t=2"]
+        with pytest.raises(OracleError, match=f"^{re.escape(errors[0])}$"):
+            integrate_limiting_ode(specs, make_cfg(), starts, dt=2.0, stop_residual=1e-8)
+
+    def test_start_that_stops_early_holds_its_terminal(self):
+        specs = identical_specs(2)
+        starts = np.array([[0.5, 0.5], [0.9, 0.1]])
+        batch = integrate_limiting_ode(specs, make_cfg(), starts, stop_residual=1e-8)
+        fair = integrate_limiting_ode(specs, make_cfg(), starts[0], stop_residual=1e-8)
+        far = integrate_limiting_ode(specs, make_cfg(), starts[1], stop_residual=1e-8)
+        assert len(fair.times) == 1 and len(far.times) > 100
+        assert np.array_equal(batch.times, far.times)
+        assert np.array_equal(batch.v[:, 0], np.broadcast_to(fair.v[0], far.v.shape))
+        assert np.array_equal(batch.s[:, 0], np.broadcast_to(fair.s[0], far.s.shape))
+        assert np.array_equal(batch.v[:, 1], far.v) and np.array_equal(batch.s[:, 1], far.s)
+
+    @given(data=st.data())
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_probe_is_the_per_start_route_or_raises(self, data):
+        # Finite representatives equal to those of the starts integrated one
+        # by one, or the error the first failing start raises on its own.
+        n = data.draw(st.integers(2, 4))
+        specs = [draw_task(data, i) for i in range(n)]
+        cfg, seed = make_cfg(), data.draw(st.integers(0, 2**64 - 1))
+        starts = sequential_starts(n, 3, seed)
+        try:
+            reps = probe_limit_points(specs, cfg, n_starts=3, seed=seed, t_end=3.0)
+        except OracleError as exc:
+            with pytest.raises(OracleError, match=f"^{re.escape(str(exc))}$"):
+                for v0 in starts:
+                    integrate_limiting_ode(specs, cfg, v0, t_end=3.0, stop_residual=1e-8)
+            return
+        assert reps and all(np.isfinite(r).all() for r in reps)
+        ends = [integrate_limiting_ode(specs, cfg, v0, t_end=3.0,
+                                       stop_residual=1e-8).v[-1] for v0 in starts]
+        assert_same_points(reps, cluster(ends))
+
+
+def draw_task(data, i):
+    """A task with a normalized home_energy model, or a raw one whose small
+    offset c can take the utility out of the domain, so that some drawn
+    task sets fail and some do not."""
+    d = data.draw(st.floats(0.2, 0.8))
+    normalized = st.builds(
+        lambda a, c: AffineNormalizer.fit(
+            HomeEnergyModel(a=a, b=1.0, c=c, kappa=1.0, h=0.5), (d, d)),
+        st.floats(0.5, 3.0), st.floats(0.5, 2.0))
+    raw = st.builds(lambda c, h: HomeEnergyModel(a=2.0, b=1.0, c=c, kappa=0.1, h=h),
+                    st.floats(0.01, 0.15), st.floats(0.5, 1.0))
+    return TaskSpec(id=i, weight=data.draw(st.floats(0.2, 0.8)),
+                    utility=data.draw(st.one_of(raw, normalized)),
+                    demand=DemandSchedule.constant(d))
+
+
+def sequential_starts(n, n_starts, seed):
+    """The probe's random simplex starts, drawn one start at a time."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(n_starts):
+        x = rng.exponential(size=n)
+        starts.append(x / x.sum())
+    return np.array(starts)
+
+
+def cluster(ends):
+    """Greedy sup-norm clustering at radius 1e-3, in start order."""
+    reps = []
+    for end in ends:
+        if not any(np.abs(end - r).max() <= 1e-3 for r in reps):
+            reps.append(end)
+    return reps
+
+
+def assert_same_points(got, expected):
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
