@@ -90,6 +90,8 @@ def model_from_dict(doc: dict, demand_span: tuple[float, float]):
     if kind not in MODEL_TYPES:
         raise ConfigError(f"unknown model type: {kind!r}")
     if scale is not None:
+        if normalize is not None:
+            raise ConfigError(f"normalize cannot be given with scale, got {normalize!r}")
         # A scaled model's 'bound_c' belongs to the wrapper, not the inner model.
         bound_c = doc.pop("bound_c", None)
         if bound_c is None:
@@ -98,14 +100,19 @@ def model_from_dict(doc: dict, demand_span: tuple[float, float]):
             inner=MODEL_TYPES[kind](**doc), scale=float(scale),
             shift=float(shift or 0.0), bound_c=float(bound_c),
         )
+    if shift is not None:
+        raise ConfigError(f"shift needs scale, got {shift!r}")
     inner = MODEL_TYPES[kind](**doc)
-    if normalize is not None:
-        opts = normalize if isinstance(normalize, dict) else {}
-        return AffineNormalizer.fit(
-            inner, demand_range=demand_span,
-            c_target=float(opts.get("c_target", 2.0)),
-        )
-    return inner
+    if normalize is None:
+        return inner
+    opts = {} if normalize is True else normalize
+    if not isinstance(opts, dict):
+        raise ConfigError(f"normalize must be true or a JSON object, got {normalize!r}")
+    if opts.keys() - {"c_target"}:
+        raise ConfigError(f"normalize takes only c_target, got {opts!r}")
+    return AffineNormalizer.fit(
+        inner, demand_range=demand_span, c_target=float(opts.get("c_target", 2.0)),
+    )
 
 
 def scenario_to_dict(specs: Sequence[TaskSpec], cfg: EngineConfig) -> dict:

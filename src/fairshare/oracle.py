@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EngineConfig, TaskSpec, uniform_allocation
+from .core import EngineConfig, TaskSpec, demand_table, uniform_allocation
 from .dynamics import FILTER_INIT_OFFSET, RATIO_GUARD, fairness_from_utilities
 from .utility import ModelBank
 
@@ -111,7 +111,7 @@ class OdeTrajectory:
 
 def _demand_vector(specs: Sequence[TaskSpec], d) -> np.ndarray:
     if d is None:
-        return np.array([t.demand.at(0) for t in specs], dtype=float)
+        return demand_table(specs).at(0)
     return np.asarray(d, dtype=float)
 
 

@@ -313,44 +313,65 @@ def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:
     return model, scale, shift
 
 
+def _each_model(models: Sequence[UtilityModel]) -> Callable:
+    """A group formula that evaluates ``models[j]`` on column j of its
+    arguments, which share one shape."""
+    def formula(s, v, d):
+        out = np.empty(s.shape)
+        for j, model in enumerate(models):
+            out[..., j] = model.eval(s[..., j], v[..., j], d[..., j])
+        return out
+
+    return formula
+
+
+def _golden_section(f: Callable, shape: tuple, tol: float) -> np.ndarray:
+    """Levels in [0, 1] maximizing each lane of the concave ``f`` on arrays
+    of shape ``shape``: golden-section search down to a bracket of width ``tol``."""
+    a, b = np.zeros(shape), np.ones(shape)
+    width = 1.0
+    while width > tol:
+        # One of the two points is the last step's in each lane; evaluating
+        # both keeps every lane in one call of ``f``.
+        x1 = b - _INVPHI * (b - a)
+        x2 = a + _INVPHI * (b - a)
+        take = f(x1) < f(x2)
+        a = np.where(take, x1, a)
+        b = np.where(take, b, x2)
+        width *= _INVPHI
+    return 0.5 * (a + b)
+
+
 class ModelBank:
     """Vectorized evaluation of a heterogeneous model list across tasks.
 
-    Groups tasks by model class and evaluates each group's ``formula`` on
-    stacked parameter arrays, so a whole population evaluates in a handful
-    of array expressions; models without ``params`` fall back to a
-    per-task loop. Array arguments may carry leading batch axes, with tasks
-    indexed along the last axis.
+    Every task belongs to one group: each class with ``params`` is a group
+    whose ``formula`` runs on stacked parameter arrays, and the models
+    without ``params`` form one more, whose formula evaluates each model on
+    its own column. Formulas read the unwrapped models; the folded scale
+    and shift of their wrappers apply after. Array arguments may carry
+    leading batch axes, with tasks indexed along the last axis.
     """
 
     def __init__(self, models: Sequence[UtilityModel]):
         self.n = len(models)
         unwrapped = [_unwrap(m) for m in models]
-        groups: dict[type, list[int]] = {}
-        other = []
+        groups: dict[type | None, list[int]] = {}
         for i, (inner, _, _) in enumerate(unwrapped):
-            if inner.params:
-                groups.setdefault(type(inner), []).append(i)
-            else:
-                other.append(i)
+            groups.setdefault(type(inner) if inner.params else None, []).append(i)
         # One (formula, argmax_formula, task index, parameter arrays, scale,
-        # shift) per class.
+        # shift) per group.
         self._groups = []
-        search = list(other)
         for cls, idx in groups.items():
             inners, scales, shifts = zip(*(unwrapped[i] for i in idx))
-            params = tuple(np.array([getattr(m, p) for m in inners]) for p in cls.params)
             self._groups.append((
-                cls.formula, cls.argmax_formula, np.array(idx), params,
+                cls.formula if cls else _each_model(inners),
+                cls.argmax_formula if cls else None, np.array(idx),
+                tuple(np.array([getattr(m, p) for m in inners]) for p in inners[0].params),
                 np.array(scales), np.array(shifts),
             ))
-            if cls.argmax_formula is None:
-                search.extend(idx)
-        # (task, model, unwrapped model) of each task without ``params``.
-        self._other = tuple((i, models[i], unwrapped[i][0]) for i in other)
-        self._single = self._groups[0] if len(self._groups) == 1 and not other else None
-        # Tasks without a closed-form maximizer, left to the search.
-        self._search = np.array(sorted(search), dtype=int)
+        # A bank of one class evaluates without gathering its columns.
+        self._single = self._groups[0] if len(groups) == 1 and None not in groups else None
 
     def laid_out(self, lanes: int) -> "ModelBank":
         """This bank with each group's parameter, scale and shift arrays
@@ -374,73 +395,41 @@ class ModelBank:
         if self._single is not None:
             formula, _, _, params, scale, shift = self._single
             return scale * formula(s, v, d, *params) + shift
-        return self._eval_groups(s, v, d, affine=True)
-
-    def _eval_groups(self, s, v, d, affine: bool) -> np.ndarray:
-        """Each class group on its columns, then the models without ``params``.
-
-        With ``affine=False`` every task gets its unwrapped model, without
-        the scale and shift of its wrappers: a group's tasks their
-        ``formula``, the others the ``eval`` of their innermost model.
-        """
         shape = np.broadcast_shapes(s.shape, v.shape, d.shape, (self.n,))
         out = np.empty(shape)
         s, v, d = (np.broadcast_to(x, shape) for x in (s, v, d))
         for formula, _, idx, params, scale, shift in self._groups:
             u = formula(s[..., idx], v[..., idx], d[..., idx], *params)
-            out[..., idx] = scale * u + shift if affine else u
-        for i, model, inner in self._other:
-            out[..., i] = (model if affine else inner).eval(s[..., i], v[..., i], d[..., i])
+            out[..., idx] = scale * u + shift
         return out
 
     def argmax(self, v, d, tol: float = 1e-6) -> np.ndarray:
         """Per-task levels in [0, 1] maximizing the utility at fixed (v, d).
 
-        Classes that declare ``argmax_formula`` are solved in closed form; an
-        affine wrapper keeps the maximizer, since its scale is > 0. The other
-        tasks get a vectorized golden-section search down to a bracket of
-        width ``tol``, valid because validated models are concave in s. For
-        the same reason every task is searched on its unwrapped model: a
-        tiny wrapper scale would flatten the peak to rounding.
-        The result has shape ``broadcast_shapes(v, d, (n,))``.
+        Each group is solved on its own tasks: in closed form if its class
+        declares ``argmax_formula`` (an affine wrapper keeps the maximizer,
+        since its scale is > 0), else, as are the models without ``params``,
+        by a vectorized golden-section search down to a bracket of width
+        ``tol``, valid because validated models are concave in s. The search
+        reads the group's unwrapped formula: a tiny wrapper scale would
+        flatten the peak to rounding. The result has shape
+        ``broadcast_shapes(v, d, (n,))``.
         """
-        if tol <= 0.0:
-            raise ValueError("tol must be > 0")
-        v = np.asarray(v, dtype=float)
-        d = np.asarray(d, dtype=float)
+        if not tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {tol!r}")
+        v, d = np.asarray(v, dtype=float), np.asarray(d, dtype=float)
         shape = np.broadcast_shapes(v.shape, d.shape, (self.n,))
         out = np.empty(shape)
         if self._single is not None and self._single[1] is not None:
             _, argmax_formula, _, params, _, _ = self._single
             out[...] = argmax_formula(v, d, *params)
             return out
-        v = np.broadcast_to(v, shape)
-        d = np.broadcast_to(d, shape)
-        for _, argmax_formula, idx, params, _, _ in self._groups:
+        v, d = np.broadcast_to(v, shape), np.broadcast_to(d, shape)
+        for formula, argmax_formula, idx, params, _, _ in self._groups:
+            vi, di = v[..., idx], d[..., idx]
             if argmax_formula is not None:
-                out[..., idx] = argmax_formula(v[..., idx], d[..., idx], *params)
-        if not self._search.size:
-            return out
-        a = np.zeros(shape)
-        b = np.ones(shape)
-        x1 = b - _INVPHI * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        f1 = self._eval_groups(x1, v, d, affine=False)
-        f2 = self._eval_groups(x2, v, d, affine=False)
-        width = 1.0
-        while width > tol:
-            take = f1 < f2
-            a = np.where(take, x1, a)
-            b = np.where(take, b, x2)
-            x1_new = b - _INVPHI * (b - a)
-            x2_new = a + _INVPHI * (b - a)
-            # Only one bracket end moved per lane; re-evaluate both lanes
-            # anyway, the evaluation is a cheap closed form.
-            x1, x2 = x1_new, x2_new
-            f1 = self._eval_groups(x1, v, d, affine=False)
-            f2 = self._eval_groups(x2, v, d, affine=False)
-            width *= _INVPHI
-        # The search runs on every lane; only those without a closed form
-        # keep its result.
-        out[..., self._search] = (0.5 * (a + b))[..., self._search]
+                out[..., idx] = argmax_formula(vi, di, *params)
+            else:
+                out[..., idx] = _golden_section(
+                    lambda x: formula(x, vi, di, *params), vi.shape, tol)
         return out

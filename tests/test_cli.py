@@ -483,8 +483,9 @@ class TestEngineSettings:
 
 
 class TestOutsideValues:
-    """Run options, zone starts, document shapes and non-finite numbers from
-    outside are ConfigErrors that name the key or task and the value."""
+    """Run options, zone starts, document shapes, model wrapper keys and
+    non-finite numbers from outside are ConfigErrors that name the key or
+    task and the value."""
 
     @pytest.mark.parametrize("extras, argv, message", [
         ({"stride": "x"}, [], "stride must be an integer, got 'x'"),
@@ -527,8 +528,19 @@ class TestOutsideValues:
          "v_init must be a finite number, got nan"),
         (lambda d: d.update(engine=[]), "engine must be a JSON object, got []"),
         (lambda d: d.update(tasks={}), "tasks must be a JSON array, got {}"),
+        *((lambda d, value=value: d["tasks"][0]["model"].update(normalize=value),
+           f"tasks[0]: normalize must be true or a JSON object, got {value!r}")
+          for value in (False, 0, "", [])),
+        (lambda d: d["tasks"][0]["model"].update(normalize={"c_tagret": 3.0}),
+         "tasks[0]: normalize takes only c_target, got {'c_tagret': 3.0}"),
+        (lambda d: d["tasks"][0]["model"].update(scale=0.5, bound_c=3.0),
+         "tasks[0]: normalize cannot be given with scale, got {'c_target': 2.0}"),
+        (lambda d: d["tasks"][0]["model"].update(shift=0.5),
+         "tasks[0]: shift needs scale, got 0.5"),
     ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-v_init",
-            "engine-list", "tasks-object"])
+            "engine-list", "tasks-object", "normalize-false", "normalize-zero",
+            "normalize-empty-str", "normalize-list", "normalize-typo",
+            "normalize-and-scale", "shift-alone"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(ONE_TASK))
         edit(doc)

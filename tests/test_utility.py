@@ -53,8 +53,8 @@ def argmax_level(model: UtilityModel, v: float, d: float, tol: float = 1e-6) -> 
 
 
 class Quadratic(UtilityModel):
-    """No ``params``: ``ModelBank`` evaluates it task by task and has to
-    search for its maximizer, clip(peak, 0, 1)."""
+    """No ``params``: ``ModelBank`` evaluates it in the group of models
+    without ``params`` and has to search for its maximizer, clip(peak, 0, 1)."""
 
     bound_c = 5.0
 
@@ -256,8 +256,24 @@ class TestModelBank:
 
     def test_argmax_rejects_nonpositive_tolerance(self):
         for models in ([HOME], [Quadratic()]):
-            with pytest.raises(ValueError, match="tol"):
-                ModelBank(models).argmax(0.5, 0.5, tol=0.0)
+            for tol in (0.0, math.nan):
+                with pytest.raises(ValueError, match="tol"):
+                    ModelBank(models).argmax(0.5, 0.5, tol=tol)
+
+    def test_models_without_params_match_their_own_eval_bitwise(self):
+        # Raw and under one wrapper, alone and next to a class group.
+        without = [Quadratic(0.3), AffineNormalizer.fit(Quadratic(0.6), (0.0, 1.0)),
+                   AffineNormalizer(inner=Quadratic(0.1), scale=0.37, shift=1.3,
+                                    bound_c=9.0)]
+        rng = np.random.default_rng(6)
+        for models in (without, [HOME, *without, CPU]):
+            s, v, d = rng.uniform(0.0, 1.0, size=(3, 2, len(models)))
+            out = ModelBank(models).eval(s, v, d)
+            for i, m in enumerate(models):
+                assert np.array_equal(out[:, i], m.eval(s[:, i], v[:, i], d[:, i]))
+            scalar = ModelBank(models).eval(0.3, 0.4, 0.5)
+            assert [scalar[i] for i in range(len(models))] == [
+                m.eval(0.3, 0.4, 0.5) for m in models]
 
 
 # The reference search resolves a maximizer only to about
@@ -356,6 +372,39 @@ class TestClosedFormArgmax:
         assert np.allclose(got[..., 1], 0.3, atol=1e-9)
         assert np.allclose(got[..., 3], 0.6 + 0.2 * d[..., 3], atol=1e-9)
         self.assert_matches_reference(models, v, d)
+
+    def test_search_never_evaluates_a_closed_form_class(self):
+        calls = []
+
+        @dataclass(frozen=True)
+        class CountedHome(HomeEnergyModel):
+            @staticmethod
+            def formula(s, v, d, *params):
+                calls.append(np.shape(s))
+                return HomeEnergyModel.formula(s, v, d, *params)
+
+        counted = CountedHome(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
+        bank = ModelBank([counted, Quadratic(0.3), Bump(0.6), CPU,
+                          AffineNormalizer.fit(counted, (0.2, 0.8))])
+        calls.clear()  # the fit evaluates its grid
+        got = bank.argmax(np.full(5, 0.4), np.full(5, 0.6))
+        assert calls == []
+        assert got[0] == got[4] == 0.6 - 0.125  # d - b*h/(2a)
+        bank.eval(0.5, 0.4, 0.6)
+        assert calls == [(2,)]
+
+    def test_searched_tasks_match_their_own_bank_bitwise(self):
+        models = [HOME, Bump(0.6), Quadratic(0.3), CPU, Bump(-0.2),
+                  AffineNormalizer.fit(Quadratic(0.8), (0.0, 1.0)),
+                  AffineNormalizer.fit(CPU_WIDE, (0.0, 1.0))]
+        rng = np.random.default_rng(7)
+        v = rng.uniform(0.0, 1.0, size=(3, len(models)))
+        d = rng.uniform(0.0, 1.0, size=(3, len(models)))
+        for tol in (1e-6, 1e-10):
+            got = ModelBank(models).argmax(v, d, tol=tol)
+            for i in (1, 2, 4, 5):
+                alone = ModelBank([models[i]]).argmax(v[:, i:i + 1], d[:, i:i + 1], tol=tol)
+                assert np.array_equal(got[:, i], alone[:, 0])
 
     def test_search_is_not_flattened_by_a_tiny_wrapper_scale(self):
         # The fit scales this model by about 1e-6, which flattens the wrapped
