@@ -16,7 +16,6 @@ from .core import (
     NoiseSource,
     StepError,
     TaskSpec,
-    ValidationReport,
     uniform_allocation,
     validate_config,
 )
@@ -25,7 +24,6 @@ from .dynamics import (
     EngineSnapshot,
     RunTrace,
     fairness_from_utilities,
-    fairness_measure,
     recurrence_window,
 )
 from .oracle import (

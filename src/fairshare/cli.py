@@ -21,8 +21,10 @@ from .core import (
     EngineConfig,
     FairshareError,
     FeasibilityBreach,
+    NoiseSource,
     StepError,
     TaskSpec,
+    _finite,
     _integral,
     demand_table,
     validate_config,
@@ -97,8 +99,9 @@ def model_from_dict(doc: dict, demand_span: tuple[float, float]):
         if bound_c is None:
             raise ConfigError("a model with 'scale' needs 'bound_c'")
         return AffineNormalizer(
-            inner=MODEL_TYPES[kind](**doc), scale=float(scale),
-            shift=float(shift or 0.0), bound_c=float(bound_c),
+            inner=MODEL_TYPES[kind](**doc), scale=float(_finite("scale", scale)),
+            shift=float(_finite("shift", 0.0 if shift is None else shift)),
+            bound_c=float(_finite("bound_c", bound_c)),
         )
     if shift is not None:
         raise ConfigError(f"shift needs scale, got {shift!r}")
@@ -111,7 +114,8 @@ def model_from_dict(doc: dict, demand_span: tuple[float, float]):
     if opts.keys() - {"c_target"}:
         raise ConfigError(f"normalize takes only c_target, got {opts!r}")
     return AffineNormalizer.fit(
-        inner, demand_range=demand_span, c_target=float(opts.get("c_target", 2.0)),
+        inner, demand_range=demand_span,
+        c_target=float(_finite("normalize.c_target", opts.get("c_target", 2.0))),
     )
 
 
@@ -141,6 +145,8 @@ def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
         raise ConfigError("scenario JSON needs 'tasks' and 'engine' sections")
     if not isinstance(doc["tasks"], list):
         raise ConfigError(f"tasks must be a JSON array, got {doc['tasks']!r}")
+    if not doc["tasks"]:
+        raise ConfigError("tasks must hold at least one task, got []")
     specs = []
     for i, task_doc in enumerate(doc["tasks"]):
         try:
@@ -341,14 +347,16 @@ def _static_checks(specs, cfg) -> list[dict]:
 
     ``validate`` prints them; ``verify`` starts with them.
     """
-    report = validate_config(cfg, specs)
-    notes = report.errors + [f"warning: {w}" for w in report.warnings]
+    try:
+        notes, ok = [f"warning: {w}" for w in validate_config(cfg, specs)], True
+    except ConfigError as exc:
+        notes, ok = [str(exc)], False
     violations = [
         f"task {t.id}: {r.first_violation}" for t in specs
         if not (r := validate_assumptions(t.utility, t.demand.span())).passed
     ]
     return [
-        {"name": "config", "pass": report.ok,
+        {"name": "config", "pass": ok,
          "detail": "; ".join(notes) or "all conditions hold"},
         {"name": "model_assumptions", "pass": not violations,
          "detail": "; ".join(violations) or f"{len(specs)} task model(s) hold"},
@@ -376,7 +384,8 @@ def _verify_checks(specs, cfg) -> list[dict]:
     )
     # A run of no step decides no verdict.
     results = [None] * len(lanes) if cfg.horizon < 1 else Engine(specs, cfg).run_lanes(
-        [(run_cfg, freeze) for _, run_cfg, freeze, _ in lanes], stride=cfg.horizon,
+        [(NoiseSource(c.seed, c.eta_bar, c.zeta_bar), freeze) for _, c, freeze, _ in lanes],
+        stride=cfg.horizon,
     )
     for (label, run_cfg, _, names), trace in zip(lanes, results):
         if trace is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "NoiseSource",
     "StepError",
     "TaskSpec",
-    "ValidationReport",
     "demand_table",
     "uniform_allocation",
     "validate_config",
@@ -265,55 +264,44 @@ class EngineConfig:
         return self.eps_mu * self.gamma
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of configuration checks; callers decide severity."""
-
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_config(cfg: EngineConfig, specs: Sequence[TaskSpec]) -> ValidationReport:
+def validate_config(cfg: EngineConfig, specs: Sequence[TaskSpec]) -> list[str]:
     """Check a configuration against the stability and noise conditions.
 
-    Errors: the step condition ``epsilon * mu * gamma < 1`` (unstable filters
-    otherwise), ``eta_bar >= 1`` (inverse-measurement bounds break down) and
-    a ``v_init`` whose length is not the task count. Warning: epsilon above
-    the conservative feasibility threshold of the task set,
-    ``oracle.bounds(specs, cfg).safe_epsilon``.
+    An empty task set is a ConfigError. Otherwise one ConfigError names
+    every failed condition, joined by ``"; "``: the step condition
+    ``epsilon * mu * gamma < 1`` (unstable filters otherwise),
+    ``eta_bar >= 1`` (inverse-measurement bounds break down) and a
+    ``v_init`` whose length is not the task count. If none fails, returns
+    the warnings: epsilon above the conservative feasibility threshold of
+    the task set, ``oracle.bounds(specs, cfg).safe_epsilon``.
     """
     if not specs:
-        raise ValueError("need at least one task")
-    report = ValidationReport()
+        raise ConfigError("need at least one task")
+    errors = []
     if cfg.eps_mu_gamma >= 1.0:
-        report.errors.append(
+        errors.append(
             "step condition violated: epsilon*mu(epsilon)*gamma = "
             f"{cfg.eps_mu_gamma:.6g} >= 1 (need epsilon*mu < 1/gamma)"
         )
     if cfg.eta_bar >= 1.0:
-        report.errors.append(
+        errors.append(
             f"eta_bar = {cfg.eta_bar:.6g} >= 1 makes measured utilities "
             "non-invertible (utilities are only guaranteed >= 1)"
         )
     if cfg.v_init is not None and len(cfg.v_init) != len(specs):
-        report.errors.append(
-            f"v_init has {len(cfg.v_init)} entries for {len(specs)} tasks"
-        )
-    if not report.errors:
-        from .oracle import bounds
+        errors.append(f"v_init has {len(cfg.v_init)} entries for {len(specs)} tasks")
+    if errors:
+        raise ConfigError("; ".join(errors))
+    from .oracle import bounds
 
-        eps_safe = bounds(specs, cfg).safe_epsilon
-        if cfg.epsilon > eps_safe:
-            report.warnings.append(
-                f"epsilon = {cfg.epsilon:.6g} exceeds the conservative "
-                f"feasibility threshold {eps_safe:.6g}; shares may leave the "
-                "unit box and abort the run"
-            )
-    return report
+    eps_safe = bounds(specs, cfg).safe_epsilon
+    if cfg.epsilon > eps_safe:
+        return [
+            f"epsilon = {cfg.epsilon:.6g} exceeds the conservative "
+            f"feasibility threshold {eps_safe:.6g}; shares may leave the "
+            "unit box and abort the run"
+        ]
+    return []
 
 
 def uniform_allocation(n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "RunLedger",
     "RunTrace",
     "fairness_from_utilities",
-    "fairness_measure",
     "recurrence_window",
 ]
 
@@ -51,8 +50,6 @@ RATIO_GUARD = 1e-12
 _CHUNK_STEPS = 4096
 # A level this close to the level maximizer counts as near-optimal.
 S_OPT_TOL = 0.05
-# The only EngineConfig fields in which the lanes of one run may differ.
-_LANE_FIELDS = ("seed", "eta_bar", "zeta_bar")
 
 
 def recurrence_window(epsilon: float, lam_min: float, c_bar: float) -> int:
@@ -95,14 +92,6 @@ def fairness_from_utilities(weights, utilities, v) -> np.ndarray:
     """
     w = np.asarray(weights, dtype=float) / np.asarray(utilities, dtype=float)
     return w - np.asarray(v, dtype=float) * w.sum(axis=-1, keepdims=True)
-
-
-def fairness_measure(specs: Sequence[TaskSpec], s, v, d) -> np.ndarray:
-    """Exact (noise-free) fairness vector for levels s, shares v, demands d."""
-    u = ModelBank([t.utility for t in specs]).eval(
-        np.asarray(s, dtype=float), np.asarray(v, dtype=float), np.asarray(d, dtype=float)
-    )
-    return fairness_from_utilities([t.weight for t in specs], u, v)
 
 
 @dataclass(frozen=True)
@@ -242,14 +231,10 @@ class Engine:
 
     def __init__(self, specs: Sequence[TaskSpec], cfg: EngineConfig,
                  noise: NoiseSource | None = None):
-        if not specs:
-            raise ConfigError("need at least one task")
+        validate_config(cfg, specs)
         self.specs = tuple(specs)
         self.cfg = cfg
         self.n = len(specs)
-        report = validate_config(cfg, specs)
-        if not report.ok:
-            raise ConfigError("; ".join(report.errors))
         self.weights = np.array([t.weight for t in specs], dtype=float)
         self.bank = ModelBank([t.utility for t in specs])
         self.noise = noise if noise is not None else NoiseSource(
@@ -417,30 +402,30 @@ class Engine:
     def run(self, stride: int = 1, freeze_levels: bool = False) -> RunTrace:
         """Iterate the horizon, keeping every ``stride``-th step.
 
-        The one-lane :meth:`run_lanes` on the engine's own configuration and
-        noise source.
+        The one-lane :meth:`run_lanes` on the engine's own noise source.
         Produces exactly the states that iterating :meth:`step` would, and
         fails where it would: a MeasurementError or FeasibilityBreach is
         raised with the partial trace attached.
         """
-        (result,) = self.run_lanes([(self.cfg, freeze_levels)], stride)
+        (result,) = self.run_lanes([(self.noise, freeze_levels)], stride)
         if isinstance(result, StepError):
             raise result
         return result
 
     def run_lanes(
-        self, lanes: Sequence[tuple[EngineConfig, bool]], stride: int = 1
+        self, lanes: Sequence[tuple[NoiseSource, bool]], stride: int = 1
     ) -> list[RunTrace | StepError]:
-        """Run several ``(cfg, freeze_levels)`` lanes through one step loop.
+        """Run several ``(noise, freeze_levels)`` lanes through one step loop.
 
-        A lane's ``cfg`` may differ from the engine's only in ``seed``,
-        ``eta_bar`` and ``zeta_bar``; any other difference is a ConfigError
-        naming the lane and the field. The state carries a leading lane
-        axis, one lane included, so R lanes cost one loop's numpy calls.
-        Returns per lane, bit for bit, the RunTrace that
-        ``Engine(specs, cfg).run(stride, freeze_levels)`` returns, or the
-        StepError it raises with its partial ``.trace``; a failed lane
-        stays in the loop, unrecorded, and the others go on.
+        A lane is a noise stream: a NoiseSource, or any object with its
+        ``measurement_block`` and ``dither_block``. Every lane runs the
+        engine's task set and configuration, so it needs no check of its
+        own. The state carries a leading lane axis, one lane included, so R
+        lanes cost one loop's numpy calls. Returns per lane, bit for bit,
+        the RunTrace that ``Engine(specs, cfg, noise=noise).run(stride,
+        freeze_levels)`` returns, or the StepError it raises with its
+        partial ``.trace``; a failed lane stays in the loop, unrecorded,
+        and the others go on.
 
         The horizon is walked in chunks of ``_CHUNK_STEPS`` steps; each
         chunk draws its noise, runs the update kernel, checks the chunk's
@@ -455,7 +440,7 @@ class Engine:
         """
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        noises = [self._lane_noise(r, cfg) for r, (cfg, _) in enumerate(lanes)]
+        noises = [noise for noise, _ in lanes]
         if not noises:
             raise ValueError("need at least one lane")
         # Lanes whose levels stay, laid out (R, n) like the state.
@@ -534,22 +519,6 @@ class Engine:
 
         return [_trace(records[r], ledgers[r], stride, horizon, None) if result is None
                 else result for r, result in enumerate(results)]
-
-    def _lane_noise(self, r: int, cfg: EngineConfig) -> NoiseSource:
-        """Noise of lane ``r``, the engine's own if its noise fields match."""
-        for f in fields(EngineConfig):
-            mine, theirs = getattr(self.cfg, f.name), getattr(cfg, f.name)
-            if f.name not in _LANE_FIELDS and theirs != mine:
-                raise ConfigError(
-                    f"lane {r}: {f.name} = {theirs!r} differs from the engine's "
-                    f"{mine!r}; lanes may differ only in {', '.join(_LANE_FIELDS)}"
-                )
-        if all(getattr(cfg, k) == getattr(self.cfg, k) for k in _LANE_FIELDS):
-            return self.noise
-        report = validate_config(cfg, self.specs)
-        if not report.ok:
-            raise ConfigError(f"lane {r}: " + "; ".join(report.errors))
-        return NoiseSource(cfg.seed, cfg.eta_bar, cfg.zeta_bar)
 
     def _ledger(self, stride: int) -> RunLedger:
         """An empty ledger with the recurrence windows and the tail of a run;

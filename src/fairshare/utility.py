@@ -191,7 +191,7 @@ class AffineNormalizer(UtilityModel):
         onto [1, 1 + 0.98*(c_target-1)]; the 2 % margin absorbs between-node
         wiggle of the continuous model.
         """
-        if c_target <= 1.0:
+        if _finite("c_target", c_target) <= 1.0:
             raise ConfigError("c_target must be > 1")
         *_, u = _grid_eval(inner, demand_range, _GRID_N)
         lo, hi = float(u.min()), float(u.max())

@@ -292,8 +292,8 @@ def test_criterion_09_cross_oracle_agreement():
         )
         assert res.converged
         s_ode = bank.argmax(v_ode, d, tol=1e-7)
-        resid_ode = float(np.abs(
-            fs.fairness_measure(specs, s_ode, v_ode, d)).max())
+        resid_ode = float(np.abs(fs.fairness_from_utilities(
+            [t.weight for t in specs], bank.eval(s_ode, v_ode, d), v_ode)).max())
         worst_gap = max(worst_gap, float(np.abs(v_ode - res.v).max()))
         worst_residual = max(worst_residual, resid_ode, res.residual)
     ok = worst_gap <= 1e-3 and worst_residual <= 1e-6

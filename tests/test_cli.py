@@ -434,6 +434,14 @@ ONE_TASK = {
 }
 
 
+def scaled(doc, **keys):
+    """Give task 0 of ``doc`` an explicit scale wrapper in place of its
+    normalize, then the model ``keys``."""
+    model = doc["tasks"][0]["model"]
+    del model["normalize"]
+    model.update({"scale": 0.5, "bound_c": 3.0, **keys})
+
+
 def one_task_file(tmp_path, manifest=False, **engine):
     """ONE_TASK with ``engine`` merged in, as a scenario or a manifest file."""
     doc = {**ONE_TASK, "engine": {**ONE_TASK["engine"], **engine}}
@@ -523,7 +531,19 @@ class TestOutsideValues:
         (lambda d: d["tasks"][0]["model"].update(bound_c=float("inf")),
          "tasks[0]: HomeEnergyModel.bound_c must be a finite number, got inf"),
         (lambda d: d["tasks"][0]["model"].update(normalize={"c_target": float("inf")}),
-         "tasks[0]: AffineNormalizer.scale must be a finite number, got inf"),
+         "tasks[0]: normalize.c_target must be a finite number, got inf"),
+        (lambda d: d["tasks"][0]["model"].update(normalize={"c_target": float("nan")}),
+         "tasks[0]: normalize.c_target must be a finite number, got nan"),
+        (lambda d: d["tasks"][0]["model"].update(normalize={"c_target": "3"}),
+         "tasks[0]: normalize.c_target must be a finite number, got '3'"),
+        (lambda d: scaled(d, scale="0.5"),
+         "tasks[0]: scale must be a finite number, got '0.5'"),
+        (lambda d: scaled(d, scale=True),
+         "tasks[0]: scale must be a finite number, got True"),
+        (lambda d: scaled(d, shift="0"),
+         "tasks[0]: shift must be a finite number, got '0'"),
+        (lambda d: scaled(d, bound_c="3"),
+         "tasks[0]: bound_c must be a finite number, got '3'"),
         (lambda d: d["engine"].update(v_init=[float("nan")]),
          "v_init must be a finite number, got nan"),
         (lambda d: d.update(engine=[]), "engine must be a JSON object, got []"),
@@ -537,7 +557,8 @@ class TestOutsideValues:
          "tasks[0]: normalize cannot be given with scale, got {'c_target': 2.0}"),
         (lambda d: d["tasks"][0]["model"].update(shift=0.5),
          "tasks[0]: shift needs scale, got 0.5"),
-    ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-v_init",
+    ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-target",
+            "str-target", "str-scale", "bool-scale", "str-shift", "str-bound", "nan-v_init",
             "engine-list", "tasks-object", "normalize-false", "normalize-zero",
             "normalize-empty-str", "normalize-list", "normalize-typo",
             "normalize-and-scale", "shift-alone"])
@@ -550,6 +571,14 @@ class TestOutsideValues:
                      ["run", str(path), "--out", str(tmp_path / "o")]):
             assert run_cli(*argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify", "validate"])
+    def test_empty_task_list_is_config_error(self, command, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**ONE_TASK, "tasks": []}))
+        out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+        assert run_cli(command, str(path), *out) == 1
+        assert capsys.readouterr().err == "error: tasks must hold at least one task, got []\n"
 
     def test_top_level_list_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "s.json"

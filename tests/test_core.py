@@ -36,27 +36,33 @@ class TestEngineConfig:
         assert cfg.eps_mu == pytest.approx(0.0005**0.95)
         assert cfg.eps_mu == pytest.approx(7.3e-4, rel=2e-2)
         assert cfg.eps_mu < 1.0 / cfg.gamma
-        assert validate_config(cfg, four_tasks()).ok
+        assert validate_config(cfg, four_tasks()) == []
 
     def test_large_epsilon_violates_step_condition(self):
         cfg = make_config(epsilon=0.1)
         assert cfg.eps_mu == pytest.approx(0.1**0.95)
-        report = validate_config(cfg, four_tasks())
-        assert not report.ok
-        assert any("step condition" in e for e in report.errors)
+        with pytest.raises(ConfigError, match=r"^step condition violated: "
+                           r"epsilon\*mu\(epsilon\)\*gamma = 11\.2202 >= 1 "):
+            validate_config(cfg, four_tasks())
 
     def test_zero_noise_has_no_noise_violations(self):
-        report = validate_config(make_config(eta_bar=0.0), four_tasks())
-        assert not any("eta" in e for e in report.errors)
+        assert validate_config(make_config(eta_bar=0.0), four_tasks()) == []
 
     def test_unit_noise_bound_is_an_error(self):
-        report = validate_config(make_config(eta_bar=1.0), four_tasks())
-        assert any("eta_bar" in e for e in report.errors)
+        with pytest.raises(ConfigError, match=r"^eta_bar = 1 >= 1 makes measured"):
+            validate_config(make_config(eta_bar=1.0), four_tasks())
+
+    def test_every_failed_condition_is_named_in_one_error(self):
+        cfg = make_config(epsilon=0.1, eta_bar=1.5, v_init=(0.5, 0.5))
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(cfg, four_tasks())
+        parts = str(exc_info.value).split("; ")
+        assert [p.split(" ")[0] for p in parts] == ["step", "eta_bar", "v_init"]
+        assert parts[2] == "v_init has 2 entries for 4 tasks"
 
     def test_oversized_epsilon_warns_against_task_set(self):
-        report = validate_config(make_config(epsilon=0.05, gamma=5.0), four_tasks())
-        assert report.ok
-        assert any("feasibility threshold" in w for w in report.warnings)
+        (warning,) = validate_config(make_config(epsilon=0.05, gamma=5.0), four_tasks())
+        assert "feasibility threshold" in warning
 
     @pytest.mark.parametrize("bad", [
         dict(epsilon=0.0),
@@ -82,7 +88,7 @@ class TestEngineConfig:
         assert cfg.v_init == (0.25, 0.25, 0.25, 0.25)
 
     def test_task_count_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^need at least one task$"):
             validate_config(make_config(), [])
 
 

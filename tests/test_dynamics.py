@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import fairshare as fs
 import fairshare.dynamics as dynamics
 from fairshare.core import (
-    ConfigError,
     DemandSchedule,
     EngineConfig,
     FeasibilityBreach,
     MeasurementError,
+    NoiseSource,
     StepError,
     TaskSpec,
 )
@@ -26,7 +26,6 @@ from fairshare.dynamics import (
     EngineSnapshot,
     RunTrace,
     fairness_from_utilities,
-    fairness_measure,
 )
 from fairshare.utility import (
     AffineNormalizer,
@@ -64,6 +63,14 @@ class FixedNoise:
 
     def dither_block(self, k0, k1, n):
         return np.tile(self.zeta, (k1 - k0, 1))
+
+
+def fairness_measure(specs, s, v, d):
+    """Exact (noise-free) fairness vector for levels s, shares v, demands d."""
+    u = ModelBank([t.utility for t in specs]).eval(
+        np.asarray(s, dtype=float), np.asarray(v, dtype=float), np.asarray(d, dtype=float)
+    )
+    return fairness_from_utilities([t.weight for t in specs], u, v)
 
 
 def make_specs(n=2, weights=None, demands=None):
@@ -447,7 +454,7 @@ class TestRun:
     def test_lanes_of_a_mixed_task_set_are_separate_runs(self):
         specs, cfg = self.mixed_scenario()
         lanes = [(cfg, False), (dataclasses.replace(cfg, seed=8), False), (cfg, True)]
-        got = Engine(specs, cfg).run_lanes(lanes)
+        got = run_lanes(specs, cfg, lanes)
         for g, ref in zip(got, separate_runs(specs, lanes, 1)):
             assert_same_result(g, ref)
 
@@ -521,6 +528,10 @@ class TestRun:
         specs = make_specs(2)
         with pytest.raises(fs.ConfigError):
             Engine(specs, make_cfg(epsilon=0.1, gamma=100.0))
+
+    def test_empty_task_set_rejected_before_simulation(self):
+        with pytest.raises(fs.ConfigError, match="need at least one task"):
+            Engine([], make_cfg())
 
     def test_wrong_length_v_init_rejected_before_simulation(self):
         specs = make_specs(2)
@@ -740,7 +751,8 @@ class NanOffHalf(UtilityModel):
 
 
 def separate_runs(specs, lanes, stride):
-    """What one Engine.run per lane returns or raises."""
+    """What one Engine.run per ``(lane_cfg, freeze_levels)`` lane returns or
+    raises, each on an engine of its own config."""
     out = []
     for cfg, freeze_levels in lanes:
         try:
@@ -748,6 +760,15 @@ def separate_runs(specs, lanes, stride):
         except StepError as err:
             out.append(err)
     return out
+
+
+def run_lanes(specs, cfg, lanes, stride=1):
+    """Engine(specs, cfg).run_lanes on the noise streams of the
+    ``(lane_cfg, freeze_levels)`` lanes."""
+    return Engine(specs, cfg).run_lanes(
+        [(NoiseSource(c.seed, c.eta_bar, c.zeta_bar), freeze) for c, freeze in lanes],
+        stride,
+    )
 
 
 def assert_same_result(got, ref):
@@ -780,7 +801,7 @@ class TestLanes:
         assert all(isinstance(r, RunTrace) for r in refs)
         for chunk in (1, 7, DEFAULT_CHUNK, cfg.horizon + 5):
             monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
-            for got, ref in zip(Engine(specs, cfg).run_lanes(lanes, stride), refs):
+            for got, ref in zip(run_lanes(specs, cfg, lanes, stride), refs):
                 assert_same_result(got, ref)
 
     def test_wide_task_sets_sum_alike(self, monkeypatch):
@@ -790,8 +811,18 @@ class TestLanes:
         refs = separate_runs(specs, lanes, 1)
         for chunk in (7, DEFAULT_CHUNK):
             monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
-            for got, ref in zip(Engine(specs, cfg).run_lanes(lanes), refs):
+            for got, ref in zip(run_lanes(specs, cfg, lanes), refs):
                 assert_same_result(got, ref)
+
+    def test_a_lane_is_any_noise_stream(self):
+        # A lane's noise need not be a NoiseSource: each lane equals the run
+        # of an engine given the same noise object.
+        specs, cfg = make_specs(3), make_cfg(horizon=40)
+        fixed = FixedNoise([1e-3, -2e-3, 0.0], [1e-3, 0.0, -1e-3])
+        lanes = [(fixed, False), (fixed, True), (NoiseSource(7, 1e-3, 1e-3), False)]
+        got = Engine(specs, cfg).run_lanes(lanes)
+        for g, (noise, freeze) in zip(got, lanes):
+            assert_same_result(g, Engine(specs, cfg, noise=noise).run(1, freeze))
 
     def test_frozen_lane_keeps_its_levels_under_a_huge_measurement(self):
         # From step 5 task 1 measures 1e308: valid, but the filter step
@@ -804,7 +835,7 @@ class TestLanes:
         ]
         cfg = make_cfg(horizon=40, eta_bar=0.0, zeta_bar=1e-3)
         lanes = [(cfg, True), (cfg, False)]
-        got = Engine(specs, cfg).run_lanes(lanes)
+        got = run_lanes(specs, cfg, lanes)
         for g, ref in zip(got, separate_runs(specs, lanes, 1)):
             assert_same_result(g, ref)
         assert got[0].complete
@@ -835,7 +866,7 @@ class TestLanes:
             assert refs[3].step == k_breach
             for chunk in (7, cfg.horizon + 1):
                 monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
-                for got, ref in zip(Engine(specs, cfg).run_lanes(lanes, stride), refs):
+                for got, ref in zip(run_lanes(specs, cfg, lanes, stride), refs):
                     assert_same_result(got, ref)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -857,15 +888,9 @@ class TestLanes:
                  (dataclasses.replace(cfg, seed=seeds[2], zeta_bar=0.0), False)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_CHUNK_STEPS", chunk)
-            got = Engine(specs, cfg).run_lanes(lanes)
+            got = run_lanes(specs, cfg, lanes)
         refs = separate_runs(specs, lanes, 1)
         assert (type(refs[0]), refs[0].step) == (MeasurementError, 1)
         assert [len(r) for r in refs[1:]] == [cfg.horizon] * 2
         for g, ref in zip(got, refs):
             assert_same_result(g, ref)
-
-    def test_lane_differing_in_another_field_is_config_error(self):
-        specs, cfg = streaming_scenario(horizon=10)
-        other = dataclasses.replace(cfg, epsilon=1e-3)
-        with pytest.raises(ConfigError, match=r"lane 1: epsilon = 0\.001 differs"):
-            Engine(specs, cfg).run_lanes([(cfg, False), (other, False)])

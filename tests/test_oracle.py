@@ -202,7 +202,8 @@ class TestLimitingOde:
         bank = ModelBank([t.utility for t in specs])
         d = np.array([t.demand.at(0) for t in specs])
         s_star = bank.argmax(v_hat, d, tol=1e-8)
-        phi = fs.fairness_measure(specs, s_star, v_hat, d)
+        phi = fs.fairness_from_utilities([t.weight for t in specs],
+                                         bank.eval(s_star, v_hat, d), v_hat)
         assert np.abs(phi).max() <= 1e-6
 
     def test_fair_start_stays_put(self):

@@ -173,6 +173,11 @@ class TestAffineNormalizer:
         with pytest.raises(ConfigError):
             AffineNormalizer.fit(Flat(), (0.0, 1.0))
 
+    @pytest.mark.parametrize("c_target", [math.nan, math.inf, "3"])
+    def test_fit_names_a_c_target_that_is_not_a_finite_number(self, c_target):
+        with pytest.raises(ConfigError, match=r"^c_target must be a finite number, got "):
+            AffineNormalizer.fit(HOME, (0.2, 0.8), c_target=c_target)
+
     def test_custom_concave_bump_fails_u2_when_convex(self):
         class Convex(UtilityModel):
             bound_c = 10.0
