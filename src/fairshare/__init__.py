@@ -46,7 +46,6 @@ from .scenario import (
 )
 from .utility import (
     AffineNormalizer,
-    AssumptionReport,
     CpuBandwidthModel,
     HomeEnergyModel,
     ModelBank,

@@ -151,13 +151,13 @@ def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
     for i, task_doc in enumerate(doc["tasks"]):
         try:
             zones = tuple(
-                (_integral("demand zone start", k), float(d))
+                (_integral("demand zone start", k), float(_finite("demand value", d)))
                 for k, d in task_doc["demand_zones"]
             )
             demand = DemandSchedule(zones)
             model = model_from_dict(task_doc["model"], demand.span())
             specs.append(TaskSpec(
-                id=i, weight=float(task_doc["weight"]),
+                id=i, weight=float(_finite("weight", task_doc["weight"])),
                 utility=model, demand=demand,
             ))
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
@@ -352,8 +352,8 @@ def _static_checks(specs, cfg) -> list[dict]:
     except ConfigError as exc:
         notes, ok = [str(exc)], False
     violations = [
-        f"task {t.id}: {r.first_violation}" for t in specs
-        if not (r := validate_assumptions(t.utility, t.demand.span())).passed
+        f"task {t.id}: {v}" for t in specs
+        if (v := validate_assumptions(t.utility, t.demand.span())) is not None
     ]
     return [
         {"name": "config", "pass": ok,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DemandTable,
     EngineConfig,
     FeasibilityBreach,
     MeasurementError,
@@ -201,7 +200,7 @@ class RunTrace:
     Row ``r`` holds step ``(r + 1) * stride``; the ledger was folded chunk
     by chunk over every completed step, so it does not depend on
     ``stride``. ``breach_step`` is the step whose update failed when the run
-    aborted (``complete`` is False), else None.
+    aborted, else None.
     """
 
     steps: np.ndarray
@@ -213,8 +212,12 @@ class RunTrace:
     phi_sq: np.ndarray
     ledger: RunLedger
     stride: int
-    complete: bool
     breach_step: int | None = None
+
+    @property
+    def complete(self) -> bool:
+        """Whether the run walked its whole horizon."""
+        return self.breach_step is None
 
     def __len__(self) -> int:
         return int(self.steps.shape[0])
@@ -371,32 +374,46 @@ class Engine:
                 )
         return errors
 
+    def _chunk(self, lanes, state, k0: int, k1: int, bufs):
+        """Steps ``k0 .. k1 - 1`` of the ``(noise, freeze_levels)`` lanes from
+        ``state``, as in :meth:`_advance`: the one path of :meth:`step` and
+        :meth:`run_lanes`. ``bufs`` are six ``(rows, R, n)`` arrays: the
+        kernel's four outputs, then the noise and dither. The bank and the
+        demand rows are laid out ``(R, n)`` like the state, so no operand of
+        a step's model evaluation broadcasts. Returns the chunk's
+        ``_failures`` and the noise-free fairness index at each new state.
+        """
+        m, lanes_n, n = k1 - k0, len(lanes), self.n
+        bank = self.bank.laid_out(lanes_n)
+        # Demand of the measurements at steps k0..k1-1, then of the
+        # diagnostics at the states after them, k0+1..k1.
+        d_rows = np.repeat(self.demand.at(np.arange(k0, k1 + 1))[:, None], lanes_n, axis=1)
+        v_buf, s_buf, u_buf, f_buf, eta, zeta = (b[:m] for b in bufs)
+        for r, (noise, freeze) in enumerate(lanes):
+            eta[:, r] = noise.measurement_block(k0, k1, n)
+            zeta[:, r] = 0.0 if freeze else noise.dither_block(k0, k1, n)
+        keep = np.array([[bool(freeze)] * n for _, freeze in lanes])
+        self._advance(bank, state, d_rows, eta, zeta, keep if keep.any() else None,
+                      (v_buf, s_buf, u_buf, f_buf))
+        phi = fairness_from_utilities(self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf)
+        return self._failures(k0, u_buf, v_buf), phi
+
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
-        """Advance one step: measure, update shares, update levels, diagnose."""
-        k, n = snap.step, self.n
-        # One lane: the state and every row carry a lane axis of length 1.
-        bufs = [np.empty((1, 1, n)) for _ in range(4)]
+        """Advance one step: the one-lane, one-step :meth:`_chunk` of a run
+        on the engine's own noise, from ``snap`` and its copied filters."""
+        bufs = [np.empty((1, 1, self.n)) for _ in range(6)]
         u_lp, s_lp = snap.u_lp[None].copy(), snap.s_lp[None].copy()
-        # As in run: the check below raises on every bad measurement.
+        # As in run: the chunk's check raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d_rows = self.demand.at(np.arange(k, k + 2))[:, None]
-            # A frozen step keeps its levels; its filters move on as usual.
-            zeta = (np.zeros((1, 1, n)) if freeze_levels
-                    else self.noise.dither_block(k, k + 1, n)[:, None])
-            keep = np.ones((1, n), dtype=bool) if freeze_levels else None
-            self._advance(self.bank, (snap.v[None], snap.s[None], u_lp, s_lp), d_rows,
-                          self.noise.measurement_block(k, k + 1, n)[:, None], zeta, keep,
-                          bufs)
-            (error,) = self._failures(k, bufs[2], bufs[0])
-            if error is not None:
-                raise error
-            v, s, u_meas, f = (b[0, 0] for b in bufs)
-            u_next = self.bank.eval(s, v, d_rows[1, 0])
-            phi = fairness_from_utilities(self.weights, u_next, v)
+            (error,), phi = self._chunk([(self.noise, freeze_levels)],
+                                        (snap.v[None], snap.s[None], u_lp, s_lp),
+                                        snap.step, snap.step + 1, bufs)
+        if error is not None:
+            raise error
+        v, s, u_meas, f, phi = (b[0, 0] for b in (*bufs[:4], phi))
         return EngineSnapshot(
-            step=k + 1, v=v, s=s, u_lp=u_lp[0], s_lp=s_lp[0],
-            u_meas=u_meas, f_obs=f, phi=phi,
-            phi_sq_sum=float((phi * phi).sum()),
+            step=snap.step + 1, v=v, s=s, u_lp=u_lp[0], s_lp=s_lp[0],
+            u_meas=u_meas, f_obs=f, phi=phi, phi_sq_sum=float((phi * phi).sum()),
         )
 
     def run(self, stride: int = 1, freeze_levels: bool = False) -> RunTrace:
@@ -424,40 +441,32 @@ class Engine:
         lanes cost one loop's numpy calls. Returns per lane, bit for bit,
         the RunTrace that ``Engine(specs, cfg, noise=noise).run(stride,
         freeze_levels)`` returns, or the StepError it raises with its
-        partial ``.trace``; a failed lane stays in the loop, unrecorded,
-        and the others go on.
+        partial ``.trace``; a failed lane stays in the loop, its trace
+        ending at its failure, and the others go on.
 
-        The horizon is walked in chunks of ``_CHUNK_STEPS`` steps; each
-        chunk draws its noise, runs the update kernel, checks the chunk's
-        measurements and shares at once (``_failures``, as :meth:`step`
-        does), evaluates the diagnostics (exact fairness) and the level
-        maximizers of the ``s_optimality`` tail in bulk, folds them into
-        each lane's ledger and copies out only its recorded steps. So memory
-        is bounded by the kept records plus one chunk, whatever the horizon,
-        and since the noise is counter-keyed the chunking moves no bit. The
-        ledger covers every completed step, recorded or not, so ``stride``
-        thins the trace but no verdict.
+        The horizon is walked in :meth:`_chunk` calls of ``_CHUNK_STEPS``
+        steps (:meth:`step` is one of one step). After each, the level
+        maximizers of the ``s_optimality`` tail are found in bulk, the
+        recorded steps of all lanes are copied into the lane-major records,
+        and each live lane's completed steps are folded into its ledger. So
+        memory is bounded by the kept records plus one chunk, whatever the
+        horizon, and since the noise is counter-keyed the chunking moves no
+        bit. The ledger covers every completed step, recorded or not, so
+        ``stride`` thins the trace but no verdict.
         """
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        noises = [noise for noise, _ in lanes]
-        if not noises:
+        if not lanes:
             raise ValueError("need at least one lane")
-        # Lanes whose levels stay, laid out (R, n) like the state.
-        frozen = np.array([[bool(freeze)] * self.n for _, freeze in lanes])
-        horizon, n, lanes_n = self.cfg.horizon, self.n, len(noises)
+        horizon, n, lanes_n = self.cfg.horizon, self.n, len(lanes)
         kept = horizon // stride
+        # Lane-major records: one (kept, R, n) array per field, then phi_sq.
         with _fits_in_memory("records", 8 * lanes_n * kept * (5 * n + 1), horizon, stride):
-            records = [[np.empty((kept, n)) for _ in range(5)] + [np.empty(kept)]
-                       for _ in noises]
-        ledgers = [self._ledger(stride) for _ in noises]
+            records = ([np.empty((kept, lanes_n, n)) for _ in range(5)]
+                       + [np.empty((kept, lanes_n))])
+        ledgers = [self._ledger(stride) for _ in lanes]
         results: list[RunTrace | StepError | None] = [None] * lanes_n
         lam_ratio = self.lam_min / self.c_bar
-        # The bank and the demand rows are laid out (R, n), like the state,
-        # so that no operand of a step's model evaluation broadcasts.
-        bank = self.bank.laid_out(lanes_n)
-        demand = DemandTable(self.demand.breaks,
-                             np.repeat(self.demand.values[:, None], lanes_n, axis=1))
 
         # Every bad measurement is caught by _failures, and the steps after
         # a lane's failure, like the failing state's diagnostics, may read
@@ -466,58 +475,41 @@ class Engine:
             snap0 = self.initial_snapshot()
             v, s, u_lp, s_lp = (np.tile(x, (lanes_n, 1))
                                 for x in (snap0.v, snap0.s, snap0.u_lp, snap0.s_lp))
-            chunk = _CHUNK_STEPS
-            # The chunk's records, then its measurement noise and dither.
-            bufs = [np.empty((chunk, lanes_n, n)) for _ in range(6)]
-            for k0 in range(0, horizon, chunk):
-                k1 = min(k0 + chunk, horizon)
+            bufs = [np.empty((_CHUNK_STEPS, lanes_n, n)) for _ in range(6)]
+            for k0 in range(0, horizon, _CHUNK_STEPS):
+                k1 = min(k0 + _CHUNK_STEPS, horizon)
                 m = k1 - k0
-                # Demand of the measurements at steps k0..k1-1, then of the
-                # diagnostics at the states after them, k0+1..k1.
-                d_rows = demand.at(np.arange(k0, k1 + 1))
-                v_buf, s_buf, u_buf, f_buf, eta, zeta = (b[:m] for b in bufs)
-                for r, nz in enumerate(noises):
-                    eta[:, r] = nz.measurement_block(k0, k1, n)
-                    zeta[:, r] = 0.0 if frozen[r, 0] else nz.dither_block(k0, k1, n)
-                self._advance(bank, (v, s, u_lp, s_lp), d_rows, eta, zeta,
-                              frozen if frozen.any() else None, (v_buf, s_buf, u_buf, f_buf))
+                errors, phi = self._chunk(lanes, (v, s, u_lp, s_lp), k0, k1, bufs)
+                v_buf, s_buf, u_buf, f_buf = (b[:m] for b in bufs[:4])
                 v_start = v
                 v, s = v_buf[m - 1].copy(), s_buf[m - 1].copy()
-
-                errors = self._failures(k0, u_buf, v_buf)
                 # Rows of the s_optimality tail: steps from opt_start on.
                 lo = min(max(ledgers[0].opt_start - 1 - k0, 0), m)
-                near_opt = np.abs(
-                    s_buf[lo:] - bank.argmax(v_buf[lo:], d_rows[1 + lo:])
-                ) < S_OPT_TOL
-                phi = fairness_from_utilities(
-                    self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf
-                )
+                near_opt = np.abs(s_buf[lo:] - self.bank.argmax(
+                    v_buf[lo:], self.demand.at(np.arange(k0 + 1 + lo, k1 + 1))[:, None]
+                )) < S_OPT_TOL
                 phi_sq = (phi * phi).sum(axis=-1)
+                # Local rows whose step k0 + j + 1 is a multiple of stride,
+                # and the records they fill, for every lane at once.
+                picked = slice((-k0 - 1) % stride, m, stride)
+                for rec, buf in zip(records, (v_buf, s_buf, u_buf, f_buf, phi, phi_sq)):
+                    rec[k0 // stride:k1 // stride] = buf[picked]
                 for r, error in enumerate(errors):
                     if results[r] is not None:
                         continue
                     done = k1 if error is None else error.step
-                    m_r = done - k0
-                    if m_r:
+                    if m_r := done - k0:
                         vc = v_buf[:m_r, r]
                         v_pre = np.vstack([v_start[r], vc[:-1]])
                         ledgers[r].fold(k0, v_pre, vc, f_buf[:m_r, r], phi_sq[:m_r, r],
                                         lam_ratio, near_opt[:max(m_r - lo, 0), r])
-                        # Local rows whose step k0 + j + 1 is a multiple of
-                        # stride, and the records they fill.
-                        picked = slice((-k0 - 1) % stride, m_r, stride)
-                        rows = slice(k0 // stride, done // stride)
-                        for rec, buf in zip(records[r], (v_buf, s_buf, u_buf, f_buf,
-                                                         phi, phi_sq)):
-                            rec[rows] = buf[picked, r]
                     if error is not None:
-                        error.trace = _trace(records[r], ledgers[r], stride, done, error)
+                        error.trace = _trace(records, r, ledgers[r], stride, done, True)
                         results[r] = error
                 if None not in results:
                     break
 
-        return [_trace(records[r], ledgers[r], stride, horizon, None) if result is None
+        return [_trace(records, r, ledgers[r], stride, horizon, False) if result is None
                 else result for r, result in enumerate(results)]
 
     def _ledger(self, stride: int) -> RunLedger:
@@ -543,15 +535,17 @@ class Engine:
         )
 
 
-def _trace(records, ledger: RunLedger, stride: int, done: int,
-           failure: StepError | None) -> RunTrace:
-    """The RunTrace of a lane whose first ``done`` steps completed."""
+def _trace(records, lane: int, ledger: RunLedger, stride: int, done: int,
+           failed: bool) -> RunTrace:
+    """The RunTrace of lane ``lane`` of the lane-major ``records`` after its
+    first ``done`` steps completed (and the next one failed, if ``failed``):
+    views of its first ``done // stride`` rows, which later chunks leave."""
     n_rec = done // stride
-    v, s, u_meas, f_obs, phi, phi_sq = (x[:n_rec] for x in records)
+    v, s, u_meas, f_obs, phi, phi_sq = (x[:n_rec, lane] for x in records)
     return RunTrace(
         steps=np.arange(stride, n_rec * stride + 1, stride, dtype=np.int64),
         v=v, s=s, u_meas=u_meas, f_obs=f_obs, phi=phi, phi_sq=phi_sq,
-        ledger=ledger, stride=stride, complete=failure is None,
-        breach_step=None if failure is None else failure.step,
+        ledger=ledger, stride=stride,
+        breach_step=done if failed else None,
     )
 

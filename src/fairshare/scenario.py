@@ -155,7 +155,7 @@ def build_random(
                 )
             except ConfigError:
                 continue
-            if validate_assumptions(candidate, (d_lo, d_hi)).passed:
+            if validate_assumptions(candidate, (d_lo, d_hi)) is None:
                 model = candidate
                 break
         if model is None:

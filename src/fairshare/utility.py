@@ -18,7 +18,6 @@ from .core import ConfigError, _finite
 
 __all__ = [
     "AffineNormalizer",
-    "AssumptionReport",
     "CpuBandwidthModel",
     "HomeEnergyModel",
     "MODEL_TYPES",
@@ -213,20 +212,6 @@ class AffineNormalizer(UtilityModel):
         return self.inner.v_range()
 
 
-@dataclass
-class AssumptionReport:
-    """Grid-check outcome for the bound and concavity conditions."""
-
-    bounds_ok: bool
-    concave_ok: bool
-    gradient_ok: bool | None
-    first_violation: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.bounds_ok and self.concave_ok and self.gradient_ok is not False
-
-
 def _grid_eval(model: UtilityModel, demand_range, grid_n: int):
     """The (s, v, d) axes of the grid_n^3 lattice over the model's certified
     box, and the utility at every lattice point."""
@@ -241,65 +226,52 @@ def validate_assumptions(
     model: UtilityModel,
     demand_range: tuple[float, float],
     grid_n: int = _GRID_N,
-) -> AssumptionReport:
+) -> dict | None:
     """Check 1 <= u < bound_c and concavity in s on a grid_n^3 lattice.
 
     A utility that is not finite fails the bounds check. Concavity uses
     centered second differences along s (tolerance +1e-8 on the curvature
     estimate). If the model exposes an analytic gradient, a central finite
     difference is compared against it at every interior lattice point.
-    ``first_violation`` is the first flagged point of the first failing
-    check, in the order bounds, concavity, gradient.
+    Returns None if every check passes, else the first flagged point of the
+    first failing check, in the order bounds, concavity, gradient: a dict
+    of ``check``, ``s``, ``v``, ``d`` and the flagged ``value``.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be >= 3, got {grid_n}")
     s, v, d, u = _grid_eval(model, demand_range, grid_n)
-    violations = []
 
-    def locate(mask, check: str, values, s_axis) -> None:
-        """Note the first point of ``mask``, whose level axis is ``s_axis``."""
+    def located(mask, check: str, values, s_axis) -> dict:
+        """The first point of ``mask``, whose level axis is ``s_axis``."""
         i, j, k = np.argwhere(mask)[0]
-        violations.append({"check": check, "s": float(s_axis[i]), "v": float(v[j]),
-                           "d": float(d[k]), "value": float(values[i, j, k])})
+        return {"check": check, "s": float(s_axis[i]), "v": float(v[j]),
+                "d": float(d[k]), "value": float(values[i, j, k])}
 
     # Written so that a NaN utility counts as a violation.
     bad = ~((u >= 1.0 - 1e-9) & (u < model.bound_c))
-    bounds_ok = not bool(bad.any())
-    if not bounds_ok:
-        locate(bad, "bounds", u, s)
+    if bad.any():
+        return located(bad, "bounds", u, s)
 
     ds = s[1] - s[0]
     curvature = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (ds * ds)
     bad = curvature > 1e-8
-    concave_ok = not bool(bad.any())
-    if not concave_ok:
-        locate(bad, "concavity", curvature, s[1:-1])
+    if bad.any():
+        return located(bad, "concavity", curvature, s[1:-1])
 
-    gradient_ok: bool | None = None
-    if model.grad_s is not None:
-        h = 1e-5
-        s_in = s[(s >= h) & (s <= 1.0 - h)]
-        si = s_in[:, None, None]
-        vi = v[None, :, None]
-        di = d[None, None, :]
-        try:
-            g = model.grad_s(si, vi, di)
-        except NotImplementedError:
-            g = None
-        if g is not None:
-            g_fd = (model.eval(si + h, vi, di) - model.eval(si - h, vi, di)) / (2.0 * h)
-            err = np.abs(g_fd - g) - 1e-6 * (1.0 + np.abs(g))
-            bad = err > 0.0
-            gradient_ok = not bool(bad.any())
-            if not gradient_ok:
-                locate(bad, "gradient", np.broadcast_to(g_fd - g, err.shape), s_in)
-
-    return AssumptionReport(
-        bounds_ok=bounds_ok,
-        concave_ok=concave_ok,
-        gradient_ok=gradient_ok,
-        first_violation=violations[0] if violations else None,
-    )
+    if model.grad_s is None:
+        return None
+    h = 1e-5
+    s_in = s[(s >= h) & (s <= 1.0 - h)]
+    si, vi, di = s_in[:, None, None], v[None, :, None], d[None, None, :]
+    try:
+        g = model.grad_s(si, vi, di)
+    except NotImplementedError:
+        return None
+    g_fd = (model.eval(si + h, vi, di) - model.eval(si - h, vi, di)) / (2.0 * h)
+    bad = np.abs(g_fd - g) - 1e-6 * (1.0 + np.abs(g)) > 0.0
+    if bad.any():
+        return located(bad, "gradient", np.broadcast_to(g_fd - g, bad.shape), s_in)
+    return None
 
 
 def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:

@@ -256,8 +256,7 @@ class TestTraceCsv:
             dataclasses.replace(trace, steps=trace.steps[:r], v=trace.v[:r],
                                 s=trace.s[:r], u_meas=trace.u_meas[:r],
                                 f_obs=trace.f_obs[:r], phi=trace.phi[:r],
-                                phi_sq=trace.phi_sq[:r], complete=False,
-                                breach_step=r)
+                                phi_sq=trace.phi_sq[:r], breach_step=r)
             for r in (13, 14)
         ] + [info.value.trace]
         assert [len(t) for t in traces] == [60, 13, 14, 0]
@@ -544,6 +543,14 @@ class TestOutsideValues:
          "tasks[0]: shift must be a finite number, got '0'"),
         (lambda d: scaled(d, bound_c="3"),
          "tasks[0]: bound_c must be a finite number, got '3'"),
+        (lambda d: d["tasks"][0].update(weight="0.5"),
+         "tasks[0]: weight must be a finite number, got '0.5'"),
+        (lambda d: d["tasks"][0].update(weight=True),
+         "tasks[0]: weight must be a finite number, got True"),
+        (lambda d: d["tasks"][0].update(demand_zones=[[0, "0.4"]]),
+         "tasks[0]: demand value must be a finite number, got '0.4'"),
+        (lambda d: d["tasks"][0].update(demand_zones=[[0, True]]),
+         "tasks[0]: demand value must be a finite number, got True"),
         (lambda d: d["engine"].update(v_init=[float("nan")]),
          "v_init must be a finite number, got nan"),
         (lambda d: d.update(engine=[]), "engine must be a JSON object, got []"),
@@ -558,7 +565,8 @@ class TestOutsideValues:
         (lambda d: d["tasks"][0]["model"].update(shift=0.5),
          "tasks[0]: shift needs scale, got 0.5"),
     ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-target",
-            "str-target", "str-scale", "bool-scale", "str-shift", "str-bound", "nan-v_init",
+            "str-target", "str-scale", "bool-scale", "str-shift", "str-bound", "str-weight",
+            "bool-weight", "str-demand", "bool-demand", "nan-v_init",
             "engine-list", "tasks-object", "normalize-false", "normalize-zero",
             "normalize-empty-str", "normalize-list", "normalize-typo",
             "normalize-and-scale", "shift-alone"])

@@ -37,7 +37,7 @@ class TestBuildIdenticalFour:
     def test_models_pass_assumption_checks(self):
         specs, _ = build_identical_four()
         for t in specs:
-            assert validate_assumptions(t.utility, t.demand.span()).passed
+            assert validate_assumptions(t.utility, t.demand.span()) is None
 
     def test_overrides_apply_and_unknown_keys_rejected(self):
         _, cfg = build_identical_four({"eta_bar": 0.0, "seed": 99})
@@ -61,7 +61,7 @@ class TestBuildRandom:
         assert len(specs) == 30
         for t in specs:
             assert 0.2 <= t.weight <= 1.0
-            assert validate_assumptions(t.utility, t.demand.span()).passed
+            assert validate_assumptions(t.utility, t.demand.span()) is None
 
     def test_mixed_models_supported(self):
         specs, _ = build_random(
@@ -198,7 +198,7 @@ class TestRecurrenceVerdicts:
 
     def test_incomplete_run_skips(self, short_windows):
         specs, cfg, trace = short_windows
-        partial = dataclasses.replace(trace, complete=False, breach_step=len(trace))
+        partial = dataclasses.replace(trace, breach_step=len(trace))
         for verdict in self.recurrence(partial, specs, cfg):
             assert verdict == {"pass": None, "detail": "run incomplete", "windows": 0}
 
@@ -232,7 +232,7 @@ class TestRecurrenceVerdicts:
 
     def test_incomplete_run_skips_s_optimality(self, short_windows):
         specs, cfg, trace = short_windows
-        partial = dataclasses.replace(trace, complete=False, breach_step=len(trace))
+        partial = dataclasses.replace(trace, breach_step=len(trace))
         assert self.s_optimality(partial, specs, cfg) == {
             "pass": None, "detail": "run incomplete",
         }

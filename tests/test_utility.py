@@ -94,16 +94,14 @@ class TestHomeEnergyModel:
     def test_concavity_validated_for_any_positive_curvature_weight(self):
         for a in (0.1, 2.0, 17.0):
             model = HomeEnergyModel(a=a, b=1.0, c=5.0, kappa=2.0, h=0.2)
-            report = validate_assumptions(model, (0.2, 0.8))
-            assert report.concave_ok
+            assert validate_assumptions(model, (0.2, 0.8)) is None
 
     def test_bound_violation_located_on_grid(self):
         # At s=1, v=0, d=0 the value is 2*(0.1-1) - 1 + 0.1 = -2.7 < 1.
         model = HomeEnergyModel(a=2.0, b=1.0, c=0.1, kappa=0.1, h=1.0)
-        report = validate_assumptions(model, (0.0, 1.0))
-        assert not report.bounds_ok
-        assert report.first_violation["check"] == "bounds"
-        assert report.first_violation["value"] < 1.0
+        violation = validate_assumptions(model, (0.0, 1.0))
+        assert violation["check"] == "bounds"
+        assert violation["value"] < 1.0
 
 
 class TestCpuBandwidthModel:
@@ -115,9 +113,11 @@ class TestCpuBandwidthModel:
         assert CPU.eval(0.5, 0.0, 0.0) == CPU.eval(0.5, CPU.v_floor, 0.0)
 
     def test_gradient_check_passes_above_floor(self):
-        model = CpuBandwidthModel(a=0.3, b=2.0, h=1.0, theta=0.8, v_floor=0.05)
-        report = validate_assumptions(model, (0.0, 1.0))
-        assert report.gradient_ok
+        # Fitted, so that the bounds check passes and the gradient check runs.
+        model = AffineNormalizer.fit(
+            CpuBandwidthModel(a=0.3, b=2.0, h=1.0, theta=0.8, v_floor=0.05), (0.0, 1.0)
+        )
+        assert validate_assumptions(model, (0.0, 1.0)) is None
 
     def test_level_maximizer_matches_deadline(self):
         for v in (0.2, 0.5, 0.9):
@@ -146,8 +146,7 @@ class TestArgmaxLevel:
 class TestAffineNormalizer:
     def test_fit_lands_in_certified_band(self):
         model = AffineNormalizer.fit(HOME, (0.2, 0.8), c_target=2.0)
-        report = validate_assumptions(model, (0.2, 0.8))
-        assert report.passed
+        assert validate_assumptions(model, (0.2, 0.8)) is None
         grid = model.eval(
             np.linspace(0, 1, 41)[:, None, None],
             np.linspace(0, 1, 41)[None, :, None],
@@ -185,9 +184,7 @@ class TestAffineNormalizer:
             def eval(self, s, v, d):
                 return 1.0 + (np.asarray(s) - 0.5) ** 2 + 0.0 * np.asarray(v)
 
-        report = validate_assumptions(Convex(), (0.0, 1.0))
-        assert not report.concave_ok
-        assert report.first_violation["check"] in ("bounds", "concavity")
+        assert validate_assumptions(Convex(), (0.0, 1.0))["check"] == "concavity"
 
 
 class TestGradientAgreement:
@@ -454,10 +451,9 @@ class NanModel(UtilityModel):
 
 
 def test_non_finite_utility_fails_the_bounds_check():
-    report = validate_assumptions(NanModel(), (0.4, 0.6))
-    assert not report.bounds_ok and not report.passed
-    assert report.first_violation["check"] == "bounds"
-    assert math.isnan(report.first_violation["value"])
+    violation = validate_assumptions(NanModel(), (0.4, 0.6))
+    assert violation["check"] == "bounds"
+    assert math.isnan(violation["value"])
 
 
 class ConvexModel(UtilityModel):
@@ -482,23 +478,21 @@ class WrongGradientModel(UtilityModel):
 
 
 def test_concavity_violation_located_on_the_interior_levels():
-    report = validate_assumptions(ConvexModel(), (0.2, 0.8))
-    assert report.bounds_ok and not report.concave_ok
-    value = report.first_violation.pop("value")
+    violation = validate_assumptions(ConvexModel(), (0.2, 0.8))
+    value = violation.pop("value")
     # The first interior level of the 33-point grid, at the lowest share
     # and demand.
-    assert report.first_violation == {
+    assert violation == {
         "check": "concavity", "s": 1.0 / 32.0, "v": 0.0, "d": 0.2,
     }
     assert value == pytest.approx(2.0, rel=1e-9)
 
 
 def test_gradient_violation_located_on_the_inner_levels():
-    report = validate_assumptions(WrongGradientModel(), (0.2, 0.8))
-    assert report.bounds_ok and report.concave_ok
-    assert report.gradient_ok is False and not report.passed
-    value = report.first_violation.pop("value")
-    assert report.first_violation == {
+    # The bounds and concavity checks pass: the gradient check comes last.
+    violation = validate_assumptions(WrongGradientModel(), (0.2, 0.8))
+    value = violation.pop("value")
+    assert violation == {
         "check": "gradient", "s": 1.0 / 32.0, "v": 0.0, "d": 0.2,
     }
     assert value == pytest.approx(-1.0, rel=1e-6)
