@@ -38,7 +38,6 @@ from .oracle import (
     probe_limit_points,
 )
 from .scenario import (
-    ScenarioResult,
     build_identical_four,
     build_random,
     summarize,
@@ -157,7 +156,7 @@ def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
             demand = DemandSchedule(zones)
             model = model_from_dict(task_doc["model"], demand.span())
             specs.append(TaskSpec(
-                id=i, weight=float(_finite("weight", task_doc["weight"])),
+                weight=float(_finite("weight", task_doc["weight"])),
                 utility=model, demand=demand,
             ))
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
@@ -172,8 +171,6 @@ def _parse_set(items: list[str] | None) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key.startswith("engine."):
-            key = key[len("engine."):]
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -265,13 +262,6 @@ def write_trace_csv(path: Path, trace: RunTrace) -> None:
             np.savetxt(fh, block, fmt="%.17g", delimiter=",", newline="\n")
 
 
-def summary_to_dict(result: ScenarioResult) -> dict:
-    return _jsonable({
-        "zones": [dataclasses.asdict(z) for z in result.zones],
-        "verdicts": result.verdicts,
-    })
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -332,12 +322,13 @@ def cmd_run(args) -> int:
         print(f"{status.replace('_', ' ')}: {failure}", file=sys.stderr)
         return EXIT_BREACH if breach else EXIT_CONFIG
     if "json" in formats:
+        zones, verdicts = [], {}
         if cfg.horizon >= 1:
             result = summarize(trace, specs, cfg)
-            doc_out = {"status": "ok", **summary_to_dict(result)}
-        else:
-            doc_out = {"status": "ok", "zones": [], "verdicts": {}}
-        (out / "summary.json").write_text(json.dumps(doc_out, indent=2) + "\n")
+            zones, verdicts = [dataclasses.asdict(z) for z in result.zones], result.verdicts
+        (out / "summary.json").write_text(json.dumps(_jsonable({
+            "status": "ok", "zones": zones, "verdicts": verdicts,
+        }), indent=2) + "\n")
     print(f"wrote {len(trace)} records to {out}")
     return EXIT_OK
 
@@ -352,7 +343,7 @@ def _static_checks(specs, cfg) -> list[dict]:
     except ConfigError as exc:
         notes, ok = [str(exc)], False
     violations = [
-        f"task {t.id}: {v}" for t in specs
+        f"task {i}: {v}" for i, t in enumerate(specs)
         if (v := validate_assumptions(t.utility, t.demand.span())) is not None
     ]
     return [
@@ -400,15 +391,13 @@ def _verify_checks(specs, cfg) -> list[dict]:
         for name in names:
             add(name, verdicts[name]["pass"], label + verdicts[name]["detail"])
 
-    d0 = demand_table(specs).at(0)
-    add("ode_tracking", *_ode_tracking(specs, cfg, d0))
+    add("ode_tracking", *_ode_tracking(specs, cfg))
 
     bank = ModelBank([t.utility for t in specs])
+    d0 = demand_table(specs).at(0)
     try:
-        fp = fair_fixed_point(
-            specs, lambda v: bank.argmax(v, d0), d=d0, tol=1e-8
-        )
-        reps = probe_limit_points(specs, cfg, d=d0, n_starts=8, seed=cfg.seed)
+        fp = fair_fixed_point(specs, lambda v: bank.argmax(v, d0), tol=1e-8)
+        reps = probe_limit_points(specs, n_starts=8, seed=cfg.seed)
     except OracleError as exc:
         add("cross_oracle", False, f"OracleError: {exc}")
         return checks
@@ -419,8 +408,9 @@ def _verify_checks(specs, cfg) -> list[dict]:
     return checks
 
 
-def _ode_tracking(specs, cfg, d0) -> tuple[bool | None, str]:
-    """Noise-free discrete share path against the full mean-field ODE at d0.
+def _ode_tracking(specs, cfg) -> tuple[bool | None, str]:
+    """Noise-free discrete share path against the full mean-field ODE at the
+    step-0 demand.
 
     Both start from shares proportional to (1, ..., n), so the path moves
     even where the uniform start is the fixed point; a path that still never
@@ -444,7 +434,7 @@ def _ode_tracking(specs, cfg, d0) -> tuple[bool | None, str]:
     try:
         ode = integrate_full_ode(
             specs, track_cfg, t_end=track_cfg.horizon * cfg.epsilon,
-            dt=min(1e-3, cfg.epsilon), d=d0,
+            dt=min(1e-3, cfg.epsilon),
         )
     except OracleError as exc:
         return False, f"mean-field ODE: OracleError: {exc}"

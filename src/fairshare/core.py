@@ -116,18 +116,16 @@ class DemandSchedule:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Immutable description of one task: weight, utility model, demand."""
+    """Immutable description of one task: weight, utility model, demand.
+    A task is named by its position in its task set."""
 
-    id: int
     weight: float
     utility: "UtilityModel"
     demand: DemandSchedule
 
     def __post_init__(self):
         if not (0.0 < self.weight <= 1.0):
-            raise ConfigError(
-                f"task {self.id}: weight must be in (0, 1], got {self.weight}"
-            )
+            raise ConfigError(f"weight must be in (0, 1], got {self.weight}")
 
 
 @dataclass(frozen=True, eq=False)

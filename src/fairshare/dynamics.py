@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -134,6 +134,13 @@ class RunLedger:
     ``ModelBank.argmax`` at that step's share and demand.
     """
 
+    window_start: int
+    window_steps: int
+    window_v_max: np.ndarray
+    window_v_min: np.ndarray
+    opt_start: int
+    opt_steps: int
+    opt_hits: np.ndarray
     max_simplex_dev: float = 0.0
     v_min: float = np.inf
     v_max: float = -np.inf
@@ -142,13 +149,6 @@ class RunLedger:
     f_high_gap: float = -np.inf
     phi_sq_min: float = np.inf
     phi_sq_min_step: int = -1
-    window_start: int = 1
-    window_steps: int = 1
-    window_v_max: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    window_v_min: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    opt_start: int = 1
-    opt_steps: int = 1
-    opt_hits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def fold(self, k0: int, v_pre: np.ndarray, v, f, phi_sq, lam_ratio: float,
              near_opt) -> None:
@@ -235,7 +235,6 @@ class Engine:
     def __init__(self, specs: Sequence[TaskSpec], cfg: EngineConfig,
                  noise: NoiseSource | None = None):
         validate_config(cfg, specs)
-        self.specs = tuple(specs)
         self.cfg = cfg
         self.n = len(specs)
         self.weights = np.array([t.weight for t in specs], dtype=float)
@@ -339,20 +338,25 @@ class Engine:
             np.add(s_lp, ds, out=s_lp)
             v, s = v_new, s_new
 
-    def _failures(self, k0: int, u_meas, v_new) -> list[StepError | None]:
+    def _failures(self, k0: int, u_meas, v_new, s_new) -> list[StepError | None]:
         """Per lane, the error of its first bad step among steps ``k0, k0 + 1, ...``.
 
-        ``u_meas`` and ``v_new`` have shape ``(m, R, n)``: per step and
-        lane, the measurement and the shares the update made from it. A
-        measurement that is not finite and positive is a MeasurementError;
-        otherwise a share outside [0, 1] is a FeasibilityBreach. Each names
-        the step, the task and the value.
+        ``u_meas``, ``v_new`` and ``s_new`` have shape ``(m, R, n)``: per
+        step and lane, the measurement and the shares and levels the update
+        made from it. A measurement that is not finite and positive is a
+        MeasurementError; otherwise a share outside [0, 1], and then a NaN
+        level, is a FeasibilityBreach. Each names the step, the task and the
+        value.
         """
         w = self.weights / u_meas
         # Weights lie in (0, 1], so this holds exactly when every 1/u_meas
         # is finite and positive and their weighted sum does not overflow.
         bad_u = ~((w.min(axis=-1) > 0.0) & (w.sum(axis=-1) < np.inf))
-        bad = bad_u | (v_new.min(axis=-1) < 0.0) | (v_new.max(axis=-1) > 1.0)
+        bad_v = (v_new.min(axis=-1) < 0.0) | (v_new.max(axis=-1) > 1.0)
+        # The clip keeps every other level in [0, 1]; a NaN one comes from a
+        # utility filter that overflowed (inf - inf) after a huge measurement.
+        nan_s = np.isnan(s_new)
+        bad = bad_u | bad_v | nan_s.any(axis=-1)
         errors: list[StepError | None] = [None] * bad.shape[1]
         for r in np.flatnonzero(bad.any(axis=0)):
             j = int(np.argmax(bad[:, r]))
@@ -364,13 +368,19 @@ class Engine:
                     f"utility measurement {value!r} is not finite and positive",
                     k0 + j, i, value,
                 )
-            else:
+            elif bad_v[j, r]:
                 row = v_new[j, r]
                 i = int(np.argmax((row < 0.0) | (row > 1.0)))
                 value = float(row[i])
                 errors[r] = FeasibilityBreach(
                     f"share {value!r} left [0, 1] (epsilon too large for this task set)",
                     k0 + j, i, value,
+                )
+            else:
+                i = int(np.argmax(nan_s[j, r]))
+                errors[r] = FeasibilityBreach(
+                    "level nan left [0, 1] (a utility filter overflowed)",
+                    k0 + j, i, float("nan"),
                 )
         return errors
 
@@ -389,14 +399,15 @@ class Engine:
         # diagnostics at the states after them, k0+1..k1.
         d_rows = np.repeat(self.demand.at(np.arange(k0, k1 + 1))[:, None], lanes_n, axis=1)
         v_buf, s_buf, u_buf, f_buf, eta, zeta = (b[:m] for b in bufs)
-        for r, (noise, freeze) in enumerate(lanes):
+        # A frozen lane's dither enters only the level step that keep discards.
+        for r, (noise, _) in enumerate(lanes):
             eta[:, r] = noise.measurement_block(k0, k1, n)
-            zeta[:, r] = 0.0 if freeze else noise.dither_block(k0, k1, n)
+            zeta[:, r] = noise.dither_block(k0, k1, n)
         keep = np.array([[bool(freeze)] * n for _, freeze in lanes])
         self._advance(bank, state, d_rows, eta, zeta, keep if keep.any() else None,
                       (v_buf, s_buf, u_buf, f_buf))
         phi = fairness_from_utilities(self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf)
-        return self._failures(k0, u_buf, v_buf), phi
+        return self._failures(k0, u_buf, v_buf, s_buf), phi
 
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
         """Advance one step: the one-lane, one-step :meth:`_chunk` of a run

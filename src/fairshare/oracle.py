@@ -109,12 +109,6 @@ class OdeTrajectory:
     s: np.ndarray
 
 
-def _demand_vector(specs: Sequence[TaskSpec], d) -> np.ndarray:
-    if d is None:
-        return demand_table(specs).at(0)
-    return np.asarray(d, dtype=float)
-
-
 def _rk4(field, y, dt: float, t_end: float, stop=None, project=None) -> OdeTrajectory:
     """Classical RK4 on ``field`` from the starts ``y`` (a batch on the
     leading axis) up to ``t_end``, sampled at every accepted state.
@@ -168,9 +162,8 @@ def integrate_full_ode(
     init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     t_end: float = 1.0,
     dt: float = 1e-3,
-    d=None,
 ) -> OdeTrajectory:
-    """RK4 on the coupled mean-field system at fixed demand.
+    """RK4 on the coupled mean-field system at the step-0 demand.
 
     Fields: shares follow the exact fairness vector, levels follow
     mu * tanh of the filtered difference quotient, filters relax at rate
@@ -181,7 +174,7 @@ def integrate_full_ode(
     n = len(specs)
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
-    d_vec = _demand_vector(specs, d)
+    d_vec = demand_table(specs).at(0)
     mu, gamma = cfg.mu, cfg.gamma
     # _rk4 needs a stage's derivative only until its step ends, so four
     # buffers in turn serve its four field calls a step.
@@ -221,14 +214,12 @@ def integrate_full_ode(
 
 def integrate_limiting_ode(
     specs: Sequence[TaskSpec],
-    cfg: EngineConfig,
     v_init: np.ndarray,
-    d=None,
     t_end: float = 50.0,
     dt: float = 0.02,
     stop_residual: float | None = None,
 ) -> OdeTrajectory:
-    """RK4 on the slow share dynamics with levels held at their maximizers.
+    """RK4 on the slow share dynamics at the step-0 demand, levels at their maximizers.
 
     The per-task maximizing level is recomputed at every stage evaluation.
     With ``stop_residual`` set, integration stops early once the fairness
@@ -240,7 +231,7 @@ def integrate_limiting_ode(
     """
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
-    d_vec = _demand_vector(specs, d)
+    d_vec = demand_table(specs).at(0)
 
     def field(v: np.ndarray):
         """The vector field at v, and v, its utilities and its maximizing
@@ -270,11 +261,10 @@ class FixedPointResult:
 def fair_fixed_point(
     specs: Sequence[TaskSpec],
     s,
-    d=None,
     tol: float = 1e-9,
     max_iter: int = 10_000,
 ) -> FixedPointResult:
-    """Fair allocation for fixed levels via damped normalization iteration.
+    """Fair allocation for fixed levels at the step-0 demand, by damped iteration.
 
     Iterates v <- (v + normalize(weights / utilities(v))) / 2 until the
     sup-norm change drops below ``tol`` and the fairness residual below
@@ -287,7 +277,7 @@ def fair_fixed_point(
         raise ValueError("tol must be > 0")
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
-    d_vec = _demand_vector(specs, d)
+    d_vec = demand_table(specs).at(0)
     level_fn: Callable = s if callable(s) else (lambda _v: np.asarray(s, dtype=float))
 
     v = uniform_allocation(len(specs))
@@ -312,14 +302,12 @@ def fair_fixed_point(
 
 def probe_limit_points(
     specs: Sequence[TaskSpec],
-    cfg: EngineConfig,
-    d=None,
     n_starts: int = 8,
     seed: int = 0,
     t_end: float = 200.0,
     dt: float = 0.02,
 ) -> list[np.ndarray]:
-    """Terminal allocations of the slow dynamics from random simplex starts.
+    """Terminal shares of the slow dynamics at the step-0 demand from random starts.
 
     The starts run as one batch of ``integrate_limiting_ode``. Endpoints
     are greedily clustered at a sup-norm radius of 1e-3; the returned list
@@ -327,7 +315,7 @@ def probe_limit_points(
     long-run behavior is not captured by a single fair point.
     """
     x = np.random.default_rng(seed).exponential(size=(n_starts, len(specs)))
-    traj = integrate_limiting_ode(specs, cfg, x / x.sum(axis=-1, keepdims=True), d=d,
+    traj = integrate_limiting_ode(specs, x / x.sum(axis=-1, keepdims=True),
                                   t_end=t_end, dt=dt, stop_residual=1e-8)
     reps: list[np.ndarray] = []
     for end in traj.v[-1]:

@@ -102,8 +102,7 @@ def build_identical_four(
     switching = _three_zones(d_base, zone_steps)
     constant = DemandSchedule.constant(d_base)
     specs = [
-        TaskSpec(id=i, weight=1.0, utility=model,
-                 demand=switching if i < 2 else constant)
+        TaskSpec(weight=1.0, utility=model, demand=switching if i < 2 else constant)
         for i in range(4)
     ]
     return specs, cfg
@@ -162,7 +161,7 @@ def build_random(
             raise ConfigError(
                 f"task {i}: no valid {kind} model after 100 attempts"
             )
-        specs.append(TaskSpec(id=i, weight=weight, utility=model, demand=demand))
+        specs.append(TaskSpec(weight=weight, utility=model, demand=demand))
     return specs, cfg
 
 

@@ -192,7 +192,7 @@ class AffineNormalizer(UtilityModel):
         """
         if _finite("c_target", c_target) <= 1.0:
             raise ConfigError("c_target must be > 1")
-        *_, u = _grid_eval(inner, demand_range, _GRID_N)
+        *_, u = _grid_eval(inner, demand_range)
         lo, hi = float(u.min()), float(u.max())
         if hi - lo < 1e-12:
             raise ConfigError("inner model is constant on the grid; cannot fit")
@@ -204,42 +204,37 @@ class AffineNormalizer(UtilityModel):
         return self.scale * self.inner.eval(s, v, d) + self.shift
 
     def grad_s(self, s, v, d):
-        if self.inner.grad_s is None:
-            raise NotImplementedError("inner model has no analytic gradient")
         return self.scale * self.inner.grad_s(s, v, d)
 
     def v_range(self) -> tuple[float, float]:
         return self.inner.v_range()
 
 
-def _grid_eval(model: UtilityModel, demand_range, grid_n: int):
-    """The (s, v, d) axes of the grid_n^3 lattice over the model's certified
+def _grid_eval(model: UtilityModel, demand_range):
+    """The (s, v, d) axes of the _GRID_N^3 lattice over the model's certified
     box, and the utility at every lattice point."""
     v_lo, v_hi = model.v_range()
-    s = np.linspace(0.0, 1.0, grid_n)
-    v = np.linspace(v_lo, v_hi, grid_n)
-    d = np.linspace(demand_range[0], demand_range[1], grid_n)
+    s = np.linspace(0.0, 1.0, _GRID_N)
+    v = np.linspace(v_lo, v_hi, _GRID_N)
+    d = np.linspace(demand_range[0], demand_range[1], _GRID_N)
     return s, v, d, model.eval(s[:, None, None], v[None, :, None], d[None, None, :])
 
 
 def validate_assumptions(
-    model: UtilityModel,
-    demand_range: tuple[float, float],
-    grid_n: int = _GRID_N,
+    model: UtilityModel, demand_range: tuple[float, float]
 ) -> dict | None:
-    """Check 1 <= u < bound_c and concavity in s on a grid_n^3 lattice.
+    """Check 1 <= u < bound_c and concavity in s on a _GRID_N^3 lattice.
 
     A utility that is not finite fails the bounds check. Concavity uses
     centered second differences along s (tolerance +1e-8 on the curvature
     estimate). If the model exposes an analytic gradient, a central finite
-    difference is compared against it at every interior lattice point.
+    difference is compared against it at every interior lattice point; a
+    wrapped model has one when the model it wraps does.
     Returns None if every check passes, else the first flagged point of the
     first failing check, in the order bounds, concavity, gradient: a dict
     of ``check``, ``s``, ``v``, ``d`` and the flagged ``value``.
     """
-    if grid_n < 3:
-        raise ValueError(f"grid_n must be >= 3, got {grid_n}")
-    s, v, d, u = _grid_eval(model, demand_range, grid_n)
+    s, v, d, u = _grid_eval(model, demand_range)
 
     def located(mask, check: str, values, s_axis) -> dict:
         """The first point of ``mask``, whose level axis is ``s_axis``."""
@@ -258,15 +253,12 @@ def validate_assumptions(
     if bad.any():
         return located(bad, "concavity", curvature, s[1:-1])
 
-    if model.grad_s is None:
+    if _unwrap(model)[0].grad_s is None:
         return None
     h = 1e-5
     s_in = s[(s >= h) & (s <= 1.0 - h)]
     si, vi, di = s_in[:, None, None], v[None, :, None], d[None, None, :]
-    try:
-        g = model.grad_s(si, vi, di)
-    except NotImplementedError:
-        return None
+    g = model.grad_s(si, vi, di)
     g_fd = (model.eval(si + h, vi, di) - model.eval(si - h, vi, di)) / (2.0 * h)
     bad = np.abs(g_fd - g) - 1e-6 * (1.0 + np.abs(g)) > 0.0
     if bad.any():

@@ -55,7 +55,7 @@ def random_instance(n: int, seed: int):
     """Mixed-model task set with constant demands, certified into [1, 2)."""
     rng = np.random.default_rng(seed)
     specs = []
-    for i in range(n):
+    for _ in range(n):
         d = float(rng.uniform(0.2, 0.8))
         if rng.random() < 0.4:
             inner = CpuBandwidthModel(
@@ -70,7 +70,7 @@ def random_instance(n: int, seed: int):
                 h=float(rng.uniform(0.2, 0.8)),
             )
         specs.append(TaskSpec(
-            id=i, weight=float(rng.uniform(0.2, 1.0)),
+            weight=float(rng.uniform(0.2, 1.0)),
             utility=AffineNormalizer.fit(inner, (d, d), c_target=2.0),
             demand=DemandSchedule.constant(d),
         ))
@@ -149,8 +149,8 @@ def test_criterion_03_feasibility_and_deliberate_breach(fig5, fig6):
     # Deliberately oversized step on a 30-task set (gamma lowered so the
     # filter condition still holds and the run actually starts).
     model = AffineNormalizer.fit(HOME, (0.4, 0.4), c_target=1.25)
-    specs = [TaskSpec(id=i, weight=1.0, utility=model,
-                      demand=DemandSchedule.constant(0.4)) for i in range(30)]
+    specs = [TaskSpec(weight=1.0, utility=model,
+                      demand=DemandSchedule.constant(0.4)) for _ in range(30)]
     cfg = EngineConfig(
         epsilon=0.1, mu_exponent=0.05, gamma=5.0, eta_bar=1e-3, zeta_bar=1e-3,
         horizon=1000, seed=3, v_init=tuple([1.0] + [0.0] * 29),
@@ -241,10 +241,9 @@ def test_criterion_07_operation_level_optimality(fig5_quiet):
 def test_criterion_08_ode_tracking():
     t0 = time.perf_counter()
     specs = [
-        TaskSpec(id=i, weight=w, utility=ShareFreeModel(a, 1.2),
+        TaskSpec(weight=w, utility=ShareFreeModel(a, 1.2),
                  demand=DemandSchedule.constant(d))
-        for i, (w, a, d) in enumerate(
-            [(1.0, 1.5, 0.3), (0.8, 2.0, 0.5), (0.6, 1.0, 0.6), (0.9, 1.2, 0.4)])
+        for w, a, d in [(1.0, 1.5, 0.3), (0.8, 2.0, 0.5), (0.6, 1.0, 0.6), (0.9, 1.2, 0.4)]
     ]
     v0 = (0.4, 0.3, 0.2, 0.1)
     gaps = {}
@@ -273,8 +272,6 @@ def test_criterion_08_ode_tracking():
 
 def test_criterion_09_cross_oracle_agreement():
     rng = np.random.default_rng(99)
-    cfg = EngineConfig(epsilon=5e-4, mu_exponent=0.05, gamma=100.0,
-                       horizon=10, seed=0)
     worst_gap = 0.0
     worst_residual = 0.0
     for trial in range(20):
@@ -283,12 +280,12 @@ def test_criterion_09_cross_oracle_agreement():
         bank = ModelBank([t.utility for t in specs])
         d = np.array([t.demand.at(0) for t in specs])
         traj = integrate_limiting_ode(
-            specs, cfg, fs.uniform_allocation(n), d=d,
+            specs, fs.uniform_allocation(n),
             t_end=300.0, dt=0.02, stop_residual=5e-7,
         )
         v_ode = traj.v[-1]
         res = fair_fixed_point(
-            specs, lambda v: bank.argmax(v, d, tol=1e-7), d=d, tol=1e-8,
+            specs, lambda v: bank.argmax(v, d, tol=1e-7), tol=1e-8,
         )
         assert res.converged
         s_ode = bank.argmax(v_ode, d, tol=1e-7)

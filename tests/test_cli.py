@@ -178,6 +178,29 @@ class TestRunCommand:
         assert summary["value"] < 0.0 or summary["value"] > 1.0
         assert f"task {summary['task']}" in summary["message"]
 
+    def test_level_gone_nan_is_a_breach_with_a_finite_trace(self, tmp_path, capsys):
+        # From step 100 task 0 measures about 1e307, which overflows its
+        # utility filter; the filter's next step is inf - inf, and the level
+        # turns NaN at step 102.
+        tasks = [{"weight": 1.0,
+                  "model": {"type": "home_energy", "a": 2.0, "b": 1.0, "c": 2.0,
+                            "kappa": 1.0, "h": 0.5, **model},
+                  "demand_zones": zones}
+                 for model, zones in (
+                     ({"scale": 3e307, "shift": 0.0, "bound_c": 3.0}, [[0, 0.4], [100, 0.9]]),
+                     ({"normalize": {"c_target": 2.0}}, [[0, 0.4]]))]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"tasks": tasks, "engine": {
+            "epsilon": 1e-3, "seed": 1, "eta_bar": 0.0, "zeta_bar": 1e-3, "horizon": 103}}))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert "level nan left [0, 1]" in capsys.readouterr().err
+        summary = read_json(out / "summary.json")
+        assert (summary["status"], summary["step"], summary["task"]) == (
+            "feasibility_breach", 102, 0)
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        assert rows.shape[0] == 102 and np.isfinite(rows).all()
+
     def test_measurement_error_writes_partial_trace_and_summary(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(BAD_MEASUREMENT))
@@ -547,6 +570,8 @@ class TestOutsideValues:
          "tasks[0]: weight must be a finite number, got '0.5'"),
         (lambda d: d["tasks"][0].update(weight=True),
          "tasks[0]: weight must be a finite number, got True"),
+        (lambda d: d["tasks"][0].update(weight=1.5),
+         "tasks[0]: weight must be in (0, 1], got 1.5"),
         (lambda d: d["tasks"][0].update(demand_zones=[[0, "0.4"]]),
          "tasks[0]: demand value must be a finite number, got '0.4'"),
         (lambda d: d["tasks"][0].update(demand_zones=[[0, True]]),
@@ -566,7 +591,7 @@ class TestOutsideValues:
          "tasks[0]: shift needs scale, got 0.5"),
     ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-target",
             "str-target", "str-scale", "bool-scale", "str-shift", "str-bound", "str-weight",
-            "bool-weight", "str-demand", "bool-demand", "nan-v_init",
+            "bool-weight", "range-weight", "str-demand", "bool-demand", "nan-v_init",
             "engine-list", "tasks-object", "normalize-false", "normalize-zero",
             "normalize-empty-str", "normalize-list", "normalize-typo",
             "normalize-and-scale", "shift-alone"])
@@ -599,6 +624,7 @@ class TestOutsideValues:
         ("gamma=Infinity", "gamma must be a finite number, got inf"),
         ("zeta_bar=-Infinity", "zeta_bar must be a finite number, got -inf"),
         ("eta_bar=true", "eta_bar must be a finite number, got True"),
+        ("engine.seed=1", "unknown engine key(s): ['engine.seed']"),
         ("epsilon=5e-324", "the recurrence window 5 / (epsilon * lam_min / c_bar) "
                            "overflows at epsilon = 5e-324, lam_min = 1.0, c_bar = 4.0"),
     ])
@@ -689,8 +715,7 @@ class TestVerifyCommand:
         from fairshare.scenario import build_identical_four
 
         specs, cfg = build_identical_four()
-        d0 = np.array([t.demand.at(0) for t in specs])
-        ok, detail = _ode_tracking(specs, cfg, d0)
+        ok, detail = _ode_tracking(specs, cfg)
         assert ok is True
         assert float(re.search(r"gap (\S+)", detail).group(1)) > 0.0
 

@@ -20,8 +20,8 @@ from fairshare.utility import HomeEnergyModel
 
 def four_tasks() -> list[TaskSpec]:
     model = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
-    return [TaskSpec(id=i, weight=1.0, utility=model, demand=DemandSchedule.constant(0.4))
-            for i in range(4)]
+    return [TaskSpec(weight=1.0, utility=model, demand=DemandSchedule.constant(0.4))
+            for _ in range(4)]
 
 
 def make_config(**kw) -> EngineConfig:
@@ -120,7 +120,7 @@ class TestTaskSpec:
     def test_weight_outside_unit_interval_rejected(self, weight):
         model = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
         with pytest.raises(ConfigError):
-            TaskSpec(id=0, weight=weight, utility=model,
+            TaskSpec(weight=weight, utility=model,
                      demand=DemandSchedule.constant(0.4))
 
 

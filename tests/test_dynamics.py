@@ -77,7 +77,7 @@ def make_specs(n=2, weights=None, demands=None):
     weights = weights or [1.0] * n
     demands = demands or [0.4] * n
     return [
-        TaskSpec(id=i, weight=weights[i], utility=HOME,
+        TaskSpec(weight=weights[i], utility=HOME,
                  demand=DemandSchedule.constant(demands[i]))
         for i in range(n)
     ]
@@ -102,7 +102,7 @@ def constant_step(utilities, v, weights=None):
     n = len(utilities)
     weights = weights or [1.0] * n
     specs = [
-        TaskSpec(id=i, weight=weights[i], utility=ConstantModel(utilities[i]),
+        TaskSpec(weight=weights[i], utility=ConstantModel(utilities[i]),
                  demand=DemandSchedule.constant(0.4))
         for i in range(n)
     ]
@@ -115,7 +115,7 @@ def level_step(snap, u_meas, zeta, cfg):
 
     Its fairness index is exactly zero, so only its level and filters move.
     """
-    spec = TaskSpec(id=0, weight=1.0, utility=ConstantModel(u_meas),
+    spec = TaskSpec(weight=1.0, utility=ConstantModel(u_meas),
                     demand=DemandSchedule.constant(0.4))
     return Engine([spec], cfg, noise=FixedNoise([0.0], [zeta])).step(snap)
 
@@ -124,9 +124,9 @@ def breach_scenario():
     """Thirty tasks, all resource on task 0, epsilon far above the safe step."""
     model = AffineNormalizer.fit(HOME, (0.4, 0.4), c_target=1.25)
     specs = [
-        TaskSpec(id=i, weight=1.0, utility=model,
+        TaskSpec(weight=1.0, utility=model,
                  demand=DemandSchedule.constant(0.4))
-        for i in range(30)
+        for _ in range(30)
     ]
     cfg = EngineConfig(
         epsilon=0.1, mu_exponent=0.05, gamma=5.0, eta_bar=1e-3,
@@ -139,9 +139,9 @@ def breach_scenario():
 def bad_measurement_scenario(bad):
     """Task 1's utility turns ``bad`` when its demand switches at step 5."""
     specs = [
-        TaskSpec(id=0, weight=1.0, utility=HOME,
+        TaskSpec(weight=1.0, utility=HOME,
                  demand=DemandSchedule.constant(0.4)),
-        TaskSpec(id=1, weight=0.8, utility=ConstantModel(1.5, high=bad),
+        TaskSpec(weight=0.8, utility=ConstantModel(1.5, high=bad),
                  demand=DemandSchedule(((0, 0.4), (5, 1.0)))),
     ]
     return specs, make_cfg(horizon=20, eta_bar=0.0, zeta_bar=1e-3)
@@ -303,9 +303,9 @@ class TestEngineStep:
     def test_analytic_fixed_point_is_stationary(self):
         model = AffineNormalizer.fit(HOME, (0.4, 0.4), c_target=2.0)
         specs = [
-            TaskSpec(id=i, weight=1.0, utility=model,
+            TaskSpec(weight=1.0, utility=model,
                      demand=DemandSchedule.constant(0.4))
-            for i in range(4)
+            for _ in range(4)
         ]
         cfg = make_cfg(eta_bar=0.0, zeta_bar=0.0)
         s_star = float(ModelBank([model]).argmax(0.25, 0.4)[0])
@@ -399,8 +399,8 @@ class TestRun:
         ]
         demands = [DemandSchedule(((0, 0.3), (30, 0.6))), DemandSchedule.constant(0.5),
                    DemandSchedule.constant(0.7), DemandSchedule.constant(0.4)]
-        specs = [TaskSpec(id=i, weight=w, utility=m, demand=d)
-                 for i, (w, m, d) in enumerate(zip([1.0, 0.7, 0.4, 0.9], models, demands))]
+        specs = [TaskSpec(weight=w, utility=m, demand=d)
+                 for w, m, d in zip([1.0, 0.7, 0.4, 0.9], models, demands)]
         cfg = make_cfg(epsilon=0.01, gamma=20.0, horizon=80, eta_bar=0.01, zeta_bar=0.01)
         return specs, cfg
 
@@ -557,14 +557,16 @@ class TestFilterConvergence:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, "breach"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, 1e308, "breach"])
 def test_run_and_step_fail_alike(bad):
     if bad == "breach":
         specs, cfg = breach_scenario()
         error, task = FeasibilityBreach, None
     else:
         specs, cfg = bad_measurement_scenario(bad)
-        error, task = MeasurementError, 1
+        # 1e308 is a valid measurement, but it overflows the utility filter,
+        # whose next step is inf - inf: the level turns NaN.
+        error, task = (FeasibilityBreach if bad == 1e308 else MeasurementError), 1
     eng = Engine(specs, cfg)
     snap = eng.initial_snapshot()
     with pytest.raises(error) as step_info:
@@ -573,6 +575,12 @@ def test_run_and_step_fail_alike(bad):
     with pytest.raises(error) as run_info:
         eng.run()
     by_step, by_run = step_info.value, run_info.value
+    # And as the failing lane of two, beside a frozen one.
+    assert_same_result(eng.run_lanes([(eng.noise, True), (eng.noise, False)])[1], by_run)
+    if bad == 1e308:
+        assert (by_run.step, str(by_run)) == (
+            7, "step 7, task 1: level nan left [0, 1] (a utility filter overflowed)")
+        assert np.isfinite(by_run.trace.s).all()
     assert by_run.step == by_step.step == snap.step
     assert by_run.task == by_step.task
     assert task is None or by_run.task == task
@@ -590,8 +598,8 @@ class TestDemandSwitching:
     def test_zone_change_is_read_at_measurement_time(self):
         model = HOME
         demand = DemandSchedule(((0, 0.4), (3, 0.8)))
-        specs = [TaskSpec(id=0, weight=1.0, utility=model, demand=demand),
-                 TaskSpec(id=1, weight=1.0, utility=model,
+        specs = [TaskSpec(weight=1.0, utility=model, demand=demand),
+                 TaskSpec(weight=1.0, utility=model,
                           demand=DemandSchedule.constant(0.4))]
         cfg = make_cfg(horizon=6, eta_bar=0.0, zeta_bar=0.0)
         trace = Engine(specs, cfg).run()
@@ -616,8 +624,8 @@ def streaming_scenario(horizon=4500):
     model = AffineNormalizer.fit(HOME, (0.3, 0.7), c_target=2.0)
     demands = [DemandSchedule(((0, 0.3), (1500, 0.6), (3000, 0.3))),
                DemandSchedule.constant(0.5), DemandSchedule.constant(0.7)]
-    specs = [TaskSpec(id=i, weight=w, utility=model, demand=d)
-             for i, (w, d) in enumerate(zip([1.0, 0.7, 0.5], demands))]
+    specs = [TaskSpec(weight=w, utility=model, demand=d)
+             for w, d in zip([1.0, 0.7, 0.5], demands)]
     cfg = EngineConfig(epsilon=0.02, mu_exponent=0.05, gamma=20.0,
                        eta_bar=1e-3, zeta_bar=1e-3, horizon=horizon, seed=5)
     return specs, cfg
@@ -683,9 +691,9 @@ class TestStreamingRun:
     def test_failure_at_a_chunk_edge_is_chunk_free(self, monkeypatch, fail_at):
         # Task 1 measures NaN from step fail_at on.
         specs = [
-            TaskSpec(id=0, weight=1.0, utility=HOME,
+            TaskSpec(weight=1.0, utility=HOME,
                      demand=DemandSchedule.constant(0.4)),
-            TaskSpec(id=1, weight=0.8, utility=ConstantModel(1.5, high=math.nan),
+            TaskSpec(weight=0.8, utility=ConstantModel(1.5, high=math.nan),
                      demand=DemandSchedule(((0, 0.4), (fail_at, 1.0)))),
         ]
         cfg = make_cfg(horizon=fail_at + 10, eta_bar=0.0, zeta_bar=1e-3)
@@ -828,9 +836,9 @@ class TestLanes:
         # From step 5 task 1 measures 1e308: valid, but the filter step
         # gamma * (u_meas - u_lp) overflows to inf.
         specs = [
-            TaskSpec(id=0, weight=1.0, utility=ConstantModel(1.5),
+            TaskSpec(weight=1.0, utility=ConstantModel(1.5),
                      demand=DemandSchedule.constant(0.4)),
-            TaskSpec(id=1, weight=0.8, utility=ConstantModel(1.5, high=1e308),
+            TaskSpec(weight=0.8, utility=ConstantModel(1.5, high=1e308),
                      demand=DemandSchedule(((0, 0.4), (5, 1.0)))),
         ]
         cfg = make_cfg(horizon=40, eta_bar=0.0, zeta_bar=1e-3)
@@ -846,9 +854,9 @@ class TestLanes:
         # With chunks of 7 steps, steps 6 and 13 end a chunk, 7 and 14 start
         # one and 10 lies inside one.
         specs = [
-            TaskSpec(id=0, weight=1.0, utility=ConstantModel(1.5),
+            TaskSpec(weight=1.0, utility=ConstantModel(1.5),
                      demand=DemandSchedule.constant(0.4)),
-            TaskSpec(id=1, weight=1.0, utility=TrapModel(),
+            TaskSpec(weight=1.0, utility=TrapModel(),
                      demand=DemandSchedule(((0, 0.4), (k_meas, 1.0), (k_breach, 2.0)))),
         ]
         cfg = make_cfg(horizon=30, eta_bar=0.0, zeta_bar=0.0)
@@ -878,9 +886,9 @@ class TestLanes:
         # Lane 0's dither moves its level at step 0, so it measures NaN at
         # step 1; lane 1 is frozen and lane 2 has neither noise nor drift,
         # so both keep the level at 0.5 and run on for chunks - 1 chunks.
-        specs = [TaskSpec(id=i, weight=w, utility=NanOffHalf(),
+        specs = [TaskSpec(weight=w, utility=NanOffHalf(),
                           demand=DemandSchedule.constant(0.4))
-                 for i, w in enumerate((1.0, 0.7))]
+                 for w in (1.0, 0.7)]
         cfg = EngineConfig(epsilon=0.1, gamma=5.0, horizon=chunk * chunks,
                            seed=seeds[0], zeta_bar=1.0)
         lanes = [(cfg, False),

@@ -55,16 +55,16 @@ def make_cfg(**kw):
 def identical_specs(n, bound_c=2.0, d=0.4):
     model = AffineNormalizer.fit(HOME, (d, d), c_target=bound_c)
     return [
-        TaskSpec(id=i, weight=1.0, utility=model,
+        TaskSpec(weight=1.0, utility=model,
                  demand=DemandSchedule.constant(d))
-        for i in range(n)
+        for _ in range(n)
     ]
 
 
 def random_specs(n, seed, with_cpu=True):
     rng = np.random.default_rng(seed)
     specs = []
-    for i in range(n):
+    for _ in range(n):
         d = float(rng.uniform(0.2, 0.8))
         if with_cpu and rng.random() < 0.4:
             inner = CpuBandwidthModel(
@@ -80,7 +80,7 @@ def random_specs(n, seed, with_cpu=True):
             )
         model = AffineNormalizer.fit(inner, (d, d), c_target=2.0)
         specs.append(TaskSpec(
-            id=i, weight=float(rng.uniform(0.2, 1.0)), utility=model,
+            weight=float(rng.uniform(0.2, 1.0)), utility=model,
             demand=DemandSchedule.constant(d),
         ))
     return specs
@@ -139,10 +139,9 @@ class TestFullOde:
 
     def test_halving_dt_barely_moves_endpoint(self):
         specs = [
-            TaskSpec(id=i, weight=w, utility=BumpModel(a, 1.2),
+            TaskSpec(weight=w, utility=BumpModel(a, 1.2),
                      demand=DemandSchedule.constant(d))
-            for i, (w, a, d) in enumerate(
-                [(1.0, 1.5, 0.3), (0.8, 2.0, 0.5), (0.6, 1.0, 0.6)])
+            for w, a, d in [(1.0, 1.5, 0.3), (0.8, 2.0, 0.5), (0.6, 1.0, 0.6)]
         ]
         cfg = make_cfg(eta_bar=0.0, zeta_bar=0.0,
                        v_init=(0.5, 0.3, 0.2))
@@ -159,11 +158,10 @@ class TestFullOde:
 
     def test_discrete_path_tracks_integrator(self):
         specs = [
-            TaskSpec(id=i, weight=w, utility=BumpModel(a, 1.2),
+            TaskSpec(weight=w, utility=BumpModel(a, 1.2),
                      demand=DemandSchedule.constant(d))
-            for i, (w, a, d) in enumerate(
-                [(1.0, 1.5, 0.3), (0.8, 2.0, 0.5), (0.6, 1.0, 0.6),
-                 (0.9, 1.2, 0.4)])
+            for w, a, d in [(1.0, 1.5, 0.3), (0.8, 2.0, 0.5), (0.6, 1.0, 0.6),
+                            (0.9, 1.2, 0.4)]
         ]
         eps = 1e-3
         cfg = make_cfg(epsilon=eps, eta_bar=0.0, zeta_bar=0.0,
@@ -188,14 +186,13 @@ class TestLimitingOde:
     def test_identical_tasks_converge_to_uniform(self):
         specs = identical_specs(5)
         v0 = np.array([0.5, 0.2, 0.15, 0.1, 0.05])
-        traj = integrate_limiting_ode(specs, make_cfg(), v0, t_end=60.0,
-                                      dt=0.02, stop_residual=1e-5)
+        traj = integrate_limiting_ode(specs, v0, t_end=60.0, dt=0.02, stop_residual=1e-5)
         assert np.abs(traj.v[-1] - 0.2).max() <= 1e-3
 
     def test_heterogeneous_pair_reaches_zero_residual(self):
         specs = random_specs(2, seed=5)
         traj = integrate_limiting_ode(
-            specs, make_cfg(), uniform_allocation(2),
+            specs, uniform_allocation(2),
             t_end=120.0, dt=0.02, stop_residual=1e-8,
         )
         v_hat = traj.v[-1]
@@ -209,7 +206,7 @@ class TestLimitingOde:
     def test_fair_start_stays_put(self):
         specs = identical_specs(4)
         traj = integrate_limiting_ode(
-            specs, make_cfg(), uniform_allocation(4), t_end=5.0, dt=0.05,
+            specs, uniform_allocation(4), t_end=5.0, dt=0.05,
         )
         assert np.abs(traj.v - 0.25).max() <= 1e-9
 
@@ -226,7 +223,7 @@ class TestFairFixedPoint:
         # With no share term the fair split is w_i / sum(w).
         models = [BumpModel(1.5, 1.2), BumpModel(0.7, 2.0)]
         specs = [
-            TaskSpec(id=i, weight=w, utility=models[i],
+            TaskSpec(weight=w, utility=models[i],
                      demand=DemandSchedule.constant(d))
             for i, (w, d) in enumerate([(0.9, 0.3), (0.5, 0.7)])
         ]
@@ -235,7 +232,7 @@ class TestFairFixedPoint:
         u = np.array([models[i].eval(s[i], 0.0, d[i]) for i in range(2)])
         w = np.array([0.9, 0.5]) / u
         expected = w / w.sum()
-        res = fair_fixed_point(specs, s, d, tol=1e-10)
+        res = fair_fixed_point(specs, s, tol=1e-10)
         assert res.converged
         assert np.abs(res.v - expected).max() <= 1e-9
 
@@ -268,11 +265,11 @@ class TestFairFixedPoint:
             bank = ModelBank([t.utility for t in specs])
             d = np.array([t.demand.at(0) for t in specs])
             traj = integrate_limiting_ode(
-                specs, make_cfg(), uniform_allocation(5),
+                specs, uniform_allocation(5),
                 t_end=150.0, dt=0.02, stop_residual=1e-9,
             )
             res = fair_fixed_point(
-                specs, lambda v: bank.argmax(v, d, tol=1e-7), d, tol=1e-9,
+                specs, lambda v: bank.argmax(v, d, tol=1e-7), tol=1e-9,
             )
             assert res.converged
             assert np.abs(traj.v[-1] - res.v).max() <= 1e-5
@@ -283,8 +280,8 @@ def uncertified_pair():
     s* = 0.25, is v - 0.075: negative below a share of 0.075, and v - 1.2
     at s = 1, negative everywhere."""
     model = HomeEnergyModel(a=2.0, b=1.0, c=0.1, kappa=0.1, h=1.0)
-    return [TaskSpec(id=i, weight=1.0, utility=model,
-                     demand=DemandSchedule.constant(0.5)) for i in range(2)]
+    return [TaskSpec(weight=1.0, utility=model,
+                     demand=DemandSchedule.constant(0.5)) for _ in range(2)]
 
 
 class TestDomainErrors:
@@ -292,15 +289,14 @@ class TestDomainErrors:
         # This start used to run all 10 000 steps to v = (27.7, -26.7).
         with pytest.raises(OracleError, match=r"t=0, task 1: utility not finite "
                                               r"and > 0: -0\.01"):
-            integrate_limiting_ode(uncertified_pair(), make_cfg(),
-                                   np.array([0.94, 0.06]), t_end=200.0,
-                                   stop_residual=1e-8)
+            integrate_limiting_ode(uncertified_pair(), np.array([0.94, 0.06]),
+                                   t_end=200.0, stop_residual=1e-8)
 
     def test_limiting_ode_share_leaving_the_box_raises_at_that_time(self):
         # A step of 3 overshoots the fair point (0.5, 0.5) out of [0, 1].
         with pytest.raises(OracleError, match=r"t=3, task 0: share outside \[0, 1\]"):
-            integrate_limiting_ode(identical_specs(2), make_cfg(),
-                                   np.array([0.9, 0.1]), t_end=50.0, dt=3.0)
+            integrate_limiting_ode(identical_specs(2), np.array([0.9, 0.1]),
+                                   t_end=50.0, dt=3.0)
 
     def test_full_ode_from_nonpositive_utility_raises(self):
         cfg = make_cfg(s_init=0.0, v_init=(0.9, 0.1))
@@ -319,40 +315,36 @@ class TestDomainErrors:
             def eval(self, s, v, d):
                 return np.where(np.asarray(v) < 0.3, np.nan, 1.5)
 
-        specs = [TaskSpec(id=i, weight=1.0, utility=NanModel(),
-                          demand=DemandSchedule.constant(0.4)) for i in range(2)]
+        specs = [TaskSpec(weight=1.0, utility=NanModel(),
+                          demand=DemandSchedule.constant(0.4)) for _ in range(2)]
         with pytest.raises(OracleError, match=r"task 1: utility not finite and > 0: nan"):
-            integrate_limiting_ode(specs, make_cfg(), np.array([0.8, 0.2]))
+            integrate_limiting_ode(specs, np.array([0.8, 0.2]))
 
 
 class TestProbeLimitPoints:
     def test_single_cluster_for_identical_tasks(self):
         specs = identical_specs(4)
-        reps = probe_limit_points(specs, make_cfg(), n_starts=4, seed=0,
-                                  t_end=80.0)
+        reps = probe_limit_points(specs, n_starts=4, seed=0, t_end=80.0)
         assert len(reps) == 1
         assert np.abs(reps[0] - 0.25).max() <= 1e-3
 
     def test_batched_starts_match_their_own_integrations(self):
         # Each start of the batch ends exactly where its own integration does.
         mixed = random_specs(4, seed=2) + [TaskSpec(
-            id=4, weight=0.6, utility=BumpModel(0.8, 1.1),
+            weight=0.6, utility=BumpModel(0.8, 1.1),
             demand=DemandSchedule.constant(0.5))]
         for specs, cfg in (build_identical_four(), build_random(30, seed=30),
                            (mixed, make_cfg())):
-            d0 = np.array([t.demand.at(0) for t in specs])
             # The search of the model without ``params`` costs milliseconds a
             # call, so the mixed set runs three starts over a short horizon.
             n_starts, t_end = (3, 0.4) if specs is mixed else (8, 200.0)
             starts = sequential_starts(len(specs), n_starts, cfg.seed)
-            batch = integrate_limiting_ode(specs, cfg, starts, d=d0, t_end=t_end,
-                                           stop_residual=1e-8)
+            batch = integrate_limiting_ode(specs, starts, t_end=t_end, stop_residual=1e-8)
             assert batch.v.shape == (len(batch.times), n_starts, len(specs))
-            ends = [integrate_limiting_ode(specs, cfg, v0, d=d0, t_end=t_end,
-                                           stop_residual=1e-8).v[-1] for v0 in starts]
+            ends = [integrate_limiting_ode(specs, v0, t_end=t_end, stop_residual=1e-8).v[-1]
+                    for v0 in starts]
             assert np.array_equal(batch.v[-1], np.array(ends))
-            reps = probe_limit_points(specs, cfg, d=d0, n_starts=n_starts,
-                                      seed=cfg.seed, t_end=t_end)
+            reps = probe_limit_points(specs, n_starts=n_starts, seed=cfg.seed, t_end=t_end)
             assert_same_points(reps, cluster(ends))
 
     @pytest.mark.parametrize("failing", [(0.97, 0.99), (0.99, 0.97)])
@@ -366,18 +358,18 @@ class TestProbeLimitPoints:
         errors = []
         for v0 in starts[[1, 3]]:
             with pytest.raises(OracleError) as exc:
-                integrate_limiting_ode(specs, make_cfg(), v0, dt=2.0, stop_residual=1e-8)
+                integrate_limiting_ode(specs, v0, dt=2.0, stop_residual=1e-8)
             errors.append(str(exc.value))
         assert sorted(e.split(",")[0] for e in errors) == ["t=18", "t=2"]
         with pytest.raises(OracleError, match=f"^{re.escape(errors[0])}$"):
-            integrate_limiting_ode(specs, make_cfg(), starts, dt=2.0, stop_residual=1e-8)
+            integrate_limiting_ode(specs, starts, dt=2.0, stop_residual=1e-8)
 
     def test_start_that_stops_early_holds_its_terminal(self):
         specs = identical_specs(2)
         starts = np.array([[0.5, 0.5], [0.9, 0.1]])
-        batch = integrate_limiting_ode(specs, make_cfg(), starts, stop_residual=1e-8)
-        fair = integrate_limiting_ode(specs, make_cfg(), starts[0], stop_residual=1e-8)
-        far = integrate_limiting_ode(specs, make_cfg(), starts[1], stop_residual=1e-8)
+        batch = integrate_limiting_ode(specs, starts, stop_residual=1e-8)
+        fair = integrate_limiting_ode(specs, starts[0], stop_residual=1e-8)
+        far = integrate_limiting_ode(specs, starts[1], stop_residual=1e-8)
         assert len(fair.times) == 1 and len(far.times) > 100
         assert np.array_equal(batch.times, far.times)
         assert np.array_equal(batch.v[:, 0], np.broadcast_to(fair.v[0], far.v.shape))
@@ -391,23 +383,23 @@ class TestProbeLimitPoints:
         # Finite representatives equal to those of the starts integrated one
         # by one, or the error the first failing start raises on its own.
         n = data.draw(st.integers(2, 4))
-        specs = [draw_task(data, i) for i in range(n)]
-        cfg, seed = make_cfg(), data.draw(st.integers(0, 2**64 - 1))
+        specs = [draw_task(data) for _ in range(n)]
+        seed = data.draw(st.integers(0, 2**64 - 1))
         starts = sequential_starts(n, 3, seed)
         try:
-            reps = probe_limit_points(specs, cfg, n_starts=3, seed=seed, t_end=3.0)
+            reps = probe_limit_points(specs, n_starts=3, seed=seed, t_end=3.0)
         except OracleError as exc:
             with pytest.raises(OracleError, match=f"^{re.escape(str(exc))}$"):
                 for v0 in starts:
-                    integrate_limiting_ode(specs, cfg, v0, t_end=3.0, stop_residual=1e-8)
+                    integrate_limiting_ode(specs, v0, t_end=3.0, stop_residual=1e-8)
             return
         assert reps and all(np.isfinite(r).all() for r in reps)
-        ends = [integrate_limiting_ode(specs, cfg, v0, t_end=3.0,
-                                       stop_residual=1e-8).v[-1] for v0 in starts]
+        ends = [integrate_limiting_ode(specs, v0, t_end=3.0, stop_residual=1e-8).v[-1]
+                for v0 in starts]
         assert_same_points(reps, cluster(ends))
 
 
-def draw_task(data, i):
+def draw_task(data):
     """A task with a normalized home_energy model, or a raw one whose small
     offset c can take the utility out of the domain, so that some drawn
     task sets fail and some do not."""
@@ -418,7 +410,7 @@ def draw_task(data, i):
         st.floats(0.5, 3.0), st.floats(0.5, 2.0))
     raw = st.builds(lambda c, h: HomeEnergyModel(a=2.0, b=1.0, c=c, kappa=0.1, h=h),
                     st.floats(0.01, 0.15), st.floats(0.5, 1.0))
-    return TaskSpec(id=i, weight=data.draw(st.floats(0.2, 0.8)),
+    return TaskSpec(weight=data.draw(st.floats(0.2, 0.8)),
                     utility=data.draw(st.one_of(raw, normalized)),
                     demand=DemandSchedule.constant(d))
 

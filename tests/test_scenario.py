@@ -139,9 +139,9 @@ class TestSummarize:
             demand_range=(0.4, 0.8), c_target=4.0,
         )
         specs = [
-            fs.TaskSpec(id=0, weight=1.0, utility=model,
+            fs.TaskSpec(weight=1.0, utility=model,
                         demand=fs.DemandSchedule(((0, 0.4), (300, 0.8)))),
-            fs.TaskSpec(id=1, weight=1.0, utility=model,
+            fs.TaskSpec(weight=1.0, utility=model,
                         demand=fs.DemandSchedule.constant(0.4)),
         ]
         _, cfg = build_identical_four({"horizon": 120})

@@ -436,11 +436,6 @@ class TestClosedFormArgmax:
         assert np.array_equal(out, [0.475, 0.475])
 
 
-def test_validate_assumptions_requires_three_grid_points():
-    with pytest.raises(ValueError):
-        validate_assumptions(HOME, (0.2, 0.8), grid_n=2)
-
-
 class NanModel(UtilityModel):
     """Within bounds, except NaN for levels above one half."""
 
