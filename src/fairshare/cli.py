@@ -149,11 +149,7 @@ def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
     specs = []
     for i, task_doc in enumerate(doc["tasks"]):
         try:
-            zones = tuple(
-                (_integral("demand zone start", k), float(_finite("demand value", d)))
-                for k, d in task_doc["demand_zones"]
-            )
-            demand = DemandSchedule(zones)
+            demand = DemandSchedule(task_doc["demand_zones"])
             model = model_from_dict(task_doc["model"], demand.span())
             specs.append(TaskSpec(
                 weight=float(_finite("weight", task_doc["weight"])),
@@ -192,8 +188,7 @@ def resolve_scenario(
     if name_or_path == "paper-fig5":
         specs, cfg = build_identical_four(overrides)
     elif name_or_path == "paper-fig6":
-        seed = overrides.pop("seed", _BUILTIN_FIG6_SEED)
-        specs, cfg = build_random(30, seed=seed, cfg_overrides=overrides)
+        specs, cfg = build_random(30, seed=_BUILTIN_FIG6_SEED, cfg_overrides=overrides)
     else:
         path = Path(name_or_path)
         if not path.exists():

@@ -73,16 +73,21 @@ class FeasibilityBreach(StepError):
 class DemandSchedule:
     """Piecewise-constant demand indexed by engine step.
 
-    ``zones`` is an ordered tuple of ``(start_step, value)`` pairs; the first
-    zone must start at step 0 and the last zone extends forever.
+    ``zones`` is an ordered sequence of ``(start_step, value)`` pairs, each
+    start an integer and each value a finite number, stored as a tuple of
+    ``(int, float)``; the first zone must start at step 0 and the last zone
+    extends forever.
     """
 
     zones: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if not self.zones:
+        zones = tuple((_integral("demand zone start", k), float(_finite("demand value", d)))
+                      for k, d in self.zones)
+        object.__setattr__(self, "zones", zones)
+        if not zones:
             raise ConfigError("demand schedule needs at least one zone")
-        starts = [z[0] for z in self.zones]
+        starts = [k for k, _ in zones]
         if starts[0] != 0:
             raise ConfigError("first demand zone must start at step 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
@@ -90,12 +95,10 @@ class DemandSchedule:
         if starts[-1] >= 2**63:
             # The demand table indexes steps as int64.
             raise ConfigError(f"demand zone starts must be below 2**63, got {starts[-1]}")
-        if any(not np.isfinite(z[1]) for z in self.zones):
-            raise ConfigError("demand values must be finite")
 
     @classmethod
     def constant(cls, value: float) -> "DemandSchedule":
-        return cls(((0, float(value)),))
+        return cls(((0, value),))
 
     def at(self, k: int) -> float:
         """Demand value at step ``k`` (defined for every k >= 0)."""
@@ -152,12 +155,13 @@ def demand_table(specs: Sequence[TaskSpec]) -> DemandTable:
 
 
 def _integral(key: str, value) -> int:
-    """``value`` as an int; a float with no fractional part (``1.2e5``) converts."""
+    """``value`` as an int; a float with no fractional part (``1.2e5``) and a
+    numpy integer convert."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _finite(key: str, value):

@@ -351,8 +351,9 @@ class Engine:
         w = self.weights / u_meas
         # Weights lie in (0, 1], so this holds exactly when every 1/u_meas
         # is finite and positive and their weighted sum does not overflow.
-        bad_u = ~((w.min(axis=-1) > 0.0) & (w.sum(axis=-1) < np.inf))
-        bad_v = (v_new.min(axis=-1) < 0.0) | (v_new.max(axis=-1) > 1.0)
+        bad_u = ~((w > 0.0).all(axis=-1) & (w.sum(axis=-1) < np.inf))
+        out_v = (v_new < 0.0) | (v_new > 1.0)
+        bad_v = out_v.any(axis=-1)
         # The clip keeps every other level in [0, 1]; a NaN one comes from a
         # utility filter that overflowed (inf - inf) after a huge measurement.
         nan_s = np.isnan(s_new)
@@ -369,9 +370,8 @@ class Engine:
                     k0 + j, i, value,
                 )
             elif bad_v[j, r]:
-                row = v_new[j, r]
-                i = int(np.argmax((row < 0.0) | (row > 1.0)))
-                value = float(row[i])
+                i = int(np.argmax(out_v[j, r]))
+                value = float(v_new[j, r, i])
                 errors[r] = FeasibilityBreach(
                     f"share {value!r} left [0, 1] (epsilon too large for this task set)",
                     k0 + j, i, value,

@@ -273,8 +273,8 @@ def fair_fixed_point(
     in the result, not raised; an iterate with a share outside [0, 1] or a
     utility that is not finite and > 0 raises ``OracleError``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = demand_table(specs).at(0)

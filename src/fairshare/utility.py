@@ -34,14 +34,13 @@ _GRID_N = 33
 class UtilityModel:
     """Interface for performance models.
 
-    Subclasses provide ``bound_c`` (declared ceiling, > 1) and either a
-    static ``formula(s, v, d, *params)`` with the tuple ``params`` naming
-    the fields that feed it, or their own ``eval(s, v, d)``; both are pure
-    and numpy-broadcastable. ``ModelBank`` vectorizes models that declare
-    ``params`` across tasks. A class with ``params`` may also declare a
+    Subclasses provide ``bound_c`` (declared ceiling, > 1) and a static
+    ``formula(s, v, d, *params)``, pure and numpy-broadcastable, with the
+    tuple ``params`` (possibly empty) naming the fields that feed it;
+    ``eval`` and ``ModelBank`` both read it. A class may also declare a
     static ``argmax_formula(v, d, *params)``, the level in [0, 1] that
     maximizes ``formula`` at fixed (v, d); ``ModelBank.argmax`` uses it
-    and falls back to golden-section search for models without one.
+    and falls back to golden-section search for classes without one.
     ``grad_s`` optionally gives the exact gradient for cross-checks;
     ``v_range`` declares the share interval the model is certified on.
     """
@@ -49,10 +48,6 @@ class UtilityModel:
     bound_c: float
     params: tuple[str, ...] = ()
     argmax_formula: Callable | None = None
-
-    @staticmethod
-    def formula(s, v, d, *params):
-        raise NotImplementedError
 
     def eval(self, s, v, d):
         return self.formula(s, v, d, *(getattr(self, p) for p in self.params))
@@ -176,6 +171,9 @@ class AffineNormalizer(UtilityModel):
             raise ConfigError("scale must be > 0")
         if self.bound_c <= 1.0:
             raise ConfigError("bound_c must be > 1")
+        if self.inner.grad_s is None:
+            # A wrapper has a gradient only where the model it wraps does.
+            object.__setattr__(self, "grad_s", None)
 
     @classmethod
     def fit(
@@ -253,7 +251,7 @@ def validate_assumptions(
     if bad.any():
         return located(bad, "concavity", curvature, s[1:-1])
 
-    if _unwrap(model)[0].grad_s is None:
+    if model.grad_s is None:
         return None
     h = 1e-5
     s_in = s[(s >= h) & (s <= 1.0 - h)]
@@ -277,18 +275,6 @@ def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:
     return model, scale, shift
 
 
-def _each_model(models: Sequence[UtilityModel]) -> Callable:
-    """A group formula that evaluates ``models[j]`` on column j of its
-    arguments, which share one shape."""
-    def formula(s, v, d):
-        out = np.empty(s.shape)
-        for j, model in enumerate(models):
-            out[..., j] = model.eval(s[..., j], v[..., j], d[..., j])
-        return out
-
-    return formula
-
-
 def _golden_section(f: Callable, shape: tuple, tol: float) -> np.ndarray:
     """Levels in [0, 1] maximizing each lane of the concave ``f`` on arrays
     of shape ``shape``: golden-section search down to a bracket of width ``tol``."""
@@ -309,33 +295,33 @@ def _golden_section(f: Callable, shape: tuple, tol: float) -> np.ndarray:
 class ModelBank:
     """Vectorized evaluation of a heterogeneous model list across tasks.
 
-    Every task belongs to one group: each class with ``params`` is a group
-    whose ``formula`` runs on stacked parameter arrays, and the models
-    without ``params`` form one more, whose formula evaluates each model on
-    its own column. Formulas read the unwrapped models; the folded scale
-    and shift of their wrappers apply after. Array arguments may carry
-    leading batch axes, with tasks indexed along the last axis.
+    The tasks of each model class form one group, whose ``formula`` runs on
+    stacked parameter arrays. Formulas read the unwrapped models; the
+    folded scale and shift of their wrappers apply after. A class without
+    ``formula`` is a ``ConfigError`` naming its first task. Array arguments
+    may carry leading batch axes, with tasks indexed along the last axis.
     """
 
     def __init__(self, models: Sequence[UtilityModel]):
         self.n = len(models)
         unwrapped = [_unwrap(m) for m in models]
-        groups: dict[type | None, list[int]] = {}
+        groups: dict[type, list[int]] = {}
         for i, (inner, _, _) in enumerate(unwrapped):
-            groups.setdefault(type(inner) if inner.params else None, []).append(i)
+            if getattr(inner, "formula", None) is None:
+                raise ConfigError(f"task {i}: {type(inner).__name__} declares no formula")
+            groups.setdefault(type(inner), []).append(i)
         # One (formula, argmax_formula, task index, parameter arrays, scale,
         # shift) per group.
         self._groups = []
         for cls, idx in groups.items():
             inners, scales, shifts = zip(*(unwrapped[i] for i in idx))
             self._groups.append((
-                cls.formula if cls else _each_model(inners),
-                cls.argmax_formula if cls else None, np.array(idx),
-                tuple(np.array([getattr(m, p) for m in inners]) for p in inners[0].params),
+                cls.formula, cls.argmax_formula, np.array(idx),
+                tuple(np.array([getattr(m, p) for m in inners]) for p in cls.params),
                 np.array(scales), np.array(shifts),
             ))
         # A bank of one class evaluates without gathering its columns.
-        self._single = self._groups[0] if len(groups) == 1 and None not in groups else None
+        self._single = self._groups[0] if len(groups) == 1 else None
 
     def laid_out(self, lanes: int) -> "ModelBank":
         """This bank with each group's parameter, scale and shift arrays
@@ -372,12 +358,11 @@ class ModelBank:
 
         Each group is solved on its own tasks: in closed form if its class
         declares ``argmax_formula`` (an affine wrapper keeps the maximizer,
-        since its scale is > 0), else, as are the models without ``params``,
-        by a vectorized golden-section search down to a bracket of width
-        ``tol``, valid because validated models are concave in s. The search
-        reads the group's unwrapped formula: a tiny wrapper scale would
-        flatten the peak to rounding. The result has shape
-        ``broadcast_shapes(v, d, (n,))``.
+        since its scale is > 0), else by a vectorized golden-section search
+        down to a bracket of width ``tol``, valid because validated models
+        are concave in s. The search reads the group's unwrapped formula: a
+        tiny wrapper scale would flatten the peak to rounding. The result
+        has shape ``broadcast_shapes(v, d, (n,))``.
         """
         if not tol > 0.0:
             raise ValueError(f"tol must be > 0, got {tol!r}")

@@ -40,12 +40,15 @@ class ShareFreeModel(UtilityModel):
     a well-posed discretization-versus-integrator comparison.
     """
 
+    params = ("a", "c", "kappa")
+
     def __init__(self, a: float, c: float, kappa: float = 1.0):
         self.a, self.c, self.kappa = a, c, kappa
         self.bound_c = a * kappa + c + 1e-6
 
-    def eval(self, s, v, d):
-        return self.a * (self.kappa - (s - d) ** 2) + self.c
+    @staticmethod
+    def formula(s, v, d, a, c, kappa):
+        return a * (kappa - (s - d) ** 2) + c
 
     def grad_s(self, s, v, d):
         return -2.0 * self.a * (s - d)

@@ -110,6 +110,16 @@ class TestDemandSchedule:
         with pytest.raises(ConfigError):
             DemandSchedule(((0, 0.4), (10, 0.8), (10, 0.4)))
 
+    @pytest.mark.parametrize("start, shown", [(1.5, "1.5"), (True, "True")])
+    def test_zone_start_that_is_not_an_integer_is_config_error(self, start, shown):
+        with pytest.raises(ConfigError, match=rf"^demand zone start must be an integer, got {shown}$"):
+            DemandSchedule(((0, 0.4), (start, 0.8)))
+
+    def test_zones_are_stored_as_int_and_float(self):
+        sched = DemandSchedule([[np.int64(0), 1], [2.0, np.float64(0.8)]])
+        assert sched.zones == ((0, 1.0), (2, 0.8))
+        assert [type(x) for zone in sched.zones for x in zone] == [int, float] * 2
+
     def test_span_covers_all_zone_values(self):
         sched = DemandSchedule(((0, 0.4), (10, 0.8), (20, 0.4)))
         assert sched.span() == (0.4, 0.8)

@@ -42,13 +42,15 @@ class ConstantModel(UtilityModel):
     """Utility ``value`` at demand below 1 and ``high`` from demand 1 on."""
 
     bound_c = 2.0
+    params = ("value", "high")
 
     def __init__(self, value: float, high: float | None = None):
         self.value = value
         self.high = value if high is None else high
 
-    def eval(self, s, v, d):
-        return np.where(np.asarray(d) >= 1.0, self.high, self.value) + 0.0 * s
+    @staticmethod
+    def formula(s, v, d, value, high):
+        return np.where(np.asarray(d) >= 1.0, high, value) + 0.0 * s
 
 
 class FixedNoise:
@@ -389,8 +391,9 @@ class TestRun:
 
     @staticmethod
     def mixed_scenario():
-        """One task per path of ModelBank.eval: two class groups (one
-        wrapped), and a model without ``params``; task 0's demand switches."""
+        """Three class groups in ModelBank.eval, one of them a raw and a
+        wrapped task, one without a closed-form maximizer; task 0's demand
+        switches."""
         models = [
             HOME,
             CpuBandwidthModel(a=0.5, b=2.0, h=1.0, theta=0.5, v_floor=0.25),
@@ -532,6 +535,18 @@ class TestRun:
     def test_empty_task_set_rejected_before_simulation(self):
         with pytest.raises(fs.ConfigError, match="need at least one task"):
             Engine([], make_cfg())
+
+    def test_model_class_without_formula_rejected_before_simulation(self):
+        class OwnEval(UtilityModel):
+            bound_c = 2.0
+
+            def eval(self, s, v, d):
+                return 1.5 + 0.0 * np.asarray(s)
+
+        specs = make_specs(2) + [TaskSpec(weight=1.0, utility=OwnEval(),
+                                          demand=DemandSchedule.constant(0.4))]
+        with pytest.raises(fs.ConfigError, match="^task 2: OwnEval declares no formula$"):
+            Engine(specs, make_cfg())
 
     def test_wrong_length_v_init_rejected_before_simulation(self):
         specs = make_specs(2)
@@ -743,7 +758,8 @@ class TrapModel(UtilityModel):
 
     bound_c = 2.0
 
-    def eval(self, s, v, d):
+    @staticmethod
+    def formula(s, v, d):
         d = np.asarray(d)
         u = np.where((d >= 1.0) & (s != 0.5), -1.0, 1.5)
         return np.where((d >= 2.0) & (v != 0.5), 1e-5, u)
@@ -754,7 +770,8 @@ class NanOffHalf(UtilityModel):
 
     bound_c = 2.0
 
-    def eval(self, s, v, d):
+    @staticmethod
+    def formula(s, v, d):
         return np.where(np.asarray(s) != 0.5, math.nan, 1.5 + 0.0 * v)
 
 

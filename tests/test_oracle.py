@@ -1,6 +1,7 @@
 """Analytic bounds, reference integrators, and the fair fixed-point solver."""
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -35,12 +36,15 @@ class BumpModel(UtilityModel):
     """Concave in the level and independent of the share; keeps the level
     subsystem at an exact equilibrium, giving a clean share-only field."""
 
+    params = ("a", "c", "kappa")
+
     def __init__(self, a: float, c: float, kappa: float = 1.0):
         self.a, self.c, self.kappa = a, c, kappa
         self.bound_c = a * kappa + c + 1e-6
 
-    def eval(self, s, v, d):
-        return self.a * (self.kappa - (s - d) ** 2) + self.c
+    @staticmethod
+    def formula(s, v, d, a, c, kappa):
+        return a * (kappa - (s - d) ** 2) + c
 
     def grad_s(self, s, v, d):
         return -2.0 * self.a * (s - d)
@@ -248,6 +252,11 @@ class TestFairFixedPoint:
         res = fair_fixed_point(specs, np.full(3, 0.5), tol=1e-12, max_iter=2)
         assert not res.converged
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0])
+    def test_tolerance_that_is_not_positive_is_rejected(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must be > 0, got "):
+            fair_fixed_point(random_specs(3, seed=1), np.full(3, 0.5), tol=tol)
+
     def test_each_iterate_is_evaluated_once(self, monkeypatch):
         calls = []
         eval_ = ModelBank.eval
@@ -312,7 +321,8 @@ class TestDomainErrors:
         class NanModel(UtilityModel):
             bound_c = 2.0
 
-            def eval(self, s, v, d):
+            @staticmethod
+            def formula(s, v, d):
                 return np.where(np.asarray(v) < 0.3, np.nan, 1.5)
 
         specs = [TaskSpec(weight=1.0, utility=NanModel(),
@@ -335,8 +345,9 @@ class TestProbeLimitPoints:
             demand=DemandSchedule.constant(0.5))]
         for specs, cfg in (build_identical_four(), build_random(30, seed=30),
                            (mixed, make_cfg())):
-            # The search of the model without ``params`` costs milliseconds a
-            # call, so the mixed set runs three starts over a short horizon.
+            # BumpModel has no closed-form maximizer, and its search costs
+            # milliseconds a call, so the mixed set runs three starts over a
+            # short horizon.
             n_starts, t_end = (3, 0.4) if specs is mixed else (8, 200.0)
             starts = sequential_starts(len(specs), n_starts, cfg.seed)
             batch = integrate_limiting_ode(specs, starts, t_end=t_end, stop_residual=1e-8)

@@ -53,16 +53,18 @@ def argmax_level(model: UtilityModel, v: float, d: float, tol: float = 1e-6) -> 
 
 
 class Quadratic(UtilityModel):
-    """No ``params``: ``ModelBank`` evaluates it in the group of models
-    without ``params`` and has to search for its maximizer, clip(peak, 0, 1)."""
+    """A plain class, not a dataclass, without ``argmax_formula``:
+    ``ModelBank`` searches for its maximizer, clip(peak, 0, 1)."""
 
     bound_c = 5.0
+    params = ("peak",)
 
     def __init__(self, peak: float = 0.25):
         self.peak = peak
 
-    def eval(self, s, v, d):
-        return 2.0 - (np.asarray(s) - self.peak) ** 2 + 0.5 * np.asarray(v)
+    @staticmethod
+    def formula(s, v, d, peak):
+        return 2.0 - (np.asarray(s) - peak) ** 2 + 0.5 * np.asarray(v)
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ class TestAffineNormalizer:
         class Flat(UtilityModel):
             bound_c = 2.0
 
-            def eval(self, s, v, d):
+            @staticmethod
+            def formula(s, v, d):
                 return 1.5 + 0.0 * np.asarray(s)
 
         with pytest.raises(ConfigError):
@@ -181,7 +184,8 @@ class TestAffineNormalizer:
         class Convex(UtilityModel):
             bound_c = 10.0
 
-            def eval(self, s, v, d):
+            @staticmethod
+            def formula(s, v, d):
                 return 1.0 + (np.asarray(s) - 0.5) ** 2 + 0.0 * np.asarray(v)
 
         assert validate_assumptions(Convex(), (0.0, 1.0))["check"] == "concavity"
@@ -203,6 +207,13 @@ class TestGradientAgreement:
         g = model.grad_s(s, v, d)
         g_fd = (model.eval(s + h, v, d) - model.eval(s - h, v, d)) / (2 * h)
         assert np.all(np.abs(g_fd - g) <= 1e-4 * (1.0 + np.abs(g)))
+
+    def test_wrapper_of_a_model_without_gradient_has_none(self):
+        once = AffineNormalizer.fit(Quadratic(0.3), (0.0, 1.0))
+        twice = AffineNormalizer(inner=once, scale=2.0, shift=0.5, bound_c=10.0)
+        for model in (once, twice):
+            assert model.grad_s is None
+            assert validate_assumptions(model, (0.0, 1.0)) is None
 
 
 class TestConcavityCertificate:
@@ -250,11 +261,24 @@ class TestModelBank:
         assert np.allclose(got, want, atol=1e-7)
 
     def test_generic_models_fall_back_to_loop(self):
+        # Two classes: eval loops over their groups.
         bank = ModelBank([Quadratic(), HOME])
         s, v, d = np.array([0.1, 0.2]), np.array([0.4, 0.5]), np.array([0.3, 0.3])
         out = bank.eval(s, v, d)
         assert out[0] == Quadratic().eval(0.1, 0.4, 0.3)
         assert out[1] == HOME.eval(0.2, 0.5, 0.3)
+
+    def test_class_without_formula_is_config_error(self):
+        class OwnEval(UtilityModel):
+            bound_c = 2.0
+
+            def eval(self, s, v, d):
+                return 1.5 + 0.0 * np.asarray(s)
+
+        wrapped = AffineNormalizer(inner=OwnEval(), scale=1.0, shift=0.0, bound_c=3.0)
+        for models in ([OwnEval()], [HOME, wrapped]):
+            with pytest.raises(ConfigError, match=r"^task \d: OwnEval declares no formula$"):
+                ModelBank(models)
 
     def test_argmax_rejects_nonpositive_tolerance(self):
         for models in ([HOME], [Quadratic()]):
@@ -262,13 +286,13 @@ class TestModelBank:
                 with pytest.raises(ValueError, match="tol"):
                     ModelBank(models).argmax(0.5, 0.5, tol=tol)
 
-    def test_models_without_params_match_their_own_eval_bitwise(self):
-        # Raw and under one wrapper, alone and next to a class group.
-        without = [Quadratic(0.3), AffineNormalizer.fit(Quadratic(0.6), (0.0, 1.0)),
-                   AffineNormalizer(inner=Quadratic(0.1), scale=0.37, shift=1.3,
-                                    bound_c=9.0)]
+    def test_batched_and_scalar_arguments_match_each_models_eval_bitwise(self):
+        # Raw and under one wrapper, alone and next to other class groups.
+        quadratics = [Quadratic(0.3), AffineNormalizer.fit(Quadratic(0.6), (0.0, 1.0)),
+                      AffineNormalizer(inner=Quadratic(0.1), scale=0.37, shift=1.3,
+                                       bound_c=9.0)]
         rng = np.random.default_rng(6)
-        for models in (without, [HOME, *without, CPU]):
+        for models in (quadratics, [HOME, *quadratics, CPU]):
             s, v, d = rng.uniform(0.0, 1.0, size=(3, 2, len(models)))
             out = ModelBank(models).eval(s, v, d)
             for i, m in enumerate(models):
@@ -423,7 +447,7 @@ class TestClosedFormArgmax:
             assert abs(got[0] - 0.4) <= tol
             assert got[1] == 0.0
 
-    def test_search_reads_the_unwrapped_model_without_params(self):
+    def test_search_reads_the_unwrapped_formula_in_a_single_class_bank(self):
         # Wrapped at scale 1e-9, the utility is flat to rounding within
         # about 5e-4 of the peak; the inner model is not.
         model = AffineNormalizer(inner=Quadratic(0.3), scale=1e-9, shift=1.0, bound_c=2.0)
@@ -441,7 +465,8 @@ class NanModel(UtilityModel):
 
     bound_c = 2.0
 
-    def eval(self, s, v, d):
+    @staticmethod
+    def formula(s, v, d):
         return np.where(np.asarray(s) > 0.5, math.nan, 1.5 + 0.0 * (v + d))
 
 
@@ -456,7 +481,8 @@ class ConvexModel(UtilityModel):
 
     bound_c = 2.0
 
-    def eval(self, s, v, d):
+    @staticmethod
+    def formula(s, v, d):
         return 1.5 + (s - 0.5) ** 2 + 0.0 * (v + d)
 
 
@@ -465,7 +491,8 @@ class WrongGradientModel(UtilityModel):
 
     bound_c = 3.0
 
-    def eval(self, s, v, d):
+    @staticmethod
+    def formula(s, v, d):
         return 2.0 - (s - d) ** 2 + 0.0 * v
 
     def grad_s(self, s, v, d):
