@@ -26,7 +26,6 @@ from .core import (
     TaskSpec,
     _finite,
     _integral,
-    demand_table,
     validate_config,
 )
 from .dynamics import Engine, RunTrace
@@ -45,7 +44,6 @@ from .scenario import (
 from .utility import (
     MODEL_TYPES,
     AffineNormalizer,
-    ModelBank,
     _unwrap,
     validate_assumptions,
 )
@@ -388,10 +386,8 @@ def _verify_checks(specs, cfg) -> list[dict]:
 
     add("ode_tracking", *_ode_tracking(specs, cfg))
 
-    bank = ModelBank([t.utility for t in specs])
-    d0 = demand_table(specs).at(0)
     try:
-        fp = fair_fixed_point(specs, lambda v: bank.argmax(v, d0), tol=1e-8)
+        fp = fair_fixed_point(specs, tol=1e-8)
         reps = probe_limit_points(specs, n_starts=8, seed=cfg.seed)
     except OracleError as exc:
         add("cross_oracle", False, f"OracleError: {exc}")

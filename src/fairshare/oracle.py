@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -260,7 +260,7 @@ class FixedPointResult:
 
 def fair_fixed_point(
     specs: Sequence[TaskSpec],
-    s,
+    s: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 10_000,
 ) -> FixedPointResult:
@@ -268,8 +268,8 @@ def fair_fixed_point(
 
     Iterates v <- (v + normalize(weights / utilities(v))) / 2 until the
     sup-norm change drops below ``tol`` and the fairness residual below
-    ``10*tol``. ``s`` may be a level vector or a callable v -> levels (used
-    to couple the levels to their maximizers). Non-convergence is reported
+    ``10*tol``. ``s`` is a level vector, or by default each task's
+    maximizing level at the iterate. Non-convergence is reported
     in the result, not raised; an iterate with a share outside [0, 1] or a
     utility that is not finite and > 0 raises ``OracleError``.
     """
@@ -278,7 +278,10 @@ def fair_fixed_point(
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = demand_table(specs).at(0)
-    level_fn: Callable = s if callable(s) else (lambda _v: np.asarray(s, dtype=float))
+    fixed = None if s is None else np.asarray(s, dtype=float)
+
+    def level_fn(v: np.ndarray) -> np.ndarray:
+        return bank.argmax(v, d_vec) if fixed is None else fixed
 
     v = uniform_allocation(len(specs))
     # Each iterate's utilities serve its check and then the next step.

@@ -8,7 +8,6 @@ rescales any model into that band without moving its level optimum.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,7 +25,6 @@ __all__ = [
     "validate_assumptions",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Points per axis of the lattice that fits and checks a model.
 _GRID_N = 33
 
@@ -34,20 +32,18 @@ _GRID_N = 33
 class UtilityModel:
     """Interface for performance models.
 
-    Subclasses provide ``bound_c`` (declared ceiling, > 1) and a static
-    ``formula(s, v, d, *params)``, pure and numpy-broadcastable, with the
-    tuple ``params`` (possibly empty) naming the fields that feed it;
-    ``eval`` and ``ModelBank`` both read it. A class may also declare a
-    static ``argmax_formula(v, d, *params)``, the level in [0, 1] that
-    maximizes ``formula`` at fixed (v, d); ``ModelBank.argmax`` uses it
-    and falls back to golden-section search for classes without one.
+    Subclasses provide ``bound_c`` (declared ceiling, > 1) and two static
+    methods, pure and numpy-broadcastable, fed by the fields the tuple
+    ``params`` (possibly empty) names: ``formula(s, v, d, *params)``, the
+    utility, which ``eval`` and ``ModelBank`` read, and
+    ``argmax_formula(v, d, *params)``, the level in [0, 1] that maximizes
+    ``formula`` at fixed (v, d), which ``ModelBank.argmax`` reads.
     ``grad_s`` optionally gives the exact gradient for cross-checks;
     ``v_range`` declares the share interval the model is certified on.
     """
 
     bound_c: float
     params: tuple[str, ...] = ()
-    argmax_formula: Callable | None = None
 
     def eval(self, s, v, d):
         return self.formula(s, v, d, *(getattr(self, p) for p in self.params))
@@ -275,31 +271,15 @@ def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:
     return model, scale, shift
 
 
-def _golden_section(f: Callable, shape: tuple, tol: float) -> np.ndarray:
-    """Levels in [0, 1] maximizing each lane of the concave ``f`` on arrays
-    of shape ``shape``: golden-section search down to a bracket of width ``tol``."""
-    a, b = np.zeros(shape), np.ones(shape)
-    width = 1.0
-    while width > tol:
-        # One of the two points is the last step's in each lane; evaluating
-        # both keeps every lane in one call of ``f``.
-        x1 = b - _INVPHI * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        take = f(x1) < f(x2)
-        a = np.where(take, x1, a)
-        b = np.where(take, b, x2)
-        width *= _INVPHI
-    return 0.5 * (a + b)
-
-
 class ModelBank:
     """Vectorized evaluation of a heterogeneous model list across tasks.
 
-    The tasks of each model class form one group, whose ``formula`` runs on
-    stacked parameter arrays. Formulas read the unwrapped models; the
-    folded scale and shift of their wrappers apply after. A class without
-    ``formula`` is a ``ConfigError`` naming its first task. Array arguments
-    may carry leading batch axes, with tasks indexed along the last axis.
+    The tasks of each model class form one group, whose ``formula`` and
+    ``argmax_formula`` run on stacked parameter arrays. Formulas read the
+    unwrapped models; the folded scale and shift of their wrappers apply
+    after. A class without ``formula``, or without ``argmax_formula``, is
+    a ``ConfigError`` naming its first task. Array arguments may carry
+    leading batch axes, with tasks indexed along the last axis.
     """
 
     def __init__(self, models: Sequence[UtilityModel]):
@@ -307,8 +287,10 @@ class ModelBank:
         unwrapped = [_unwrap(m) for m in models]
         groups: dict[type, list[int]] = {}
         for i, (inner, _, _) in enumerate(unwrapped):
-            if getattr(inner, "formula", None) is None:
-                raise ConfigError(f"task {i}: {type(inner).__name__} declares no formula")
+            for method in ("formula", "argmax_formula"):
+                if getattr(inner, method, None) is None:
+                    raise ConfigError(
+                        f"task {i}: {type(inner).__name__} declares no {method}")
             groups.setdefault(type(inner), []).append(i)
         # One (formula, argmax_formula, task index, parameter arrays, scale,
         # shift) per group.
@@ -353,32 +335,21 @@ class ModelBank:
             out[..., idx] = scale * u + shift
         return out
 
-    def argmax(self, v, d, tol: float = 1e-6) -> np.ndarray:
+    def argmax(self, v, d) -> np.ndarray:
         """Per-task levels in [0, 1] maximizing the utility at fixed (v, d).
 
-        Each group is solved on its own tasks: in closed form if its class
-        declares ``argmax_formula`` (an affine wrapper keeps the maximizer,
-        since its scale is > 0), else by a vectorized golden-section search
-        down to a bracket of width ``tol``, valid because validated models
-        are concave in s. The search reads the group's unwrapped formula: a
-        tiny wrapper scale would flatten the peak to rounding. The result
-        has shape ``broadcast_shapes(v, d, (n,))``.
+        Each group takes its class's ``argmax_formula`` on its own tasks;
+        an affine wrapper keeps the maximizer, since its scale is > 0. The
+        result has shape ``broadcast_shapes(v, d, (n,))``.
         """
-        if not tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {tol!r}")
         v, d = np.asarray(v, dtype=float), np.asarray(d, dtype=float)
         shape = np.broadcast_shapes(v.shape, d.shape, (self.n,))
         out = np.empty(shape)
-        if self._single is not None and self._single[1] is not None:
+        if self._single is not None:
             _, argmax_formula, _, params, _, _ = self._single
             out[...] = argmax_formula(v, d, *params)
             return out
         v, d = np.broadcast_to(v, shape), np.broadcast_to(d, shape)
-        for formula, argmax_formula, idx, params, _, _ in self._groups:
-            vi, di = v[..., idx], d[..., idx]
-            if argmax_formula is not None:
-                out[..., idx] = argmax_formula(vi, di, *params)
-            else:
-                out[..., idx] = _golden_section(
-                    lambda x: formula(x, vi, di, *params), vi.shape, tol)
+        for _, argmax_formula, idx, params, _, _ in self._groups:
+            out[..., idx] = argmax_formula(v[..., idx], d[..., idx], *params)
         return out

@@ -50,6 +50,10 @@ class ShareFreeModel(UtilityModel):
     def formula(s, v, d, a, c, kappa):
         return a * (kappa - (s - d) ** 2) + c
 
+    @staticmethod
+    def argmax_formula(v, d, a, c, kappa):
+        return np.clip(d, 0.0, 1.0)
+
     def grad_s(self, s, v, d):
         return -2.0 * self.a * (s - d)
 
@@ -233,7 +237,7 @@ def test_criterion_07_operation_level_optimality(fig5_quiet):
     tail = int(round(0.2 * len(trace)))
     steps = trace.steps[-tail:]
     d = demand_table(specs).at(steps)
-    s_star = bank.argmax(trace.v[-tail:], d, tol=1e-6)
+    s_star = bank.argmax(trace.v[-tail:], d)
     frac = (np.abs(trace.s[-tail:] - s_star) < 0.05).mean(axis=0)
     ok = bool(frac.min() > 0.9)
     report(7, ok,
@@ -287,11 +291,9 @@ def test_criterion_09_cross_oracle_agreement():
             t_end=300.0, dt=0.02, stop_residual=5e-7,
         )
         v_ode = traj.v[-1]
-        res = fair_fixed_point(
-            specs, lambda v: bank.argmax(v, d, tol=1e-7), tol=1e-8,
-        )
+        res = fair_fixed_point(specs, tol=1e-8)
         assert res.converged
-        s_ode = bank.argmax(v_ode, d, tol=1e-7)
+        s_ode = bank.argmax(v_ode, d)
         resid_ode = float(np.abs(fs.fairness_from_utilities(
             [t.weight for t in specs], bank.eval(s_ode, v_ode, d), v_ode)).max())
         worst_gap = max(worst_gap, float(np.abs(v_ode - res.v).max()))

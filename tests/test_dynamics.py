@@ -52,6 +52,10 @@ class ConstantModel(UtilityModel):
     def formula(s, v, d, value, high):
         return np.where(np.asarray(d) >= 1.0, high, value) + 0.0 * s
 
+    @staticmethod
+    def argmax_formula(v, d, value, high):
+        return 0.5
+
 
 class FixedNoise:
     """Noise source drawing the same measurement and dither row every step."""
@@ -543,10 +547,19 @@ class TestRun:
             def eval(self, s, v, d):
                 return 1.5 + 0.0 * np.asarray(s)
 
-        specs = make_specs(2) + [TaskSpec(weight=1.0, utility=OwnEval(),
-                                          demand=DemandSchedule.constant(0.4))]
-        with pytest.raises(fs.ConfigError, match="^task 2: OwnEval declares no formula$"):
-            Engine(specs, make_cfg())
+        class NoMaximizer(UtilityModel):
+            bound_c = 2.0
+
+            @staticmethod
+            def formula(s, v, d):
+                return 1.5 + 0.0 * np.asarray(s)
+
+        for model, method in ((OwnEval(), "formula"), (NoMaximizer(), "argmax_formula")):
+            specs = make_specs(2) + [TaskSpec(weight=1.0, utility=model,
+                                              demand=DemandSchedule.constant(0.4))]
+            name = type(model).__name__
+            with pytest.raises(fs.ConfigError, match=f"^task 2: {name} declares no {method}$"):
+                Engine(specs, make_cfg())
 
     def test_wrong_length_v_init_rejected_before_simulation(self):
         specs = make_specs(2)
@@ -764,6 +777,10 @@ class TrapModel(UtilityModel):
         u = np.where((d >= 1.0) & (s != 0.5), -1.0, 1.5)
         return np.where((d >= 2.0) & (v != 0.5), 1e-5, u)
 
+    @staticmethod
+    def argmax_formula(v, d):
+        return 0.5
+
 
 class NanOffHalf(UtilityModel):
     """Utility 1.5, except NaN once the level has left 0.5."""
@@ -773,6 +790,10 @@ class NanOffHalf(UtilityModel):
     @staticmethod
     def formula(s, v, d):
         return np.where(np.asarray(s) != 0.5, math.nan, 1.5 + 0.0 * v)
+
+    @staticmethod
+    def argmax_formula(v, d):
+        return 0.5
 
 
 def separate_runs(specs, lanes, stride):

@@ -30,8 +30,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def argmax_level(model: UtilityModel, v: float, d: float, tol: float = 1e-6) -> float:
     """Reference level maximizer: scalar golden-section search over [0, 1].
 
-    Valid for models concave in s; ``ModelBank.argmax``, closed form or
-    vectorized search, is checked against it.
+    Valid for models concave in s; the closed forms of ``ModelBank.argmax``
+    are checked against it.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
@@ -53,8 +53,7 @@ def argmax_level(model: UtilityModel, v: float, d: float, tol: float = 1e-6) -> 
 
 
 class Quadratic(UtilityModel):
-    """A plain class, not a dataclass, without ``argmax_formula``:
-    ``ModelBank`` searches for its maximizer, clip(peak, 0, 1)."""
+    """A plain class, not a dataclass, whose maximizer is clip(peak, 0, 1)."""
 
     bound_c = 5.0
     params = ("peak",)
@@ -66,11 +65,14 @@ class Quadratic(UtilityModel):
     def formula(s, v, d, peak):
         return 2.0 - (np.asarray(s) - peak) ** 2 + 0.5 * np.asarray(v)
 
+    @staticmethod
+    def argmax_formula(v, d, peak):
+        return np.clip(peak, 0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class Bump(UtilityModel):
-    """Declares ``params`` and ``formula`` but no ``argmax_formula``, so
-    ``ModelBank`` vectorizes its evaluation and searches for its maximizer."""
+    """A dataclass whose maximizer moves with the demand."""
 
     peak: float
     bound_c: float = 5.0
@@ -79,6 +81,10 @@ class Bump(UtilityModel):
     @staticmethod
     def formula(s, v, d, peak):
         return 3.0 - (s - peak - 0.2 * d) ** 2 + 0.1 * v
+
+    @staticmethod
+    def argmax_formula(v, d, peak):
+        return np.clip(peak + 0.2 * d, 0.0, 1.0)
 
 
 class TestHomeEnergyModel:
@@ -256,7 +262,7 @@ class TestModelBank:
         bank = ModelBank(models)
         v = np.array([0.3, 0.6, 0.8])
         d = np.array([0.6, 0.0, 0.4])
-        got = bank.argmax(v, d, tol=1e-8)
+        got = bank.argmax(v, d)
         want = [argmax_level(m, v[i], d[i], tol=1e-8) for i, m in enumerate(models)]
         assert np.allclose(got, want, atol=1e-7)
 
@@ -269,22 +275,27 @@ class TestModelBank:
         assert out[1] == HOME.eval(0.2, 0.5, 0.3)
 
     def test_class_without_formula_is_config_error(self):
+        # OwnEval declares neither method and is reported for ``formula``.
         class OwnEval(UtilityModel):
             bound_c = 2.0
 
             def eval(self, s, v, d):
                 return 1.5 + 0.0 * np.asarray(s)
 
-        wrapped = AffineNormalizer(inner=OwnEval(), scale=1.0, shift=0.0, bound_c=3.0)
-        for models in ([OwnEval()], [HOME, wrapped]):
-            with pytest.raises(ConfigError, match=r"^task \d: OwnEval declares no formula$"):
-                ModelBank(models)
+        class NoMaximizer(UtilityModel):
+            bound_c = 2.0
 
-    def test_argmax_rejects_nonpositive_tolerance(self):
-        for models in ([HOME], [Quadratic()]):
-            for tol in (0.0, math.nan):
-                with pytest.raises(ValueError, match="tol"):
-                    ModelBank(models).argmax(0.5, 0.5, tol=tol)
+            @staticmethod
+            def formula(s, v, d):
+                return 1.5 + 0.0 * np.asarray(s)
+
+        for model, method in ((OwnEval(), "formula"), (NoMaximizer(), "argmax_formula")):
+            wrapped = AffineNormalizer(inner=model, scale=1.0, shift=0.0, bound_c=3.0)
+            for models, task in (([model], 0), ([HOME, wrapped], 1)):
+                name = type(model).__name__
+                with pytest.raises(ConfigError,
+                                   match=f"^task {task}: {name} declares no {method}$"):
+                    ModelBank(models)
 
     def test_batched_and_scalar_arguments_match_each_models_eval_bitwise(self):
         # Raw and under one wrapper, alone and next to other class groups.
@@ -346,7 +357,7 @@ class TestClosedFormArgmax:
 
     @staticmethod
     def assert_matches_reference(models, v, d):
-        got = ModelBank(models).argmax(v, d, tol=1e-8)
+        got = ModelBank(models).argmax(v, d)
         v, d = np.broadcast_arrays(v, d)
         assert got.shape == v.shape
         for row in np.ndindex(v.shape[:-1]):
@@ -385,73 +396,50 @@ class TestClosedFormArgmax:
             assert ModelBank([m]).argmax(v, d)[0] == pytest.approx(want, abs=1e-15)
             self.assert_matches_reference([m], np.array([v]), np.array([d]))
 
-    def test_mixed_bank_searches_only_lanes_without_closed_form(self):
+    def test_mixed_bank_takes_each_class_closed_form(self):
         models = [HOME, Quadratic(0.3), CPU, Bump(0.6), AffineNormalizer.fit(CPU_WIDE, (0.0, 1.0))]
         bank = ModelBank(models)
         rng = np.random.default_rng(5)
         v = rng.uniform(0.0, 1.0, size=(4, 2, 5))
         d = rng.uniform(0.0, 1.0, size=(4, 2, 5))
-        got = bank.argmax(v, d, tol=1e-10)
-        # The closed-form lanes are exact, the searched ones within the bracket.
+        got = bank.argmax(v, d)
         assert np.array_equal(got[..., 0], np.clip(d[..., 0] - 0.125, 0.0, 1.0))
+        assert np.array_equal(got[..., 1], np.full((4, 2), 0.3))
         assert np.array_equal(got[..., 2], np.clip(np.maximum(v[..., 2], 1e-3), 0.0, 1.0))
-        assert np.allclose(got[..., 1], 0.3, atol=1e-9)
-        assert np.allclose(got[..., 3], 0.6 + 0.2 * d[..., 3], atol=1e-9)
+        assert np.array_equal(got[..., 3], np.clip(0.6 + 0.2 * d[..., 3], 0.0, 1.0))
+        assert np.array_equal(got[..., 4], np.maximum(v[..., 4], 0.25))
         self.assert_matches_reference(models, v, d)
 
-    def test_search_never_evaluates_a_closed_form_class(self):
+    def test_argmax_never_evaluates_formula(self, monkeypatch):
         calls = []
-
-        @dataclass(frozen=True)
-        class CountedHome(HomeEnergyModel):
-            @staticmethod
-            def formula(s, v, d, *params):
+        for cls in (HomeEnergyModel, CpuBandwidthModel, Quadratic, Bump):
+            def counted(s, *args, formula=cls.formula):
                 calls.append(np.shape(s))
-                return HomeEnergyModel.formula(s, v, d, *params)
+                return formula(s, *args)
 
-        counted = CountedHome(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
-        bank = ModelBank([counted, Quadratic(0.3), Bump(0.6), CPU,
-                          AffineNormalizer.fit(counted, (0.2, 0.8))])
-        calls.clear()  # the fit evaluates its grid
-        got = bank.argmax(np.full(5, 0.4), np.full(5, 0.6))
-        assert calls == []
-        assert got[0] == got[4] == 0.6 - 0.125  # d - b*h/(2a)
-        bank.eval(0.5, 0.4, 0.6)
-        assert calls == [(2,)]
+            monkeypatch.setattr(cls, "formula", staticmethod(counted))
+        fitted = AffineNormalizer.fit(HOME, (0.2, 0.8))
+        for models, groups in (([HOME, fitted], 1),
+                               ([HOME, Quadratic(0.3), Bump(0.6), CPU, fitted], 4)):
+            bank = ModelBank(models)
+            calls.clear()  # the fit and the last eval were counted
+            got = bank.argmax(np.full(len(models), 0.4), np.full(len(models), 0.6))
+            assert calls == []
+            assert got[0] == got[-1] == 0.6 - 0.125  # d - b*h/(2a)
+            bank.eval(0.5, 0.4, 0.6)
+            assert len(calls) == groups
 
-    def test_searched_tasks_match_their_own_bank_bitwise(self):
+    def test_group_loop_matches_each_tasks_own_bank_bitwise(self):
         models = [HOME, Bump(0.6), Quadratic(0.3), CPU, Bump(-0.2),
                   AffineNormalizer.fit(Quadratic(0.8), (0.0, 1.0)),
                   AffineNormalizer.fit(CPU_WIDE, (0.0, 1.0))]
         rng = np.random.default_rng(7)
         v = rng.uniform(0.0, 1.0, size=(3, len(models)))
         d = rng.uniform(0.0, 1.0, size=(3, len(models)))
-        for tol in (1e-6, 1e-10):
-            got = ModelBank(models).argmax(v, d, tol=tol)
-            for i in (1, 2, 4, 5):
-                alone = ModelBank([models[i]]).argmax(v[:, i:i + 1], d[:, i:i + 1], tol=tol)
-                assert np.array_equal(got[:, i], alone[:, 0])
-
-    def test_search_is_not_flattened_by_a_tiny_wrapper_scale(self):
-        # The fit scales this model by about 1e-6, which flattens the wrapped
-        # utility near its peak to rounding; the search reads the unwrapped
-        # formula, whose maximizer is the same.
-        @dataclass(frozen=True)
-        class SearchedCpu(CpuBandwidthModel):
-            argmax_formula = None
-
-        model = AffineNormalizer.fit(SearchedCpu(a=1.0, b=2.0, h=1.0, theta=1.0), (0.0, 1.0))
-        assert model.scale < 1e-6
-        for tol in (1e-6, 1e-8):
-            got = ModelBank([model, HOME]).argmax(0.4, 0.0, tol=tol)
-            assert abs(got[0] - 0.4) <= tol
-            assert got[1] == 0.0
-
-    def test_search_reads_the_unwrapped_formula_in_a_single_class_bank(self):
-        # Wrapped at scale 1e-9, the utility is flat to rounding within
-        # about 5e-4 of the peak; the inner model is not.
-        model = AffineNormalizer(inner=Quadratic(0.3), scale=1e-9, shift=1.0, bound_c=2.0)
-        assert abs(ModelBank([model]).argmax(0.5, 0.0)[0] - 0.3) <= 1e-6
+        got = ModelBank(models).argmax(v, d)
+        for i, m in enumerate(models):
+            alone = ModelBank([m]).argmax(v[:, i:i + 1], d[:, i:i + 1])
+            assert np.array_equal(got[:, i], alone[:, 0])
 
     def test_scalar_arguments_broadcast_over_tasks(self):
         bank = ModelBank([HOME, AffineNormalizer.fit(HOME, (0.2, 0.8))])
