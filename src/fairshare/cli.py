@@ -194,7 +194,11 @@ def resolve_scenario(
                 f"scenario {name_or_path!r} is neither a builtin name nor a file"
             )
         try:
-            doc = _object(str(path), json.loads(path.read_text()))
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read the scenario file ({exc})") from exc
+        try:
+            doc = _object(str(path), json.loads(text))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if "scenario" in doc:
@@ -513,7 +517,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FairshareError as exc:
+    # An OSError here comes from writing the outputs, such as an --out that
+    # names a file; a scenario that cannot be read is already a ConfigError.
+    except (FairshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

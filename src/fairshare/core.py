@@ -357,6 +357,8 @@ class NoiseSource:
     Identical seeds reproduce bit-identical sequences regardless of the
     order draws are made in: row ``k`` of any block equals
     ``measurement_block(k, k + 1, n)[0]``, however the steps are chunked.
+    A bound that is not a finite number >= 0, or an ``eta_bar`` >= 1, is a
+    ConfigError naming the field and the value.
     """
 
     seed: int
@@ -365,6 +367,13 @@ class NoiseSource:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        for name in ("eta_bar", "zeta_bar"):
+            bound = _finite(name, getattr(self, name))
+            if bound < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {bound}")
+        # As validate_config requires of an engine's own config.
+        if self.eta_bar >= 1.0:
+            raise ConfigError(f"eta_bar must be < 1, got {self.eta_bar}")
 
     def _draw_block(self, k0: int, k1: int, n: int, channel: int, bound: float) -> np.ndarray:
         if bound == 0.0:

@@ -245,13 +245,15 @@ class Engine:
         self.lam_min = float(self.weights.min())
         self.c_bar = float(max(t.utility.bound_c for t in specs))
         self.demand = demand_table(specs)
+        # The one-lane kernels of step, by freeze_levels.
+        self._step_kernels = [self._kernel([(self.noise, freeze)]) for freeze in (False, True)]
 
     def initial_snapshot(self) -> EngineSnapshot:
         cfg = self.cfg
         v0 = (uniform_allocation(self.n) if cfg.v_init is None
               else np.asarray(cfg.v_init, dtype=float))
         # + 0.0 turns an s_init of -0.0 into 0.0, so no level is ever -0.0
-        # (see _advance).
+        # (see _kernel).
         s0 = np.full(self.n, float(cfg.s_init) + 0.0)
         d0 = self.demand.at(0)
         u0 = self.bank.eval(s0, v0, d0)
@@ -263,80 +265,100 @@ class Engine:
             phi_sq_sum=float((f0 * f0).sum()),
         )
 
-    def _advance(self, bank, state, d_rows, eta, zeta, keep, bufs) -> None:
-        """The update kernel: walks ``len(eta)`` steps from ``state``.
+    def _kernel(self, lanes):
+        """The update kernel of the ``(noise, freeze_levels)`` lanes.
+
+        Lays out, once, what depends only on the lanes: the bank and the
+        weights ``(R, n)`` like the state, so that no operand of a step's
+        model evaluation broadcasts, the ``keep`` mask and the scratch rows.
+        Returns ``chunk(state, k0, k1, bufs)``, which walks steps ``k0`` to
+        ``k1 - 1`` from ``state`` and returns the chunk's ``_failures`` and
+        the noise-free fairness index at each new state. Every :meth:`step` and
+        run goes through it, and it checks nothing itself: ``_failures``
+        finds the first bad step of a whole chunk afterwards.
 
         ``state`` is ``(v, s, u_lp, s_lp)``, each shaped ``(R, n)``, one row
         per lane; the filters ``u_lp`` and ``s_lp`` are updated in place,
-        ``v`` and ``s`` only read. Step ``j`` measures with ``bank.eval`` at
-        demand ``d_rows[j]`` plus noise ``eta[j]``, moves the shares along
-        the observed fairness index, then the levels by the filtered
-        difference quotient plus dither ``zeta[j]``, and writes the
-        measurement, the index and the new shares and levels into row ``j``
-        of ``bufs = (v_buf, s_buf, u_buf, f_buf)``. A boolean ``keep``
-        shaped like the state (or None) freezes the levels where it is True
-        by keeping their old ``s`` (a zero level step would not: a huge
-        measurement makes the filter step inf, and 0 * inf is NaN); their
-        filters move on but are not read while the levels stay.
-        Every :meth:`step` and run goes through here, and it checks nothing:
-        ``_failures`` finds the first bad step of a whole chunk afterwards.
+        ``v`` and ``s`` only read. ``bufs`` are six ``(rows, R, n)`` arrays:
+        the measurement, index, shares and levels each step writes into row
+        ``j`` of ``(v_buf, s_buf, u_buf, f_buf)``, then the noise and the
+        dither, drawn per chunk. Step ``j`` measures at demand ``k0 + j``
+        plus noise, moves the shares along the observed fairness index, then
+        the levels by the filtered difference quotient plus dither. A
+        frozen lane (``keep`` True) keeps its old ``s`` (a zero level step
+        would not: a huge measurement makes the filter step inf, and 0 * inf
+        is NaN); its filters move on but are not read while the levels stay.
 
         Each element goes through the operations of
         ``v + eps * (w - v * sum(w))`` with ``w = weights / u_meas``, and of
         ``clip(s + em * tanh(du / ds) + em * zeta, 0, 1)``, in that order;
-        the constants are arrays shaped like the state, since a same-shape
-        operand is the cheapest ufunc call. The clip is ``maximum`` then
-        ``minimum``, which can differ from ``np.clip`` only on a -0.0
-        operand. The pre-clip level cannot be -0.0: a rounded sum is -0.0
-        only when both addends are, so ``s`` would have to be -0.0, yet
-        every level is either the initial one (never -0.0, see
-        :meth:`initial_snapshot`) or a previous step's clip of a level that
-        was not -0.0, and ``maximum(x, 0.0)`` is -0.0 only for x = -0.0.
+        the scalars are 0-d arrays, as cheap an operand as a same-shape
+        array. The clip is ``maximum`` then ``minimum``, which can differ
+        from ``np.clip`` only on a -0.0 operand. The pre-clip level cannot be
+        -0.0: a rounded sum is -0.0 only when both addends are, so ``s``
+        would have to be -0.0, yet every level is either the initial one
+        (never -0.0, see :meth:`initial_snapshot`) or a previous step's clip
+        of a level that was not -0.0, and ``maximum(x, 0.0)`` is -0.0 only
+        for x = -0.0.
         """
-        v, s, u_lp, s_lp = state
-        v_buf, s_buf, u_buf, f_buf = bufs
-        shape = v.shape
-        cfg = self.cfg
+        cfg, lanes_n, n = self.cfg, len(lanes), self.n
+        shape = (lanes_n, n)
+        bank = self.bank.laid_out(lanes_n)
         weights = np.broadcast_to(self.weights, shape).copy()
-        eps, em = np.full(shape, cfg.epsilon), np.full(shape, cfg.eps_mu)
-        gamma = np.full(shape, cfg.gamma)
-        guard = np.full(shape, RATIO_GUARD)
-        lo, hi = np.zeros(shape), np.ones(shape)
-        w, tmp = np.empty(shape), np.empty(shape)
-        du, ds = np.empty(shape), np.empty(shape)
+        keep = np.array([[bool(freeze)] * n for _, freeze in lanes])
+        keep = keep if keep.any() else None
+        eps, em, gamma, guard, lo, hi = (
+            np.array(x) for x in (cfg.epsilon, cfg.eps_mu, cfg.gamma, RATIO_GUARD, 0.0, 1.0))
+        w, tmp, du, ds = (np.empty(shape) for _ in range(4))
         mask = np.empty(shape, dtype=bool)
-        # The dither enters the level step as em * zeta: scaled once here.
-        zeta = cfg.eps_mu * zeta
-        bank_eval = bank.eval
-        for j, d_k, eta_k in zip(range(len(eta)), d_rows, eta):
-            u, f, v_new, s_new = u_buf[j], f_buf[j], v_buf[j], s_buf[j]
-            np.add(bank_eval(s, v, d_k), eta_k, out=u)
-            np.divide(weights, u, out=w)
-            np.multiply(v, np.add.reduce(w, axis=-1, keepdims=True), out=tmp)
-            np.subtract(w, tmp, out=f)
-            np.multiply(eps, f, out=tmp)
-            np.add(v, tmp, out=v_new)
-            np.subtract(u, u_lp, out=du)
-            np.multiply(gamma, du, out=du)
-            np.subtract(s, s_lp, out=ds)
-            np.multiply(gamma, ds, out=ds)
-            np.absolute(ds, out=tmp)
-            np.greater_equal(tmp, guard, out=mask)
-            ratio = np.zeros(shape)
-            np.divide(du, ds, out=ratio, where=mask)
-            np.tanh(ratio, out=ratio)
-            np.multiply(em, ratio, out=ratio)
-            np.add(s, ratio, out=ratio)
-            np.add(ratio, zeta[j], out=ratio)
-            np.maximum(ratio, lo, out=ratio)
-            np.minimum(ratio, hi, out=s_new)
-            if keep is not None:
-                np.copyto(s_new, s, where=keep)
-            np.multiply(em, du, out=du)
-            np.add(u_lp, du, out=u_lp)
-            np.multiply(em, ds, out=ds)
-            np.add(s_lp, ds, out=s_lp)
-            v, s = v_new, s_new
+
+        def chunk(state, k0: int, k1: int, bufs):
+            m = k1 - k0
+            v, s, u_lp, s_lp = state
+            # Demand of the measurements at steps k0..k1-1, then of the
+            # diagnostics at the states after them, k0+1..k1.
+            d_rows = np.repeat(self.demand.at(np.arange(k0, k1 + 1))[:, None], lanes_n, axis=1)
+            v_buf, s_buf, u_buf, f_buf, eta, zeta = (b[:m] for b in bufs)
+            # A frozen lane's dither enters only the level step that keep discards.
+            for r, (noise, _) in enumerate(lanes):
+                eta[:, r] = noise.measurement_block(k0, k1, n)
+                zeta[:, r] = noise.dither_block(k0, k1, n)
+            # The dither enters the level step as em * zeta: scaled once here.
+            np.multiply(em, zeta, out=zeta)
+            bank_eval = bank.eval
+            for j, d_k, eta_k in zip(range(m), d_rows, eta):
+                u, f, v_new, s_new = u_buf[j], f_buf[j], v_buf[j], s_buf[j]
+                np.add(bank_eval(s, v, d_k), eta_k, out=u)
+                np.divide(weights, u, out=w)
+                np.multiply(v, np.add.reduce(w, axis=-1, keepdims=True), out=tmp)
+                np.subtract(w, tmp, out=f)
+                np.multiply(eps, f, out=tmp)
+                np.add(v, tmp, out=v_new)
+                np.subtract(u, u_lp, out=du)
+                np.multiply(gamma, du, out=du)
+                np.subtract(s, s_lp, out=ds)
+                np.multiply(gamma, ds, out=ds)
+                np.absolute(ds, out=tmp)
+                np.greater_equal(tmp, guard, out=mask)
+                ratio = np.zeros(shape)
+                np.divide(du, ds, out=ratio, where=mask)
+                np.tanh(ratio, out=ratio)
+                np.multiply(em, ratio, out=ratio)
+                np.add(s, ratio, out=ratio)
+                np.add(ratio, zeta[j], out=ratio)
+                np.maximum(ratio, lo, out=ratio)
+                np.minimum(ratio, hi, out=s_new)
+                if keep is not None:
+                    np.copyto(s_new, s, where=keep)
+                np.multiply(em, du, out=du)
+                np.add(u_lp, du, out=u_lp)
+                np.multiply(em, ds, out=ds)
+                np.add(s_lp, ds, out=s_lp)
+                v, s = v_new, s_new
+            phi = fairness_from_utilities(self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf)
+            return self._failures(k0, u_buf, v_buf, s_buf), phi
+
+        return chunk
 
     def _failures(self, k0: int, u_meas, v_new, s_new) -> list[StepError | None]:
         """Per lane, the error of its first bad step among steps ``k0, k0 + 1, ...``.
@@ -384,41 +406,16 @@ class Engine:
                 )
         return errors
 
-    def _chunk(self, lanes, state, k0: int, k1: int, bufs):
-        """Steps ``k0 .. k1 - 1`` of the ``(noise, freeze_levels)`` lanes from
-        ``state``, as in :meth:`_advance`: the one path of :meth:`step` and
-        :meth:`run_lanes`. ``bufs`` are six ``(rows, R, n)`` arrays: the
-        kernel's four outputs, then the noise and dither. The bank and the
-        demand rows are laid out ``(R, n)`` like the state, so no operand of
-        a step's model evaluation broadcasts. Returns the chunk's
-        ``_failures`` and the noise-free fairness index at each new state.
-        """
-        m, lanes_n, n = k1 - k0, len(lanes), self.n
-        bank = self.bank.laid_out(lanes_n)
-        # Demand of the measurements at steps k0..k1-1, then of the
-        # diagnostics at the states after them, k0+1..k1.
-        d_rows = np.repeat(self.demand.at(np.arange(k0, k1 + 1))[:, None], lanes_n, axis=1)
-        v_buf, s_buf, u_buf, f_buf, eta, zeta = (b[:m] for b in bufs)
-        # A frozen lane's dither enters only the level step that keep discards.
-        for r, (noise, _) in enumerate(lanes):
-            eta[:, r] = noise.measurement_block(k0, k1, n)
-            zeta[:, r] = noise.dither_block(k0, k1, n)
-        keep = np.array([[bool(freeze)] * n for _, freeze in lanes])
-        self._advance(bank, state, d_rows, eta, zeta, keep if keep.any() else None,
-                      (v_buf, s_buf, u_buf, f_buf))
-        phi = fairness_from_utilities(self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf)
-        return self._failures(k0, u_buf, v_buf, s_buf), phi
-
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
-        """Advance one step: the one-lane, one-step :meth:`_chunk` of a run
-        on the engine's own noise, from ``snap`` and its copied filters."""
+        """Advance one step: a one-step chunk of the one-lane kernel of a
+        run on the engine's own noise, from ``snap`` and its copied filters.
+        The engine laid out that kernel once, so a step lays out nothing."""
         bufs = [np.empty((1, 1, self.n)) for _ in range(6)]
         u_lp, s_lp = snap.u_lp[None].copy(), snap.s_lp[None].copy()
         # As in run: the chunk's check raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            (error,), phi = self._chunk([(self.noise, freeze_levels)],
-                                        (snap.v[None], snap.s[None], u_lp, s_lp),
-                                        snap.step, snap.step + 1, bufs)
+            (error,), phi = self._step_kernels[bool(freeze_levels)](
+                (snap.v[None], snap.s[None], u_lp, s_lp), snap.step, snap.step + 1, bufs)
         if error is not None:
             raise error
         v, s, u_meas, f, phi = (b[0, 0] for b in (*bufs[:4], phi))
@@ -447,16 +444,17 @@ class Engine:
 
         A lane is a noise stream: a NoiseSource, or any object with its
         ``measurement_block`` and ``dither_block``. Every lane runs the
-        engine's task set and configuration, so it needs no check of its
-        own. The state carries a leading lane axis, one lane included, so R
+        engine's task set and configuration, and a NoiseSource checks its
+        own bounds, so a lane needs no other check. The state carries a leading lane axis, one lane included, so R
         lanes cost one loop's numpy calls. Returns per lane, bit for bit,
         the RunTrace that ``Engine(specs, cfg, noise=noise).run(stride,
         freeze_levels)`` returns, or the StepError it raises with its
         partial ``.trace``; a failed lane stays in the loop, its trace
         ending at its failure, and the others go on.
 
-        The horizon is walked in :meth:`_chunk` calls of ``_CHUNK_STEPS``
-        steps (:meth:`step` is one of one step). After each, the level
+        One :meth:`_kernel`, laid out once per call, walks the horizon in
+        chunks of ``_CHUNK_STEPS`` steps (:meth:`step` is one of one step
+        on a kernel the engine laid out). After each chunk, the level
         maximizers of the ``s_optimality`` tail are found in bulk, the
         recorded steps of all lanes are copied into the lane-major records,
         and each live lane's completed steps are folded into its ledger. So
@@ -487,10 +485,11 @@ class Engine:
             v, s, u_lp, s_lp = (np.tile(x, (lanes_n, 1))
                                 for x in (snap0.v, snap0.s, snap0.u_lp, snap0.s_lp))
             bufs = [np.empty((_CHUNK_STEPS, lanes_n, n)) for _ in range(6)]
+            chunk = self._kernel(lanes)
             for k0 in range(0, horizon, _CHUNK_STEPS):
                 k1 = min(k0 + _CHUNK_STEPS, horizon)
                 m = k1 - k0
-                errors, phi = self._chunk(lanes, (v, s, u_lp, s_lp), k0, k1, bufs)
+                errors, phi = chunk((v, s, u_lp, s_lp), k0, k1, bufs)
                 v_buf, s_buf, u_buf, f_buf = (b[:m] for b in bufs[:4])
                 v_start = v
                 v, s = v_buf[m - 1].copy(), s_buf[m - 1].copy()

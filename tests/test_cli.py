@@ -144,6 +144,26 @@ class TestRunCommand:
         assert run_cli("run", "no-such-scenario", "--out", str(tmp_path)) == 1
         assert "no-such-scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for case in ("directory", "not-utf8", "out-is-file")
+        for command in ("validate", "verify", "run")
+        if (command, case) != ("validate", "out-is-file")
+    ])
+    def test_io_error_is_one_error_line(self, tmp_path, capsys, command, case):
+        scenario, out = tmp_path / "dir", tmp_path / "o"
+        scenario.mkdir()
+        if case == "not-utf8":
+            scenario = tmp_path / "latin1.json"
+            scenario.write_bytes('{"tasks": "é"}'.encode("latin-1"))
+        elif case == "out-is-file":
+            scenario = one_task_file(tmp_path)
+            out.write_text("")
+        argv = [] if command == "validate" else ["--out", str(out)]
+        assert run_cli(command, str(scenario), *argv) == 1
+        err = capsys.readouterr().err
+        named = out if case == "out-is-file" else scenario
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+
     def test_step_condition_violation_is_config_error(self, tmp_path):
         code = run_cli("run", "paper-fig5", "--out", str(tmp_path / "o"),
                        "--set", "epsilon=0.1", *FAST)

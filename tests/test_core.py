@@ -1,6 +1,8 @@
 """Configuration validation, demand schedules, and the seeded noise source."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,20 @@ class TestNoiseSource:
         with pytest.raises(ConfigError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
             NoiseSource(seed, eta_bar=0.1)
 
+    @pytest.mark.parametrize("bounds, message", [
+        (dict(eta_bar=float("nan"), zeta_bar=-0.5), "eta_bar must be a finite number, got nan"),
+        (dict(zeta_bar=float("inf")), "zeta_bar must be a finite number, got inf"),
+        (dict(eta_bar="0.1"), "eta_bar must be a finite number, got '0.1'"),
+        (dict(zeta_bar=True), "zeta_bar must be a finite number, got True"),
+        (dict(eta_bar=-0.5), "eta_bar must be >= 0, got -0.5"),
+        (dict(zeta_bar=-1e-9), "zeta_bar must be >= 0, got -1e-09"),
+        (dict(eta_bar=1.0), "eta_bar must be < 1, got 1.0"),
+        (dict(eta_bar=2.5, zeta_bar=0.0), "eta_bar must be < 1, got 2.5"),
+    ])
+    def test_bad_bound_is_config_error_naming_it(self, bounds, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            NoiseSource(1, **bounds)
+
     def test_channels_are_distinct_streams(self):
         src = NoiseSource(seed=5, eta_bar=0.2, zeta_bar=0.2)
         assert src.measurement_block(3, 4, 2)[0, 1] != src.dither_block(3, 4, 2)[0, 1]
@@ -181,7 +197,7 @@ class TestNoiseSource:
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
            k=st.integers(min_value=0, max_value=2**31),
            i=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     def test_every_draw_inside_bound_and_deterministic(self, seed, k, i):
         src = NoiseSource(seed=seed, eta_bar=0.3, zeta_bar=0.7)
         x = src.measurement_block(k, k + 1, i + 1)[0, i]

@@ -206,7 +206,7 @@ class TestFairnessMeasure:
         assert "step 0, task 1" in str(err)
 
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     def test_increment_bounds_hold_for_sane_measurements(self, data):
         n = data.draw(st.integers(min_value=1, max_value=8))
         lam = np.array(data.draw(st.lists(
@@ -227,7 +227,7 @@ class TestFairnessMeasure:
 
 class TestSumIdentity:
     @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     def test_index_sum_scales_with_simplex_defect(self, data):
         # sum(F) = (1 - sum(v)) * sum(weights/u): zero exactly on the simplex,
         # restoring toward it otherwise.
@@ -940,3 +940,39 @@ class TestLanes:
         assert [len(r) for r in refs[1:]] == [cfg.horizon] * 2
         for g, ref in zip(got, refs):
             assert_same_result(g, ref)
+
+
+class TestLayout:
+    """A run lays out its kernel once, whatever its chunks, and a step lays
+    out nothing: the engine laid out its step kernels when it was built."""
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        calls = []
+        laid_out = ModelBank.laid_out
+
+        def counted(bank, lanes):
+            calls.append(lanes)
+            return laid_out(bank, lanes)
+
+        monkeypatch.setattr(ModelBank, "laid_out", counted)
+        return calls
+
+    @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
+    def test_a_run_lays_out_once(self, monkeypatch, layouts, chunk):
+        specs, cfg = streaming_scenario(horizon=2 * chunk + 1)
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+        eng = Engine(specs, cfg)
+        layouts.clear()
+        traces = eng.run_lanes([(eng.noise, False), (NoiseSource(7, 1e-3, 1e-3), True)])
+        assert [len(t) for t in traces] == [cfg.horizon] * 2
+        assert layouts == [2]
+
+    def test_steps_lay_out_nothing(self, layouts):
+        specs, cfg = streaming_scenario(horizon=100)
+        eng = Engine(specs, cfg)
+        snap = eng.step(eng.initial_snapshot())
+        layouts.clear()
+        for k in range(2, 101):
+            snap = eng.step(snap, freeze_levels=k % 2 == 0)
+        assert snap.step == 100 and layouts == []

@@ -225,7 +225,7 @@ class TestGradientAgreement:
 class TestConcavityCertificate:
     @given(s1=unit, s2=unit, t=unit,
            v=unit, d=st.floats(min_value=0.2, max_value=0.8))
-    @settings(max_examples=300, deadline=None)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     def test_chord_never_beats_function(self, s1, s2, t, v, d):
         model = AffineNormalizer.fit(HOME, (0.2, 0.8), c_target=2.0)
         mid = t * s1 + (1 - t) * s2
@@ -371,7 +371,7 @@ class TestClosedFormArgmax:
                          st.builds(Bump, st.floats(-0.5, 1.5))),
                min_size=1, max_size=5),
            batch=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     def test_matches_reference_search(self, models, batch, seed):
         # Shares reach below any v_floor; demands reach both clip edges of
         # home_energy, d - b*h/(2a) < 0 and > 1.
