@@ -211,8 +211,9 @@ class EngineConfig:
             )
         if self.gamma <= 0.0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.eta_bar < 0.0 or self.zeta_bar < 0.0:
-            raise ConfigError("noise bounds must be >= 0")
+        for name in ("eta_bar", "zeta_bar"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not isinstance(self.horizon, int) or isinstance(self.horizon, bool):
             raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 0:
@@ -221,6 +222,8 @@ class EngineConfig:
         if not (0.0 <= self.s_init <= 1.0):
             raise ConfigError(f"s_init must be in [0, 1], got {self.s_init}")
         if self.v_init is not None:
+            if not isinstance(self.v_init, (list, tuple)):
+                raise ConfigError(f"v_init must be a list of numbers, got {self.v_init!r}")
             object.__setattr__(self, "v_init",
                                tuple(float(_finite("v_init", x)) for x in self.v_init))
             arr = np.asarray(self.v_init, dtype=float)

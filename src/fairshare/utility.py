@@ -37,7 +37,10 @@ class UtilityModel:
     ``params`` (possibly empty) names: ``formula(s, v, d, *params)``, the
     utility, which ``eval`` and ``ModelBank`` read, and
     ``argmax_formula(v, d, *params)``, the level in [0, 1] that maximizes
-    ``formula`` at fixed (v, d), which ``ModelBank.argmax`` reads.
+    ``formula`` at fixed (v, d), which ``ModelBank.argmax`` reads. A bank
+    also runs a class's formulas at the other classes' tasks and drops
+    those values, so a formula must accept any task's (s, v, d) without
+    raising.
     ``grad_s`` optionally gives the exact gradient for cross-checks;
     ``v_range`` declares the share interval the model is certified on.
     """
@@ -275,64 +278,61 @@ class ModelBank:
     """Vectorized evaluation of a heterogeneous model list across tasks.
 
     The tasks of each model class form one group, whose ``formula`` and
-    ``argmax_formula`` run on stacked parameter arrays. Formulas read the
-    unwrapped models; the folded scale and shift of their wrappers apply
-    after. A class without ``formula``, or without ``argmax_formula``, is
-    a ``ConfigError`` naming its first task. Array arguments may carry
-    leading batch axes, with tasks indexed along the last axis.
+    ``argmax_formula`` run on parameter arrays as wide as the task set: at
+    its own tasks they hold the tasks' parameters, and at the other classes'
+    tasks they repeat its first task's, whose values a boolean task mask
+    then drops. So every group runs on the whole arguments, with no gather
+    or scatter, and a bank of one class is one call of each formula.
+    Formulas read the unwrapped models; the folded scale and shift of their
+    wrappers apply after. A class without ``formula``, or without
+    ``argmax_formula``, is a ``ConfigError`` naming its first task. Array
+    arguments may carry leading batch axes, with tasks indexed along the
+    last axis.
     """
 
     def __init__(self, models: Sequence[UtilityModel]):
-        self.n = len(models)
         unwrapped = [_unwrap(m) for m in models]
-        groups: dict[type, list[int]] = {}
+        first: dict[type, int] = {}
         for i, (inner, _, _) in enumerate(unwrapped):
             for method in ("formula", "argmax_formula"):
                 if getattr(inner, method, None) is None:
                     raise ConfigError(
                         f"task {i}: {type(inner).__name__} declares no {method}")
-            groups.setdefault(type(inner), []).append(i)
-        # One (formula, argmax_formula, task index, parameter arrays, scale,
-        # shift) per group.
+            first.setdefault(type(inner), i)
+        # One (formula, argmax_formula, task mask, parameter arrays, scale,
+        # shift) per group, each array over all n tasks.
         self._groups = []
-        for cls, idx in groups.items():
-            inners, scales, shifts = zip(*(unwrapped[i] for i in idx))
+        for cls, i0 in first.items():
+            mask = np.array([type(inner) is cls for inner, _, _ in unwrapped])
+            inners, scales, shifts = zip(*(
+                u if own else unwrapped[i0] for u, own in zip(unwrapped, mask)))
             self._groups.append((
-                cls.formula, cls.argmax_formula, np.array(idx),
+                cls.formula, cls.argmax_formula, mask,
                 tuple(np.array([getattr(m, p) for m in inners]) for p in cls.params),
                 np.array(scales), np.array(shifts),
             ))
-        # A bank of one class evaluates without gathering its columns.
-        self._single = self._groups[0] if len(groups) == 1 else None
 
     def laid_out(self, lanes: int) -> "ModelBank":
-        """This bank with each group's parameter, scale and shift arrays
-        tiled to ``(lanes, k)`` for its k tasks, so that on ``(lanes, n)``
-        arguments no operand of ``eval`` broadcasts; it computes the same
-        values."""
+        """This bank with each group's mask, parameter, scale and shift
+        arrays tiled to ``(lanes, n)``, so that on ``(lanes, n)`` arguments
+        no operand of ``eval`` broadcasts; it computes the same values."""
         bank = copy.copy(self)
         bank._groups = [
-            (formula, argmax_formula, idx, tuple(np.tile(p, (lanes, 1)) for p in params),
+            (formula, argmax_formula, np.tile(mask, (lanes, 1)),
+             tuple(np.tile(p, (lanes, 1)) for p in params),
              np.tile(scale, (lanes, 1)), np.tile(shift, (lanes, 1)))
-            for formula, argmax_formula, idx, params, scale, shift in self._groups
+            for formula, argmax_formula, mask, params, scale, shift in self._groups
         ]
-        bank._single = bank._groups[0] if self._single is not None else None
         return bank
 
     def eval(self, s, v, d) -> np.ndarray:
         """Utilities for all tasks; s, v, d broadcast with tasks last."""
-        s = np.asarray(s, dtype=float)
-        v = np.asarray(v, dtype=float)
-        d = np.asarray(d, dtype=float)
-        if self._single is not None:
-            formula, _, _, params, scale, shift = self._single
-            return scale * formula(s, v, d, *params) + shift
-        shape = np.broadcast_shapes(s.shape, v.shape, d.shape, (self.n,))
-        out = np.empty(shape)
-        s, v, d = (np.broadcast_to(x, shape) for x in (s, v, d))
-        for formula, _, idx, params, scale, shift in self._groups:
-            u = formula(s[..., idx], v[..., idx], d[..., idx], *params)
-            out[..., idx] = scale * u + shift
+        out = None
+        for formula, _, mask, params, scale, shift in self._groups:
+            u = scale * formula(s, v, d, *params) + shift
+            # ``where`` rather than ``copyto``: a later group's formula may
+            # read an argument with more batch axes than the first group's.
+            out = u if out is None else np.where(mask, u, out)
         return out
 
     def argmax(self, v, d) -> np.ndarray:
@@ -340,16 +340,10 @@ class ModelBank:
 
         Each group takes its class's ``argmax_formula`` on its own tasks;
         an affine wrapper keeps the maximizer, since its scale is > 0. The
-        result has shape ``broadcast_shapes(v, d, (n,))``.
+        result has the broadcast shape of v, d and the task axis.
         """
-        v, d = np.asarray(v, dtype=float), np.asarray(d, dtype=float)
-        shape = np.broadcast_shapes(v.shape, d.shape, (self.n,))
-        out = np.empty(shape)
-        if self._single is not None:
-            _, argmax_formula, _, params, _, _ = self._single
-            out[...] = argmax_formula(v, d, *params)
-            return out
-        v, d = np.broadcast_to(v, shape), np.broadcast_to(d, shape)
-        for _, argmax_formula, idx, params, _, _ in self._groups:
-            out[..., idx] = argmax_formula(v[..., idx], d[..., idx], *params)
+        scale = self._groups[0][4]  # carries the task axis
+        out = np.empty(np.broadcast(v, d, scale).shape)
+        for _, argmax_formula, mask, params, _, _ in self._groups:
+            np.copyto(out, argmax_formula(v, d, *params), where=mask)
         return out

@@ -80,9 +80,21 @@ class TestEngineConfig:
         dict(v_init=(1.2, -0.2)),
         dict(seed=-1),
         dict(seed=2**64),
+        dict(zeta_bar=-0.1),
+        dict(v_init=0.5),
+        dict(v_init="abc"),
+        dict(v_init={"a": 1}),
     ])
     def test_constructor_rejects_structural_violations(self, bad):
-        with pytest.raises(ConfigError):
+        # Every error starts with the field it names.
+        (name, value), = bad.items()
+        if name in ("eta_bar", "zeta_bar"):
+            match = f"^{name} must be >= 0, got -0.1$"
+        elif name == "v_init" and not isinstance(value, tuple):
+            match = f"^v_init must be a list of numbers, got {re.escape(repr(value))}$"
+        else:
+            match = f"^{name} "
+        with pytest.raises(ConfigError, match=match):
             make_config(**bad)
 
     def test_v_init_on_simplex_accepted(self):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,20 @@ class Bump(UtilityModel):
     @staticmethod
     def argmax_formula(v, d, peak):
         return np.clip(peak + 0.2 * d, 0.0, 1.0)
+
+
+class NanOffHalf(UtilityModel):
+    """Utility 1.5 at the level 0.5 and NaN at any other level."""
+
+    bound_c = 2.0
+
+    @staticmethod
+    def formula(s, v, d):
+        return np.where(np.asarray(s) != 0.5, math.nan, 1.5 + 0.0 * v)
+
+    @staticmethod
+    def argmax_formula(v, d):
+        return 0.5
 
 
 class TestHomeEnergyModel:
@@ -311,6 +326,53 @@ class TestModelBank:
             scalar = ModelBank(models).eval(0.3, 0.4, 0.5)
             assert [scalar[i] for i in range(len(models))] == [
                 m.eval(0.3, 0.4, 0.5) for m in models]
+
+    def test_each_class_runs_once_on_the_whole_arguments(self, monkeypatch):
+        calls = []
+        for cls in (HomeEnergyModel, CpuBandwidthModel, Quadratic):
+            for method, k in (("formula", 3), ("argmax_formula", 2)):
+                def recorded(*args, f=getattr(cls, method), name=cls.__name__,
+                             method=method, k=k):
+                    calls.append((name, method, [np.shape(x) for x in args[:k]]))
+                    return f(*args)
+
+                monkeypatch.setattr(cls, method, staticmethod(recorded))
+        bank = ModelBank([HOME, CPU, AffineNormalizer.fit(HOME, (0.2, 0.8)), Quadratic()])
+        s, v, d = np.random.default_rng(8).uniform(0.1, 0.9, size=(3, 3, 4))
+        for method, k, call in (("formula", 3, lambda: bank.eval(s, v, d)),
+                                ("argmax_formula", 2, lambda: bank.argmax(v, d))):
+            calls.clear()  # the fit was counted
+            call()
+            assert sorted(calls) == [
+                (name, method, [(3, 4)] * k)
+                for name in ("CpuBandwidthModel", "HomeEnergyModel", "Quadratic")]
+
+    def test_values_of_other_classes_do_not_leak(self):
+        # NanOffHalf's formula is NaN at every task of HOME and CPU, and at
+        # its own task in the rows where its level is not 0.5.
+        rng = np.random.default_rng(9)
+        s, v, d = rng.uniform(0.6, 0.9, size=(3, 4, 3))
+        for models, i in (([NanOffHalf(), HOME, CPU], 0), ([HOME, CPU, NanOffHalf()], 2)):
+            s_i = s.copy()
+            s_i[:, i] = [0.5, 0.7, 0.5, 0.2]
+            bank = ModelBank(models)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = bank.eval(s_i, v, d), bank.argmax(v, d)
+            for j, m in enumerate(models):
+                alone = ModelBank([m])
+                want = (alone.eval(s_i[:, j:j + 1], v[:, j:j + 1], d[:, j:j + 1]),
+                        alone.argmax(v[:, j:j + 1], d[:, j:j + 1]))
+                for g, w in zip(got, want):
+                    assert g[:, j].tobytes() == w[:, 0].tobytes(), (models, j)
+
+    def test_a_later_group_may_read_more_batch_axes_than_the_first(self):
+        # CpuBandwidthModel's formula does not read the demand; HOME's does.
+        d = np.random.default_rng(10).uniform(0.1, 0.9, size=(3, 2))
+        out = ModelBank([CPU, HOME]).eval(0.4, 0.3, d)
+        assert out.shape == (3, 2)
+        assert np.all(out[:, 0] == CPU.eval(0.4, 0.3, 0.0))
+        assert np.array_equal(out[:, 1], HOME.eval(0.4, 0.3, d[:, 1]))
 
 
 # The reference search resolves a maximizer only to about
