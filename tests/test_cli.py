@@ -4,9 +4,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshare.cli import (
     _ode_tracking,
@@ -308,6 +311,65 @@ class TestTraceCsv:
             whole_block_csv(tmp_path / "whole.csv", t)
             blocks = (tmp_path / "blocks.csv").read_bytes()
             assert blocks == (tmp_path / "whole.csv").read_bytes()
+
+
+def spelled(values) -> bytes:
+    """One row of values in "%.17g", the reference the writer must match."""
+    return (",".join("%.17g" % x for x in values) + "\n").encode()
+
+
+def seventeen_digit_ties() -> list[float]:
+    """Doubles whose exact decimal value has 18 digits, the last a 5."""
+    ties = []
+    for e in range(1, 90):
+        for m in range(1, 400, 2):
+            x = m * 2.0**-e
+            digits = "".join(map(str, Decimal(x).as_tuple().digits)).rstrip("0")
+            if len(digits) == 18 and digits.endswith("5"):
+                ties.append(x)
+    return ties
+
+
+class TestTraceCsvSpelling:
+    """The writer's bytes are those of "%.17g" for every double."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_any_doubles(self, values):
+        x = np.array(values)
+        assert cli._format_rows(x[None, :]) == spelled(values)
+        assert cli._format_rows(x[:, None]) == b"".join(spelled([v]) for v in values)
+
+    def test_edges_ties_and_integers(self):
+        powers = [10.0**e for e in range(-330, 309)]
+        bounds = [1e-29, 1e-5, 1e-4, 1e16, 1e17]
+        ties = seventeen_digit_ties()
+        assert len(ties) > 100
+        near = np.array(powers + bounds + ties)
+        x = np.concatenate([
+            near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf),
+            np.arange(120001.0), [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324],
+        ])
+        x = np.concatenate([x, -x])
+        assert cli._format_rows(x[None, :]) == spelled(x.tolist())
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0])
+    def test_a_log10_off_by_one_changes_no_byte(self, monkeypatch, off):
+        # The range test on the exact n, not log10, decides the exponent.
+        x = np.concatenate([10.0 ** np.arange(-29, 17), np.linspace(-3.0, 7.0, 101)])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        assert cli._format_rows(x[None, :]) == spelled(x.tolist())
+
+    def test_nonzero_fig6_values_take_the_fast_route(self):
+        specs, cfg, _, _ = resolve_scenario("paper-fig6", {"zone_steps": 200})
+        trace = Engine(specs, cfg).run()
+        x = np.column_stack([
+            trace.steps.astype(float), trace.v, trace.s, trace.u_meas,
+            trace.f_obs, trace.phi, trace.phi_sq,
+        ]).ravel()
+        _, _, fast = cli._digits17(x)
+        np.testing.assert_array_equal(fast, (x != 0) & np.isfinite(x))
 
 
 class TestModelSerialization:
