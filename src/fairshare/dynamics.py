@@ -270,36 +270,45 @@ class Engine:
 
         Lays out, once, what depends only on the lanes: the bank and the
         weights ``(R, n)`` like the state, so that no operand of a step's
-        model evaluation broadcasts, the ``keep`` mask and the scratch rows.
-        Returns ``chunk(state, k0, k1, bufs)``, which walks steps ``k0`` to
-        ``k1 - 1`` from ``state`` and returns the chunk's ``_failures`` and
-        the noise-free fairness index at each new state. Every :meth:`step` and
-        run goes through it, and it checks nothing itself: ``_failures``
-        finds the first bad step of a whole chunk afterwards.
+        model evaluation broadcasts, the ``keep`` mask, the scratch rows and
+        the ufuncs. Returns ``chunk(state, k0, k1, bufs)``, which walks steps
+        ``k0`` to ``k1 - 1`` from ``state`` and returns the chunk's
+        ``_failures`` and the noise-free fairness index at each new state.
+        Every :meth:`step` and run goes through it, and it checks nothing
+        itself: ``_failures`` finds the first bad step of a whole chunk
+        afterwards.
 
-        ``state`` is ``(v, s, u_lp, s_lp)``, each shaped ``(R, n)``, one row
-        per lane; the filters ``u_lp`` and ``s_lp`` are updated in place,
-        ``v`` and ``s`` only read. ``bufs`` are six ``(rows, R, n)`` arrays:
-        the measurement, index, shares and levels each step writes into row
-        ``j`` of ``(v_buf, s_buf, u_buf, f_buf)``, then the noise and the
-        dither, drawn per chunk. Step ``j`` measures at demand ``k0 + j``
-        plus noise, moves the shares along the observed fairness index, then
-        the levels by the filtered difference quotient plus dither. A
-        frozen lane (``keep`` True) keeps its old ``s`` (a zero level step
-        would not: a huge measurement makes the filter step inf, and 0 * inf
-        is NaN); its filters move on but are not read while the levels stay.
+        ``state`` is ``(v, lp)``: the shares, shaped ``(R, n)`` with one row
+        per lane and only read, and the filters ``(u_lp, s_lp)`` stacked in
+        one ``(2, R, n)`` array, updated in place. ``bufs`` are ``(pair,
+        v_buf, f_buf, eta, zeta)``. ``pair`` is ``(rows + 1, 2, R, n)``:
+        ``pair[j, 0]`` is step ``j``'s measurement and ``pair[j, 1]`` the
+        level it starts from, so the caller puts the chunk's first level in
+        ``pair[0, 1]``, step ``j`` writes its new level into ``pair[j + 1,
+        1]``, and ``pair[j]`` is the ``(u, s)`` couple the filters follow.
+        Step ``j`` writes its index and shares into row ``j`` of ``f_buf``
+        and ``v_buf``; the noise ``eta`` and the dither ``zeta`` are drawn
+        per chunk. Step ``j`` measures at demand ``k0 + j`` plus noise,
+        moves the shares along the observed fairness index, then the levels
+        by the filtered difference quotient plus dither. A frozen lane
+        (``keep`` True) keeps its old ``s`` (a zero level step would not: a
+        huge measurement makes the filter step inf, and 0 * inf is NaN); its
+        filters move on but are not read while the levels stay.
 
         Each element goes through the operations of
         ``v + eps * (w - v * sum(w))`` with ``w = weights / u_meas``, and of
         ``clip(s + em * tanh(du / ds) + em * zeta, 0, 1)``, in that order;
-        the scalars are 0-d arrays, as cheap an operand as a same-shape
-        array. The clip is ``maximum`` then ``minimum``, which can differ
-        from ``np.clip`` only on a -0.0 operand. The pre-clip level cannot be
-        -0.0: a rounded sum is -0.0 only when both addends are, so ``s``
-        would have to be -0.0, yet every level is either the initial one
-        (never -0.0, see :meth:`initial_snapshot`) or a previous step's clip
-        of a level that was not -0.0, and ``maximum(x, 0.0)`` is -0.0 only
-        for x = -0.0.
+        stacking the two filters changes no element's operations. The
+        scalars are 0-d arrays, as cheap an operand as a same-shape array,
+        and ``out`` is positional, which numpy takes faster than the
+        keyword; ``maximum`` and ``minimum`` keep the keyword, since a
+        positional ``out`` is deprecated for them. The clip is ``maximum``
+        then ``minimum``, which can differ from ``np.clip`` only on a -0.0
+        operand. The pre-clip level cannot be -0.0: a rounded sum is -0.0
+        only when both addends are, so ``s`` would have to be -0.0, yet
+        every level is either the initial one (never -0.0, see
+        :meth:`initial_snapshot`) or a previous step's clip of a level that
+        was not -0.0, and ``maximum(x, 0.0)`` is -0.0 only for x = -0.0.
         """
         cfg, lanes_n, n = self.cfg, len(lanes), self.n
         shape = (lanes_n, n)
@@ -309,52 +318,57 @@ class Engine:
         keep = keep if keep.any() else None
         eps, em, gamma, guard, lo, hi = (
             np.array(x) for x in (cfg.epsilon, cfg.eps_mu, cfg.gamma, RATIO_GUARD, 0.0, 1.0))
-        w, tmp, du, ds = (np.empty(shape) for _ in range(4))
+        w, tmp, ratio = (np.empty(shape) for _ in range(3))
+        w_sum = np.empty((lanes_n, 1))
+        dd = np.empty((2, *shape))
+        du, ds = dd
         mask = np.empty(shape, dtype=bool)
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        reduce, absolute, greater_equal, tanh = np.add.reduce, np.absolute, np.greater_equal, np.tanh
+        maximum, minimum, copyto = np.maximum, np.minimum, np.copyto
 
         def chunk(state, k0: int, k1: int, bufs):
             m = k1 - k0
-            v, s, u_lp, s_lp = state
+            v, lp = state
             # Demand of the measurements at steps k0..k1-1, then of the
             # diagnostics at the states after them, k0+1..k1.
             d_rows = np.repeat(self.demand.at(np.arange(k0, k1 + 1))[:, None], lanes_n, axis=1)
-            v_buf, s_buf, u_buf, f_buf, eta, zeta = (b[:m] for b in bufs)
+            pair = bufs[0]
+            v_buf, f_buf, eta, zeta = (b[:m] for b in bufs[1:])
             # A frozen lane's dither enters only the level step that keep discards.
             for r, (noise, _) in enumerate(lanes):
                 eta[:, r] = noise.measurement_block(k0, k1, n)
                 zeta[:, r] = noise.dither_block(k0, k1, n)
             # The dither enters the level step as em * zeta: scaled once here.
-            np.multiply(em, zeta, out=zeta)
+            multiply(em, zeta, zeta)
             bank_eval = bank.eval
-            for j, d_k, eta_k in zip(range(m), d_rows, eta):
-                u, f, v_new, s_new = u_buf[j], f_buf[j], v_buf[j], s_buf[j]
-                np.add(bank_eval(s, v, d_k), eta_k, out=u)
-                np.divide(weights, u, out=w)
-                np.multiply(v, np.add.reduce(w, axis=-1, keepdims=True), out=tmp)
-                np.subtract(w, tmp, out=f)
-                np.multiply(eps, f, out=tmp)
-                np.add(v, tmp, out=v_new)
-                np.subtract(u, u_lp, out=du)
-                np.multiply(gamma, du, out=du)
-                np.subtract(s, s_lp, out=ds)
-                np.multiply(gamma, ds, out=ds)
-                np.absolute(ds, out=tmp)
-                np.greater_equal(tmp, guard, out=mask)
-                ratio = np.zeros(shape)
-                np.divide(du, ds, out=ratio, where=mask)
-                np.tanh(ratio, out=ratio)
-                np.multiply(em, ratio, out=ratio)
-                np.add(s, ratio, out=ratio)
-                np.add(ratio, zeta[j], out=ratio)
-                np.maximum(ratio, lo, out=ratio)
-                np.minimum(ratio, hi, out=s_new)
+            for d_k, eta_k, us, u, s, s_new, v_new, f, z in zip(
+                    d_rows, eta, pair, pair[:, 0], pair[:, 1], pair[1:, 1], v_buf, f_buf, zeta):
+                add(bank_eval(s, v, d_k), eta_k, u)
+                divide(weights, u, w)
+                multiply(v, reduce(w, -1, None, w_sum, True), tmp)
+                subtract(w, tmp, f)
+                multiply(eps, f, tmp)
+                add(v, tmp, v_new)
+                # (u - u_lp, s - s_lp) at once, then each times gamma.
+                subtract(us, lp, dd)
+                multiply(gamma, dd, dd)
+                absolute(ds, tmp)
+                greater_equal(tmp, guard, mask)
+                ratio.fill(0.0)
+                divide(du, ds, out=ratio, where=mask)
+                tanh(ratio, ratio)
+                multiply(em, ratio, ratio)
+                add(s, ratio, ratio)
+                add(ratio, z, ratio)
+                maximum(ratio, lo, out=ratio)
+                minimum(ratio, hi, out=s_new)
                 if keep is not None:
-                    np.copyto(s_new, s, where=keep)
-                np.multiply(em, du, out=du)
-                np.add(u_lp, du, out=u_lp)
-                np.multiply(em, ds, out=ds)
-                np.add(s_lp, ds, out=s_lp)
-                v, s = v_new, s_new
+                    copyto(s_new, s, where=keep)
+                multiply(em, dd, dd)
+                add(lp, dd, lp)
+                v = v_new
+            s_buf, u_buf = pair[1:m + 1, 1], pair[:m, 0]
             phi = fairness_from_utilities(self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf)
             return self._failures(k0, u_buf, v_buf, s_buf), phi
 
@@ -409,19 +423,23 @@ class Engine:
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
         """Advance one step: a one-step chunk of the one-lane kernel of a
         run on the engine's own noise, from ``snap`` and its copied filters.
-        The engine laid out that kernel once, so a step lays out nothing."""
-        bufs = [np.empty((1, 1, self.n)) for _ in range(6)]
-        u_lp, s_lp = snap.u_lp[None].copy(), snap.s_lp[None].copy()
+        The engine laid out that kernel once, so a step lays out nothing.
+        The buffers are new on every call, so no later step writes into a
+        snapshot returned earlier."""
+        pair = np.empty((2, 2, 1, self.n))
+        pair[0, 1] = snap.s
+        lp = np.stack([snap.u_lp, snap.s_lp])[:, None]
+        bufs = (pair, *(np.empty((1, 1, self.n)) for _ in range(4)))
         # As in run: the chunk's check raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             (error,), phi = self._step_kernels[bool(freeze_levels)](
-                (snap.v[None], snap.s[None], u_lp, s_lp), snap.step, snap.step + 1, bufs)
+                (snap.v[None], lp), snap.step, snap.step + 1, bufs)
         if error is not None:
             raise error
-        v, s, u_meas, f, phi = (b[0, 0] for b in (*bufs[:4], phi))
+        v, f, phi = (b[0, 0] for b in (bufs[1], bufs[2], phi))
         return EngineSnapshot(
-            step=snap.step + 1, v=v, s=s, u_lp=u_lp[0], s_lp=s_lp[0],
-            u_meas=u_meas, f_obs=f, phi=phi, phi_sq_sum=float((phi * phi).sum()),
+            step=snap.step + 1, v=v, s=pair[1, 1, 0], u_lp=lp[0, 0], s_lp=lp[1, 0],
+            u_meas=pair[0, 0, 0], f_obs=f, phi=phi, phi_sq_sum=float((phi * phi).sum()),
         )
 
     def run(self, stride: int = 1, freeze_levels: bool = False) -> RunTrace:
@@ -482,17 +500,23 @@ class Engine:
         # NaN: neither needs a warning.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             snap0 = self.initial_snapshot()
-            v, s, u_lp, s_lp = (np.tile(x, (lanes_n, 1))
-                                for x in (snap0.v, snap0.s, snap0.u_lp, snap0.s_lp))
-            bufs = [np.empty((_CHUNK_STEPS, lanes_n, n)) for _ in range(6)]
+            v = np.tile(snap0.v, (lanes_n, 1))
+            lp = np.tile(np.stack([snap0.u_lp, snap0.s_lp])[:, None], (1, lanes_n, 1))
+            # The (u, s) pairs of the kernel; pair[0, 1] carries the level
+            # that starts each chunk.
+            pair = np.empty((_CHUNK_STEPS + 1, 2, lanes_n, n))
+            pair[0, 1] = snap0.s
+            bufs = (pair, *(np.empty((_CHUNK_STEPS, lanes_n, n)) for _ in range(4)))
             chunk = self._kernel(lanes)
             for k0 in range(0, horizon, _CHUNK_STEPS):
                 k1 = min(k0 + _CHUNK_STEPS, horizon)
                 m = k1 - k0
-                errors, phi = chunk((v, s, u_lp, s_lp), k0, k1, bufs)
-                v_buf, s_buf, u_buf, f_buf = (b[:m] for b in bufs[:4])
+                errors, phi = chunk((v, lp), k0, k1, bufs)
+                v_buf, f_buf = (b[:m] for b in bufs[1:3])
+                s_buf, u_buf = pair[1:m + 1, 1], pair[:m, 0]
                 v_start = v
-                v, s = v_buf[m - 1].copy(), s_buf[m - 1].copy()
+                v = v_buf[m - 1].copy()
+                pair[0, 1] = pair[m, 1]
                 # Rows of the s_optimality tail: steps from opt_start on.
                 lo = min(max(ledgers[0].opt_start - 1 - k0, 0), m)
                 near_opt = np.abs(s_buf[lo:] - self.bank.argmax(

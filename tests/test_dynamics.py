@@ -386,6 +386,21 @@ class TestEngineStep:
         b = Engine(specs, cfg).step(snap)
         assert np.array_equal(a.v, b.v) and np.array_equal(a.s, b.s)
 
+    def test_later_steps_leave_a_held_snapshot_alone(self):
+        # A snapshot's arrays are views of its step's buffers, s and u_meas
+        # of one; a buffer reused across steps would overwrite them.
+        specs = make_specs(3, demands=[0.2, 0.5, 0.8])
+        eng = Engine(specs, make_cfg(eta_bar=0.01, zeta_bar=0.01))
+        held = eng.step(eng.initial_snapshot())
+        fields = ("v", "s", "u_lp", "s_lp", "u_meas", "f_obs", "phi")
+        before = {name: getattr(held, name).copy() for name in fields}
+        snap = held
+        for freeze_levels in (False, True, False):
+            snap = eng.step(snap, freeze_levels)
+        assert snap.step == 4 and not np.array_equal(snap.v, held.v)
+        for name in fields:
+            assert getattr(held, name).tobytes() == before[name].tobytes(), name
+
 
 class TestRun:
     def test_zero_horizon_yields_empty_trace(self):
@@ -976,3 +991,58 @@ class TestLayout:
         for k in range(2, 101):
             snap = eng.step(snap, freeze_levels=k % 2 == 0)
         assert snap.step == 100 and layouts == []
+
+
+class CountedCall:
+    """A numpy callable whose calls, and those of its callable attributes
+    (``np.add.reduce``), add one to ``counter[0]``."""
+
+    def __init__(self, target, counter):
+        self._target, self._counter = target, counter
+
+    def __call__(self, *args, **kwargs):
+        self._counter[0] += 1
+        return self._target(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        return CountedCall(attr, self._counter) if callable(attr) else attr
+
+
+class CountingNumpy:
+    """numpy with every call of its functions and ufuncs counted; classes,
+    such as ``np.errstate`` and the dtypes, and constants pass as they are."""
+
+    def __init__(self):
+        self.counter = [0]
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if callable(attr) and not isinstance(attr, type):
+            return CountedCall(attr, self.counter)
+        return attr
+
+
+class TestCallFloor:
+    """The step loop's numpy calls: a step costs about 0.4 µs a call, not a
+    cost per element, so the count per step is its cost."""
+
+    @pytest.mark.parametrize("freeze_levels, per_step", [(False, 20), (True, 21)])
+    def test_numpy_calls_per_step(self, monkeypatch, freeze_levels, per_step):
+        # The kernel binds its ufuncs when it is laid out, so the engine is
+        # built on the counting stand-in. ModelBank.eval, in utility, calls
+        # numpy on its own and is not counted. Two one-chunk runs differ
+        # only in their steps.
+        counting = CountingNumpy()
+        monkeypatch.setattr(dynamics, "np", counting)
+        specs = make_specs(3, demands=[0.2, 0.5, 0.8])
+
+        def calls(horizon):
+            eng = Engine(specs, make_cfg(horizon=horizon, eta_bar=1e-3, zeta_bar=1e-3))
+            counting.counter[0] = 0
+            trace = eng.run(freeze_levels=freeze_levels)
+            assert trace.complete
+            return counting.counter[0]
+
+        assert 10 < DEFAULT_CHUNK
+        assert calls(10) - calls(4) == 6 * per_step
