@@ -245,8 +245,8 @@ class Engine:
         self.lam_min = float(self.weights.min())
         self.c_bar = float(max(t.utility.bound_c for t in specs))
         self.demand = demand_table(specs)
-        # The one-lane kernels of step, by freeze_levels.
-        self._step_kernels = [self._kernel([(self.noise, freeze)]) for freeze in (False, True)]
+        # The one-lane, one-step kernels of step, by freeze_levels.
+        self._step_kernels = [self._kernel([(self.noise, freeze)], 1) for freeze in (False, True)]
 
     def initial_snapshot(self) -> EngineSnapshot:
         cfg = self.cfg
@@ -265,35 +265,40 @@ class Engine:
             phi_sq_sum=float((f0 * f0).sum()),
         )
 
-    def _kernel(self, lanes):
-        """The update kernel of the ``(noise, freeze_levels)`` lanes.
+    def _kernel(self, lanes, rows: int):
+        """The update kernel of the ``(noise, freeze_levels)`` lanes, for
+        chunks of up to ``rows`` steps.
 
-        Lays out, once, what depends only on the lanes: the bank and the
-        weights ``(R, n)`` like the state, so that no operand of a step's
-        model evaluation broadcasts, the ``keep`` mask, the scratch rows and
-        the ufuncs. Returns ``chunk(state, k0, k1, bufs)``, which walks steps
-        ``k0`` to ``k1 - 1`` from ``state`` and returns the chunk's
-        ``_failures`` and the noise-free fairness index at each new state.
-        Every :meth:`step` and run goes through it, and it checks nothing
-        itself: ``_failures`` finds the first bad step of a whole chunk
-        afterwards.
+        Lays out, once, what depends only on the lanes and ``rows``: the
+        bank and the weights ``(R, n)`` like the state, so that no operand
+        of a step's model evaluation broadcasts, the ``keep`` mask, the
+        scratch rows, the ufuncs and the chunk's buffers. Returns ``(chunk, lp)``.
+        ``chunk(k0, k1, start=None)`` walks steps ``k0`` to ``k1 - 1``: from
+        the snapshot ``start`` in every lane, if given, else from the state
+        the previous chunk ended in. It returns the chunk's ``_failures``;
+        views of its rows ``v_pre``, ``v``, ``s``, ``u`` and ``f``, each
+        ``(m, R, n)`` and overwritten by the next chunk; the noise-free
+        fairness index ``phi`` at each new state; and the demand ``(m, n)``
+        at the new states. Every :meth:`step` and run goes through it, and
+        it checks nothing itself: ``_failures`` finds the first bad step of
+        a whole chunk afterwards.
 
-        ``state`` is ``(v, lp)``: the shares, shaped ``(R, n)`` with one row
-        per lane and only read, and the filters ``(u_lp, s_lp)`` stacked in
-        one ``(2, R, n)`` array, updated in place. ``bufs`` are ``(pair,
-        v_buf, f_buf, eta, zeta)``. ``pair`` is ``(rows + 1, 2, R, n)``:
-        ``pair[j, 0]`` is step ``j``'s measurement and ``pair[j, 1]`` the
-        level it starts from, so the caller puts the chunk's first level in
-        ``pair[0, 1]``, step ``j`` writes its new level into ``pair[j + 1,
-        1]``, and ``pair[j]`` is the ``(u, s)`` couple the filters follow.
-        Step ``j`` writes its index and shares into row ``j`` of ``f_buf``
-        and ``v_buf``; the noise ``eta`` and the dither ``zeta`` are drawn
-        per chunk. Step ``j`` measures at demand ``k0 + j`` plus noise,
-        moves the shares along the observed fairness index, then the levels
-        by the filtered difference quotient plus dither. A frozen lane
-        (``keep`` True) keeps its old ``s`` (a zero level step would not: a
-        huge measurement makes the filter step inf, and 0 * inf is NaN); its
-        filters move on but are not read while the levels stay.
+        The state is the shares, the levels and the filters ``lp``, which
+        stack ``(u_lp, s_lp)`` in one ``(2, R, n)`` array updated in place.
+        ``shares`` is ``(rows + 1, R, n)`` and ``pair`` ``(rows + 1, 2, R,
+        n)``: ``shares[j]`` and ``pair[j, 1]`` are the shares and level step
+        ``j`` starts from and ``pair[j, 0]`` its measurement, so row 0 holds
+        the state a chunk starts from, step ``j`` writes its new state into
+        row ``j + 1``, and ``pair[j]`` is the ``(u, s)`` couple the filters
+        follow. A chunk that does not start from a snapshot first moves the
+        previous chunk's last row into row 0. Step ``j`` writes its index
+        into row ``j`` of ``f_buf``; the noise ``eta`` and the dither
+        ``zeta`` are drawn per chunk. Step ``j`` measures at demand ``k0 +
+        j`` plus noise, moves the shares along the observed fairness index,
+        then the levels by the filtered difference quotient plus dither. A
+        frozen lane (``keep`` True) keeps its old ``s`` (a zero level step
+        would not: a huge measurement makes the filter step inf, and 0 * inf
+        is NaN); its filters move on but are not read while the levels stay.
 
         Each element goes through the operations of
         ``v + eps * (w - v * sum(w))`` with ``w = weights / u_meas``, and of
@@ -323,18 +328,27 @@ class Engine:
         dd = np.empty((2, *shape))
         du, ds = dd
         mask = np.empty(shape, dtype=bool)
+        shares = np.empty((rows + 1, *shape))
+        pair = np.empty((rows + 1, 2, *shape))
+        lp = np.empty((2, *shape))
+        bufs = [np.empty((rows, *shape)) for _ in range(3)]
+        end = 0  # The row of the state the next chunk starts from.
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         reduce, absolute, greater_equal, tanh = np.add.reduce, np.absolute, np.greater_equal, np.tanh
         maximum, minimum, copyto = np.maximum, np.minimum, np.copyto
 
-        def chunk(state, k0: int, k1: int, bufs):
-            m = k1 - k0
-            v, lp = state
-            # Demand of the measurements at steps k0..k1-1, then of the
-            # diagnostics at the states after them, k0+1..k1.
-            d_rows = np.repeat(self.demand.at(np.arange(k0, k1 + 1))[:, None], lanes_n, axis=1)
-            pair = bufs[0]
-            v_buf, f_buf, eta, zeta = (b[:m] for b in bufs[1:])
+        def chunk(k0: int, k1: int, start: EngineSnapshot | None = None):
+            nonlocal end
+            if start is None:
+                shares[0], pair[0, 1] = shares[end], pair[end, 1]
+            else:
+                shares[0], pair[0, 1], lp[0], lp[1] = start.v, start.s, start.u_lp, start.s_lp
+            end = m = k1 - k0
+            # Demand of the measurements at steps k0..k1-1, then at the
+            # states after them, k0+1..k1.
+            d = self.demand.at(np.arange(k0, k1 + 1))
+            d_rows = np.repeat(d[:, None], lanes_n, axis=1)
+            f_buf, eta, zeta = (b[:m] for b in bufs)
             # A frozen lane's dither enters only the level step that keep discards.
             for r, (noise, _) in enumerate(lanes):
                 eta[:, r] = noise.measurement_block(k0, k1, n)
@@ -342,8 +356,9 @@ class Engine:
             # The dither enters the level step as em * zeta: scaled once here.
             multiply(em, zeta, zeta)
             bank_eval = bank.eval
-            for d_k, eta_k, us, u, s, s_new, v_new, f, z in zip(
-                    d_rows, eta, pair, pair[:, 0], pair[:, 1], pair[1:, 1], v_buf, f_buf, zeta):
+            for d_k, eta_k, us, u, s, s_new, v, v_new, f, z in zip(
+                    d_rows, eta, pair, pair[:, 0], pair[:, 1], pair[1:, 1], shares, shares[1:],
+                    f_buf, zeta):
                 add(bank_eval(s, v, d_k), eta_k, u)
                 divide(weights, u, w)
                 multiply(v, reduce(w, -1, None, w_sum, True), tmp)
@@ -367,12 +382,12 @@ class Engine:
                     copyto(s_new, s, where=keep)
                 multiply(em, dd, dd)
                 add(lp, dd, lp)
-                v = v_new
-            s_buf, u_buf = pair[1:m + 1, 1], pair[:m, 0]
+            v_buf, s_buf, u_buf = shares[1:m + 1], pair[1:m + 1, 1], pair[:m, 0]
             phi = fairness_from_utilities(self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf)
-            return self._failures(k0, u_buf, v_buf, s_buf), phi
+            return (self._failures(k0, u_buf, v_buf, s_buf), shares[:m], v_buf, s_buf, u_buf,
+                    f_buf, phi, d[1:])
 
-        return chunk
+        return chunk, lp
 
     def _failures(self, k0: int, u_meas, v_new, s_new) -> list[StepError | None]:
         """Per lane, the error of its first bad step among steps ``k0, k0 + 1, ...``.
@@ -421,25 +436,23 @@ class Engine:
         return errors
 
     def step(self, snap: EngineSnapshot, freeze_levels: bool = False) -> EngineSnapshot:
-        """Advance one step: a one-step chunk of the one-lane kernel of a
-        run on the engine's own noise, from ``snap`` and its copied filters.
-        The engine laid out that kernel once, so a step lays out nothing.
-        The buffers are new on every call, so no later step writes into a
-        snapshot returned earlier."""
-        pair = np.empty((2, 2, 1, self.n))
-        pair[0, 1] = snap.s
-        lp = np.stack([snap.u_lp, snap.s_lp])[:, None]
-        bufs = (pair, *(np.empty((1, 1, self.n)) for _ in range(4)))
+        """Advance one step: a one-step chunk, from ``snap``, of the one-lane
+        kernel of a run on the engine's own noise. The engine laid out that
+        kernel and its buffers once, so a step lays out nothing; it copies
+        the new state out of them, so no later step writes into a snapshot
+        returned earlier."""
+        chunk, lp = self._step_kernels[bool(freeze_levels)]
         # As in run: the chunk's check raises on every bad measurement.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            (error,), phi = self._step_kernels[bool(freeze_levels)](
-                (snap.v[None], lp), snap.step, snap.step + 1, bufs)
+            (error,), _, v, s, u, f, phi, _ = chunk(snap.step, snap.step + 1, snap)
         if error is not None:
             raise error
-        v, f, phi = (b[0, 0] for b in (bufs[1], bufs[2], phi))
+        v, s, u, f = (x[0, 0].copy() for x in (v, s, u, f))
+        u_lp, s_lp = lp[:, 0].copy()
+        phi = phi[0, 0]
         return EngineSnapshot(
-            step=snap.step + 1, v=v, s=pair[1, 1, 0], u_lp=lp[0, 0], s_lp=lp[1, 0],
-            u_meas=pair[0, 0, 0], f_obs=f, phi=phi, phi_sq_sum=float((phi * phi).sum()),
+            step=snap.step + 1, v=v, s=s, u_lp=u_lp, s_lp=s_lp,
+            u_meas=u, f_obs=f, phi=phi, phi_sq_sum=float((phi * phi).sum()),
         )
 
     def run(self, stride: int = 1, freeze_levels: bool = False) -> RunTrace:
@@ -463,23 +476,26 @@ class Engine:
         A lane is a noise stream: a NoiseSource, or any object with its
         ``measurement_block`` and ``dither_block``. Every lane runs the
         engine's task set and configuration, and a NoiseSource checks its
-        own bounds, so a lane needs no other check. The state carries a leading lane axis, one lane included, so R
-        lanes cost one loop's numpy calls. Returns per lane, bit for bit,
-        the RunTrace that ``Engine(specs, cfg, noise=noise).run(stride,
-        freeze_levels)`` returns, or the StepError it raises with its
-        partial ``.trace``; a failed lane stays in the loop, its trace
-        ending at its failure, and the others go on.
+        own bounds, so a lane needs no other check. The state carries a
+        leading lane axis, one lane included, so R lanes cost one loop's
+        numpy calls. Returns per lane, bit for bit, the RunTrace that
+        ``Engine(specs, cfg, noise=noise).run(stride, freeze_levels)``
+        returns, or the StepError it raises with its partial ``.trace``; a
+        failed lane stays in the loop, its trace ending at its failure, and
+        the others go on.
 
-        One :meth:`_kernel`, laid out once per call, walks the horizon in
-        chunks of ``_CHUNK_STEPS`` steps (:meth:`step` is one of one step
-        on a kernel the engine laid out). After each chunk, the level
-        maximizers of the ``s_optimality`` tail are found in bulk, the
-        recorded steps of all lanes are copied into the lane-major records,
-        and each live lane's completed steps are folded into its ledger. So
-        memory is bounded by the kept records plus one chunk, whatever the
-        horizon, and since the noise is counter-keyed the chunking moves no
-        bit. The ledger covers every completed step, recorded or not, so
-        ``stride`` thins the trace but no verdict.
+        One :meth:`_kernel`, laid out once per call, loads the initial
+        snapshot into every lane and walks the horizon in chunks of
+        ``_CHUNK_STEPS`` steps, carrying the state from chunk to chunk
+        itself (:meth:`step` is one of one step on a kernel the engine laid
+        out). After each chunk, the level maximizers of the
+        ``s_optimality`` tail are found in bulk at the demand the chunk
+        looked up, the recorded steps of all lanes are copied into the
+        lane-major records, and each live lane's completed steps are folded
+        into its ledger. So memory is bounded by the kept records plus one
+        chunk, whatever the horizon, and since the noise is counter-keyed
+        the chunking moves no bit. The ledger covers every completed step,
+        recorded or not, so ``stride`` thins the trace but no verdict.
         """
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
@@ -500,43 +516,28 @@ class Engine:
         # NaN: neither needs a warning.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             snap0 = self.initial_snapshot()
-            v = np.tile(snap0.v, (lanes_n, 1))
-            lp = np.tile(np.stack([snap0.u_lp, snap0.s_lp])[:, None], (1, lanes_n, 1))
-            # The (u, s) pairs of the kernel; pair[0, 1] carries the level
-            # that starts each chunk.
-            pair = np.empty((_CHUNK_STEPS + 1, 2, lanes_n, n))
-            pair[0, 1] = snap0.s
-            bufs = (pair, *(np.empty((_CHUNK_STEPS, lanes_n, n)) for _ in range(4)))
-            chunk = self._kernel(lanes)
+            chunk, _ = self._kernel(lanes, min(_CHUNK_STEPS, horizon))
             for k0 in range(0, horizon, _CHUNK_STEPS):
                 k1 = min(k0 + _CHUNK_STEPS, horizon)
                 m = k1 - k0
-                errors, phi = chunk((v, lp), k0, k1, bufs)
-                v_buf, f_buf = (b[:m] for b in bufs[1:3])
-                s_buf, u_buf = pair[1:m + 1, 1], pair[:m, 0]
-                v_start = v
-                v = v_buf[m - 1].copy()
-                pair[0, 1] = pair[m, 1]
+                errors, v_pre, v, s, u, f, phi, d = chunk(k0, k1, None if k0 else snap0)
                 # Rows of the s_optimality tail: steps from opt_start on.
                 lo = min(max(ledgers[0].opt_start - 1 - k0, 0), m)
-                near_opt = np.abs(s_buf[lo:] - self.bank.argmax(
-                    v_buf[lo:], self.demand.at(np.arange(k0 + 1 + lo, k1 + 1))[:, None]
-                )) < S_OPT_TOL
+                near_opt = np.abs(s[lo:] - self.bank.argmax(v[lo:], d[lo:, None])) < S_OPT_TOL
                 phi_sq = (phi * phi).sum(axis=-1)
                 # Local rows whose step k0 + j + 1 is a multiple of stride,
                 # and the records they fill, for every lane at once.
                 picked = slice((-k0 - 1) % stride, m, stride)
-                for rec, buf in zip(records, (v_buf, s_buf, u_buf, f_buf, phi, phi_sq)):
+                for rec, buf in zip(records, (v, s, u, f, phi, phi_sq)):
                     rec[k0 // stride:k1 // stride] = buf[picked]
                 for r, error in enumerate(errors):
                     if results[r] is not None:
                         continue
                     done = k1 if error is None else error.step
                     if m_r := done - k0:
-                        vc = v_buf[:m_r, r]
-                        v_pre = np.vstack([v_start[r], vc[:-1]])
-                        ledgers[r].fold(k0, v_pre, vc, f_buf[:m_r, r], phi_sq[:m_r, r],
-                                        lam_ratio, near_opt[:max(m_r - lo, 0), r])
+                        ledgers[r].fold(k0, v_pre[:m_r, r], v[:m_r, r], f[:m_r, r],
+                                        phi_sq[:m_r, r], lam_ratio,
+                                        near_opt[:max(m_r - lo, 0), r])
                     if error is not None:
                         error.trace = _trace(records, r, ledgers[r], stride, done, True)
                         results[r] = error

@@ -14,6 +14,7 @@ import fairshare as fs
 import fairshare.dynamics as dynamics
 from fairshare.core import (
     DemandSchedule,
+    DemandTable,
     EngineConfig,
     FeasibilityBreach,
     MeasurementError,
@@ -728,6 +729,31 @@ class TestStreamingRun:
             np.testing.assert_array_equal(led.window_v_max[w], rows.max(axis=0))
             np.testing.assert_array_equal(led.window_v_min[w], rows.min(axis=0))
 
+    @pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
+    def test_scalar_extrema_match_the_stride_one_trace(self, monkeypatch, chunk):
+        # Each chunking would share an off-by-one in the shares a step
+        # starts from, so the reference is the trace, not another chunking.
+        specs, cfg = streaming_scenario()
+        trace = chunked_run(monkeypatch, chunk, specs, cfg)
+        eng = Engine(specs, cfg)
+        v, f, phi_sq, n = trace.v, trace.f_obs, trace.phi_sq, len(specs)
+        v_pre = np.vstack([eng.initial_snapshot().v, v[:-1]])
+        lam_ratio = eng.lam_min / eng.c_bar
+        assert np.isfinite(phi_sq).all()
+        arg = int(np.argmin(phi_sq))
+        expected = {
+            "max_simplex_dev": np.abs(v.sum(axis=1) - 1.0).max(),
+            "v_min": v.min(),
+            "v_max": v.max(),
+            "max_abs_f_sum": np.abs(f.sum(axis=1)).max(),
+            "f_low_gap": ((lam_ratio - v_pre * n) - f).max(),
+            "f_high_gap": (f - (1.0 - v_pre * n * lam_ratio)).max(),
+            "phi_sq_min": phi_sq[arg],
+            "phi_sq_min_step": trace.steps[arg],
+        }
+        for name, value in expected.items():
+            np.testing.assert_array_equal(getattr(trace.ledger, name), value, err_msg=name)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fail_at", [6, 7, 8, DEFAULT_CHUNK - 1,
                                          DEFAULT_CHUNK, DEFAULT_CHUNK + 1])
@@ -958,8 +984,9 @@ class TestLanes:
 
 
 class TestLayout:
-    """A run lays out its kernel once, whatever its chunks, and a step lays
-    out nothing: the engine laid out its step kernels when it was built."""
+    """A run lays out its kernel once, whatever its chunks, a chunk looks up
+    its demand once, and a step lays out nothing: the engine laid out its
+    step kernels when it was built."""
 
     @pytest.fixture
     def layouts(self, monkeypatch):
@@ -982,6 +1009,24 @@ class TestLayout:
         traces = eng.run_lanes([(eng.noise, False), (NoiseSource(7, 1e-3, 1e-3), True)])
         assert [len(t) for t in traces] == [cfg.horizon] * 2
         assert layouts == [2]
+
+    @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
+    def test_a_chunk_looks_up_its_demand_once(self, monkeypatch, chunk):
+        calls = []
+        at = DemandTable.at
+
+        def counted(table, k):
+            calls.append(k)
+            return at(table, k)
+
+        specs, cfg = streaming_scenario(horizon=2 * chunk + 1)
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+        eng = Engine(specs, cfg)
+        monkeypatch.setattr(DemandTable, "at", counted)
+        traces = eng.run_lanes([(eng.noise, False), (NoiseSource(7, 1e-3, 1e-3), True)])
+        assert [len(t) for t in traces] == [cfg.horizon] * 2
+        # The initial snapshot's lookup, then one per chunk.
+        assert len(calls) == 1 + 3
 
     def test_steps_lay_out_nothing(self, layouts):
         specs, cfg = streaming_scenario(horizon=100)
