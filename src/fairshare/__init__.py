@@ -2,9 +2,11 @@
 
 A central manager repeatedly redistributes a unit resource among tasks and
 tunes each task's operation level, using only noisy utility measurements.
-Submodules: ``core`` (types, config, noise), ``utility`` (performance
-models), ``dynamics`` (the stepping engine), ``oracle`` (independent
-verification), ``scenario`` (builders and summaries), ``cli``.
+Submodules, in layer order: ``core`` (types, config, noise, the fairness
+index), ``utility`` (performance models), ``oracle`` (independent
+verification and the config checks), ``dynamics`` (the stepping engine),
+``scenario`` (builders and summaries), ``cli``. Each imports only the ones
+before it, so the oracles never load the engine they check.
 """
 from .core import (
     ConfigError,
@@ -16,14 +18,13 @@ from .core import (
     NoiseSource,
     StepError,
     TaskSpec,
+    fairness_from_utilities,
     uniform_allocation,
-    validate_config,
 )
 from .dynamics import (
     Engine,
     EngineSnapshot,
     RunTrace,
-    fairness_from_utilities,
     recurrence_window,
 )
 from .oracle import (
@@ -36,6 +37,7 @@ from .oracle import (
     integrate_limiting_ode,
     probe_limit_points,
     safe_epsilon,
+    validate_config,
 )
 from .scenario import (
     ScenarioResult,

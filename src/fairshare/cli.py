@@ -26,7 +26,6 @@ from .core import (
     TaskSpec,
     _finite,
     _integral,
-    validate_config,
 )
 from .dynamics import Engine, RunTrace
 from .oracle import (
@@ -35,6 +34,7 @@ from .oracle import (
     fair_fixed_point,
     integrate_full_ode,
     probe_limit_points,
+    validate_config,
 )
 from .scenario import (
     build_identical_four,

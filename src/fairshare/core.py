@@ -5,7 +5,10 @@ step -> demand lookup of a task set, which the engine and the summaries
 read; ``EngineConfig.from_dict`` is the one reader of engine settings, for
 builtin overrides, scenario files and manifests alike. ``NoiseSource`` is a
 pure function of its key, so values can be drawn in any order (or in bulk)
-and replayed exactly from the same seed.
+and replayed exactly from the same seed. ``fairness_from_utilities`` and the
+filter constants are the definitions the engine's diagnostics and the
+oracles share. This module is the first layer: it imports nothing from the
+package at run time.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ __all__ = [
     "StepError",
     "TaskSpec",
     "demand_table",
+    "fairness_from_utilities",
     "uniform_allocation",
-    "validate_config",
 ]
 
 
@@ -143,8 +146,12 @@ class DemandTable:
     values: np.ndarray
 
     def at(self, k) -> np.ndarray:
-        """Demand vector at step ``k``; one row per step for an array of steps."""
-        return self.values[np.searchsorted(self.breaks, k, side="right") - 1]
+        """Demand vector at step ``k``; one row per step for an array of steps.
+        A negative step is a ValueError naming it, as in ``DemandSchedule.at``."""
+        rows = np.searchsorted(self.breaks, k, side="right") - 1
+        if np.any(rows < 0):
+            raise ValueError(f"step index must be >= 0, got {np.min(k)}")
+        return self.values[rows]
 
 
 def demand_table(specs: Sequence[TaskSpec]) -> DemandTable:
@@ -269,44 +276,25 @@ class EngineConfig:
         return self.eps_mu * self.gamma
 
 
-def validate_config(cfg: EngineConfig, specs: Sequence[TaskSpec]) -> list[str]:
-    """Check a configuration against the stability and noise conditions.
+# Initial gap between a level and its filter; avoids a degenerate zero
+# denominator on the very first direction estimate.
+FILTER_INIT_OFFSET = 1e-3
+# Below this magnitude the level has not moved, so no direction estimate
+# exists and the drift term is zeroed (dither keeps exploring).
+RATIO_GUARD = 1e-12
 
-    An empty task set is a ConfigError. Otherwise one ConfigError names
-    every failed condition, joined by ``"; "``: the step condition
-    ``epsilon * mu * gamma < 1`` (unstable filters otherwise),
-    ``eta_bar >= 1`` (inverse-measurement bounds break down) and a
-    ``v_init`` whose length is not the task count. If none fails, returns
-    the warnings: epsilon above the conservative feasibility threshold of
-    the task set, ``oracle.bounds(specs, cfg).safe_epsilon``.
+
+def fairness_from_utilities(weights, utilities, v) -> np.ndarray:
+    """Fairness index from known utility values.
+
+    Component i is (1 - v_i) * w_i - v_i * sum_{j != i} w_j with
+    w = weights / utilities, which simplifies to w_i - v_i * sum(w). Positive
+    values flag resource deficiency, negative values a surplus; the vector
+    sums to zero whenever v sums to one. The sum runs over the last (task)
+    axis, so a batch of rows gives one index per row.
     """
-    if not specs:
-        raise ConfigError("need at least one task")
-    errors = []
-    if cfg.eps_mu_gamma >= 1.0:
-        errors.append(
-            "step condition violated: epsilon*mu(epsilon)*gamma = "
-            f"{cfg.eps_mu_gamma:.6g} >= 1 (need epsilon*mu < 1/gamma)"
-        )
-    if cfg.eta_bar >= 1.0:
-        errors.append(
-            f"eta_bar = {cfg.eta_bar:.6g} >= 1 makes measured utilities "
-            "non-invertible (utilities are only guaranteed >= 1)"
-        )
-    if cfg.v_init is not None and len(cfg.v_init) != len(specs):
-        errors.append(f"v_init has {len(cfg.v_init)} entries for {len(specs)} tasks")
-    if errors:
-        raise ConfigError("; ".join(errors))
-    from .oracle import bounds
-
-    eps_safe = bounds(specs, cfg).safe_epsilon
-    if cfg.epsilon > eps_safe:
-        return [
-            f"epsilon = {cfg.epsilon:.6g} exceeds the conservative "
-            f"feasibility threshold {eps_safe:.6g}; shares may leave the "
-            "unit box and abort the run"
-        ]
-    return []
+    w = np.asarray(weights, dtype=float) / np.asarray(utilities, dtype=float)
+    return w - np.asarray(v, dtype=float) * w.sum(axis=-1, keepdims=True)
 
 
 def uniform_allocation(n: int) -> np.ndarray:
@@ -331,8 +319,7 @@ CHANNEL_DITHER = 1
 
 
 def _mix(z):
-    # uint64 arithmetic wraps modulo 2**64 by design; callers ignore the
-    # overflow warning.
+    # uint64 array arithmetic wraps modulo 2**64 by design, without a warning.
     z = z + _GOLD
     z = (z ^ (z >> _SH30)) * _MIX1
     z = (z ^ (z >> _SH27)) * _MIX2
@@ -342,9 +329,10 @@ def _mix(z):
 def _keyed_unit(seed, task, channel, step):
     """Uniform [0, 1) as a pure function of (seed, task, channel, step).
 
-    Wraps uint64 arithmetic, so call it under ``np.errstate(over="ignore")``.
+    The seed is keyed as a one-element array, so every step of ``_mix`` is
+    array arithmetic, which wraps without an overflow warning.
     """
-    h = _mix(_U64(seed))
+    h = _mix(np.array([seed], dtype=_U64))
     h = _mix(h ^ task)
     h = _mix(h ^ channel)
     h = _mix(h ^ step)
@@ -383,8 +371,7 @@ class NoiseSource:
             return np.zeros((k1 - k0, n))
         steps = np.arange(k0, k1, dtype=np.uint64)[:, None]
         tasks = np.arange(n, dtype=np.uint64)[None, :]
-        with np.errstate(over="ignore"):
-            u = _keyed_unit(self.seed, tasks, _U64(channel), steps)
+        u = _keyed_unit(self.seed, tasks, _U64(channel), steps)
         return bound * (2.0 * u - 1.0)
 
     def measurement_block(self, k0: int, k1: int, n: int) -> np.ndarray:

@@ -16,6 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    FILTER_INIT_OFFSET,
+    RATIO_GUARD,
     ConfigError,
     EngineConfig,
     FeasibilityBreach,
@@ -24,9 +26,10 @@ from .core import (
     StepError,
     TaskSpec,
     demand_table,
+    fairness_from_utilities,
     uniform_allocation,
-    validate_config,
 )
+from .oracle import validate_config
 from .utility import ModelBank
 
 __all__ = [
@@ -34,16 +37,9 @@ __all__ = [
     "EngineSnapshot",
     "RunLedger",
     "RunTrace",
-    "fairness_from_utilities",
     "recurrence_window",
 ]
 
-# Initial gap between a level and its filter; avoids a degenerate zero
-# denominator on the very first direction estimate.
-FILTER_INIT_OFFSET = 1e-3
-# Below this magnitude the level has not moved, so no direction estimate
-# exists and the drift term is zeroed (dither keeps exploring).
-RATIO_GUARD = 1e-12
 # Steps per chunk of Engine.run_lanes: its working arrays span one chunk, so
 # their size does not grow with the horizon.
 _CHUNK_STEPS = 4096
@@ -78,19 +74,6 @@ def _fits_in_memory(what: str, nbytes: int, horizon: int, stride: int):
             f"horizon {horizon} at stride {stride} does not fit in memory: "
             f"the {what} need {nbytes:.4g} bytes"
         ) from exc
-
-
-def fairness_from_utilities(weights, utilities, v) -> np.ndarray:
-    """Fairness index from known utility values.
-
-    Component i is (1 - v_i) * w_i - v_i * sum_{j != i} w_j with
-    w = weights / utilities, which simplifies to w_i - v_i * sum(w). Positive
-    values flag resource deficiency, negative values a surplus; the vector
-    sums to zero whenever v sums to one. The sum runs over the last (task)
-    axis, so a batch of rows gives one index per row.
-    """
-    w = np.asarray(weights, dtype=float) / np.asarray(utilities, dtype=float)
-    return w - np.asarray(v, dtype=float) * w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -211,7 +194,6 @@ class RunTrace:
     phi: np.ndarray
     phi_sq: np.ndarray
     ledger: RunLedger
-    stride: int
     breach_step: int | None = None
 
     @property
@@ -580,7 +562,7 @@ def _trace(records, lane: int, ledger: RunLedger, stride: int, done: int,
     return RunTrace(
         steps=np.arange(stride, n_rec * stride + 1, stride, dtype=np.int64),
         v=v, s=s, u_meas=u_meas, f_obs=f_obs, phi=phi, phi_sq=phi_sq,
-        ledger=ledger, stride=stride,
+        ledger=ledger,
         breach_step=done if failed else None,
     )
 

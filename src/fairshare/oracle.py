@@ -4,7 +4,13 @@ Everything here computes reference answers by routes that do not share code
 with the stepping engine: analytic recurrence bounds, classical RK4 on the
 mean-field equations, and a damped fixed-point iteration for fair
 allocations. Tests and the CLI verify mode compare engine output against
-these oracles.
+these oracles. ``validate_config`` checks a configuration against the
+stability conditions and ``bounds``' safe step size; the engine calls it
+before it runs.
+
+This module imports only ``core`` and ``utility``, never ``dynamics``: the
+definitions the engine's diagnostics and the oracles both read (the
+fairness index and the filter constants) live in ``core``.
 """
 from __future__ import annotations
 
@@ -15,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EngineConfig, TaskSpec, demand_table, uniform_allocation
-from .dynamics import FILTER_INIT_OFFSET, RATIO_GUARD, fairness_from_utilities
+from .core import (FILTER_INIT_OFFSET, RATIO_GUARD, ConfigError, EngineConfig, TaskSpec,
+                   demand_table, fairness_from_utilities, uniform_allocation)
 from .utility import ModelBank
 
 __all__ = [
@@ -30,6 +36,7 @@ __all__ = [
     "integrate_limiting_ode",
     "probe_limit_points",
     "safe_epsilon",
+    "validate_config",
 ]
 
 
@@ -98,6 +105,44 @@ def bounds(specs: Sequence[TaskSpec], cfg: EngineConfig) -> BoundSet:
         safe_epsilon=safe_epsilon(lam_min, c_bar, n, cfg.eta_bar),
         eps_mu_gamma=cfg.eps_mu_gamma,
     )
+
+
+def validate_config(cfg: EngineConfig, specs: Sequence[TaskSpec]) -> list[str]:
+    """Check a configuration against the stability and noise conditions.
+
+    An empty task set is a ConfigError. Otherwise one ConfigError names
+    every failed condition, joined by ``"; "``: the step condition
+    ``epsilon * mu * gamma < 1`` (unstable filters otherwise),
+    ``eta_bar >= 1`` (inverse-measurement bounds break down) and a
+    ``v_init`` whose length is not the task count. If none fails, returns
+    the warnings: epsilon above the conservative feasibility threshold of
+    the task set, ``bounds(specs, cfg).safe_epsilon``.
+    """
+    if not specs:
+        raise ConfigError("need at least one task")
+    errors = []
+    if cfg.eps_mu_gamma >= 1.0:
+        errors.append(
+            "step condition violated: epsilon*mu(epsilon)*gamma = "
+            f"{cfg.eps_mu_gamma:.6g} >= 1 (need epsilon*mu < 1/gamma)"
+        )
+    if cfg.eta_bar >= 1.0:
+        errors.append(
+            f"eta_bar = {cfg.eta_bar:.6g} >= 1 makes measured utilities "
+            "non-invertible (utilities are only guaranteed >= 1)"
+        )
+    if cfg.v_init is not None and len(cfg.v_init) != len(specs):
+        errors.append(f"v_init has {len(cfg.v_init)} entries for {len(specs)} tasks")
+    if errors:
+        raise ConfigError("; ".join(errors))
+    eps_safe = bounds(specs, cfg).safe_epsilon
+    if cfg.epsilon > eps_safe:
+        return [
+            f"epsilon = {cfg.epsilon:.6g} exceeds the conservative "
+            f"feasibility threshold {eps_safe:.6g}; shares may leave the "
+            "unit box and abort the run"
+        ]
+    return []
 
 
 @dataclass

@@ -14,9 +14,10 @@ from fairshare.core import (
     EngineConfig,
     NoiseSource,
     TaskSpec,
+    demand_table,
     uniform_allocation,
-    validate_config,
 )
+from fairshare.oracle import validate_config
 from fairshare.utility import HomeEnergyModel
 
 
@@ -138,6 +139,18 @@ class TestDemandSchedule:
         sched = DemandSchedule(((0, 0.4), (10, 0.8), (20, 0.4)))
         assert sched.span() == (0.4, 0.8)
 
+    @pytest.mark.parametrize("k, shown", [(-1, -1), (np.array([3, -2, 0, -1]), -2)])
+    def test_negative_step_is_value_error_naming_it(self, k, shown):
+        sched = DemandSchedule(((0, 0.4), (10, 0.8)))
+        model = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
+        table = demand_table([TaskSpec(weight=1.0, utility=model, demand=sched)])
+        message = rf"^step index must be >= 0, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            table.at(k)
+        with pytest.raises(ValueError, match=message):
+            sched.at(shown)
+        assert table.at(np.array([0, 9, 10])).tolist() == [[0.4], [0.4], [0.8]]
+
 
 class TestTaskSpec:
     @pytest.mark.parametrize("weight", [0.0, -0.5, 1.0 + 1e-9])
@@ -194,6 +207,26 @@ class TestNoiseSource:
     def test_bad_bound_is_config_error_naming_it(self, bounds, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             NoiseSource(1, **bounds)
+
+    def test_draws_match_python_integer_splitmix_at_the_top_seed(self):
+        # The keyed draws wrap uint64 arithmetic without a warning or an
+        # errstate; a reference in Python integers, reduced modulo 2**64,
+        # gives the same bits.
+        def mix(z):
+            z = (z + 0x9E3779B97F4A7C15) % 2**64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            return z ^ (z >> 31)
+
+        seed, k0, n = 2**64 - 1, 2**40, 5
+        src = NoiseSource(seed, eta_bar=0.3, zeta_bar=0.7)
+        with np.errstate(all="raise"):
+            draws = [src.measurement_block(k0, k0 + 100, n), src.dither_block(k0, k0 + 100, n)]
+        for channel, (bound, got) in enumerate(zip((0.3, 0.7), draws)):
+            want = [[bound * (2.0 * ((mix(mix(mix(mix(seed) ^ i) ^ channel) ^ k) >> 11)
+                                     * (1.0 / 2**53)) - 1.0)
+                     for i in range(n)] for k in range(k0, k0 + 100)]
+            assert got.tolist() == want
 
     def test_channels_are_distinct_streams(self):
         src = NoiseSource(seed=5, eta_bar=0.2, zeta_bar=0.2)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fairshare as fs
 import fairshare.dynamics as dynamics
 from fairshare.core import (
+    RATIO_GUARD,
     DemandSchedule,
     DemandTable,
     EngineConfig,
@@ -21,12 +22,12 @@ from fairshare.core import (
     NoiseSource,
     StepError,
     TaskSpec,
+    fairness_from_utilities,
 )
 from fairshare.dynamics import (
     Engine,
     EngineSnapshot,
     RunTrace,
-    fairness_from_utilities,
 )
 from fairshare.utility import (
     AffineNormalizer,
@@ -464,7 +465,7 @@ class TestRun:
             if not freeze_levels:
                 du, ds = cfg.gamma * (u - u_lp), cfg.gamma * (s - s_lp)
                 ratio = np.divide(du, ds, out=np.zeros(n),
-                                  where=np.abs(ds) >= dynamics.RATIO_GUARD)
+                                  where=np.abs(ds) >= RATIO_GUARD)
                 zeta = eng.noise.dither_block(k, k + 1, n)[0]
                 s = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
                 u_lp, s_lp = u_lp + em * du, s_lp + em * ds
@@ -659,7 +660,7 @@ class TestDemandSwitching:
 
 
 TRACE_FIELDS = ("steps", "v", "s", "u_meas", "f_obs", "phi", "phi_sq",
-                "stride", "complete", "breach_step")
+                "complete", "breach_step")
 
 
 def streaming_scenario(horizon=4500):
