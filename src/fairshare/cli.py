@@ -67,7 +67,7 @@ _CSV_BLOCK_ROWS = 256
 
 
 def model_to_dict(model) -> dict:
-    # Nested affine wrappers fold into one scale and shift.
+    # A wrapper is one affine of a raw model: nested wrappers fold when built.
     inner, scale, shift = _unwrap(model)
     for kind, cls in MODEL_TYPES.items():
         if isinstance(inner, cls):
@@ -154,7 +154,9 @@ def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
                 weight=float(_finite("weight", task_doc["weight"])),
                 utility=model, demand=demand,
             ))
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"tasks[{i}]: missing key {exc}") from exc
+        except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"tasks[{i}]: {exc}") from exc
     return specs, EngineConfig.from_dict(_object("engine", doc["engine"]))
 
@@ -180,7 +182,7 @@ def resolve_scenario(
 
     Returns (specs, cfg, resolved scenario dict, manifest extras); the
     extras are a manifest's keys other than ``scenario``, which
-    ``run_options`` reads.
+    ``run_options`` checks here for every command, and ``cmd_run`` reads.
     """
     overrides = dict(overrides)
     extras: dict = {}
@@ -204,6 +206,7 @@ def resolve_scenario(
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if "scenario" in doc:
             extras = {k: v for k, v in doc.items() if k != "scenario"}
+            run_options(extras)
             doc = _object("scenario", doc["scenario"])
         if "zone_steps" in overrides:
             raise ConfigError(
@@ -439,12 +442,10 @@ def cmd_run(args) -> int:
         print(f"{status.replace('_', ' ')}: {failure}", file=sys.stderr)
         return EXIT_BREACH if breach else EXIT_CONFIG
     if "json" in formats:
-        zones, verdicts = [], {}
-        if cfg.horizon >= 1:
-            result = summarize(trace, specs, cfg)
-            zones, verdicts = [dataclasses.asdict(z) for z in result.zones], result.verdicts
+        result = summarize(trace, specs, cfg)
         (out / "summary.json").write_text(json.dumps(_jsonable({
-            "status": "ok", "zones": zones, "verdicts": verdicts,
+            "status": "ok", "zones": [dataclasses.asdict(z) for z in result.zones],
+            "verdicts": result.verdicts,
         }), indent=2) + "\n")
     print(f"wrote {len(trace)} records to {out}")
     return EXIT_OK
@@ -490,16 +491,11 @@ def _verify_checks(specs, cfg) -> list[dict]:
         ("frozen-level run: ", cfg, True, ("fairness_residual",)),
         ("noise-free regime: ", quiet_cfg, False, ("s_optimality",)),
     )
-    # A run of no step decides no verdict.
-    results = [None] * len(lanes) if cfg.horizon < 1 else Engine(specs, cfg).run_lanes(
+    results = Engine(specs, cfg).run_lanes(
         [(NoiseSource(c.seed, c.eta_bar, c.zeta_bar), freeze) for _, c, freeze, _ in lanes],
         stride=cfg.horizon,
     )
     for (label, run_cfg, _, names), trace in zip(lanes, results):
-        if trace is None:
-            for name in names:
-                add(name, None, "vacuous: the run completed no step")
-            continue
         if isinstance(trace, StepError):
             for name in names:
                 add(name, False, f"{label}{type(trace).__name__}: {trace}")
@@ -538,8 +534,6 @@ def _ode_tracking(specs, cfg) -> tuple[bool | None, str]:
         horizon=min(cfg.horizon, int(math.ceil(t_end / cfg.epsilon))),
         v_init=tuple(ramp / ramp.sum()),
     )
-    if track_cfg.horizon < 1:
-        return None, "vacuous: the run completed no step"
     try:
         track = Engine(specs, track_cfg).run(stride=1)
     except StepError as exc:

@@ -85,6 +85,10 @@ class DemandSchedule:
     zones: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
+        for z, pair in enumerate(self.zones):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(
+                    f"demand zone {z} must be a [start, value] pair, got {pair!r}")
         zones = tuple((_integral("demand zone start", k), float(_finite("demand value", d)))
                       for k, d in self.zones)
         object.__setattr__(self, "zones", zones)
@@ -192,9 +196,11 @@ def _check_seed(seed) -> None:
 class EngineConfig:
     """Step sizes, filter gain, noise bounds, horizon and seed for one run.
 
-    The level update uses the effective step ``epsilon * mu`` with
-    ``mu = epsilon ** -mu_exponent``, so it dominates the share step as
-    epsilon shrinks (any exponent in (0, 1) preserves that separation).
+    ``horizon`` is the number of steps, at least 1: a run that takes no
+    step has nothing to judge. The level update uses the effective step
+    ``epsilon * mu`` with ``mu = epsilon ** -mu_exponent``, so it dominates
+    the share step as epsilon shrinks (any exponent in (0, 1) preserves that
+    separation).
     """
 
     epsilon: float
@@ -223,8 +229,8 @@ class EngineConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not isinstance(self.horizon, int) or isinstance(self.horizon, bool):
             raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         _check_seed(self.seed)
         if not (0.0 <= self.s_init <= 1.0):
             raise ConfigError(f"s_init must be in [0, 1], got {self.s_init}")

@@ -204,17 +204,19 @@ def _rk4(field, y, dt: float, t_end: float, stop=None, project=None) -> OdeTraje
 def integrate_full_ode(
     specs: Sequence[TaskSpec],
     cfg: EngineConfig,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     t_end: float = 1.0,
     dt: float = 1e-3,
 ) -> OdeTrajectory:
     """RK4 on the coupled mean-field system at the step-0 demand.
 
-    Fields: shares follow the exact fairness vector, levels follow
-    mu * tanh of the filtered difference quotient, filters relax at rate
-    mu * gamma. Levels are clamped to [0, 1] after every step, realizing the
-    boundary correction. A state with a share outside [0, 1] or a utility
-    that is not finite and > 0 raises ``OracleError``.
+    It starts from ``cfg`` alone, at the engine's initial snapshot: shares
+    ``v_init`` (uniform if unset), levels ``s_init``, and filters at the
+    utilities there and at ``FILTER_INIT_OFFSET`` below the levels.
+    Fields: shares follow the exact fairness vector, levels follow mu * tanh
+    of the filtered difference quotient, filters relax at rate mu * gamma.
+    Levels are clamped to [0, 1] after every step, realizing the boundary
+    correction. A state with a share outside [0, 1] or a utility that is
+    not finite and > 0 raises ``OracleError``.
     """
     n = len(specs)
     weights = np.array([t.weight for t in specs], dtype=float)
@@ -248,11 +250,10 @@ def integrate_full_ode(
         if not np.isfinite(y).all():
             raise OracleError(f"non-finite mean-field state at t={t:.6g}")
 
-    if init is None:
-        # (v, s, u_lp, s_lp) matching the engine's initial snapshot.
-        v0 = uniform_allocation(n) if cfg.v_init is None else np.array(cfg.v_init)
-        s0 = np.full(n, float(cfg.s_init))
-        init = (v0, s0, bank.eval(s0, v0, d_vec), s0 - FILTER_INIT_OFFSET)
+    # (v, s, u_lp, s_lp) matching the engine's initial snapshot.
+    v0 = uniform_allocation(n) if cfg.v_init is None else np.array(cfg.v_init)
+    s0 = np.full(n, float(cfg.s_init))
+    init = (v0, s0, bank.eval(s0, v0, d_vec), s0 - FILTER_INIT_OFFSET)
     traj = _rk4(field, np.stack(init)[None], dt, t_end, project=project)
     return OdeTrajectory(times=traj.times, v=traj.v[:, 0], s=traj.s[:, 0])
 

@@ -167,7 +167,11 @@ def build_random(
 
 @dataclass
 class ZoneSummary:
-    """Tail statistics (final 25%) for one demand zone."""
+    """Tail statistics (final 25%) for one demand zone.
+
+    ``complete`` is always true, since only a finished run is summarized;
+    it keeps its place in ``summary.json``.
+    """
 
     start: int
     end: int
@@ -221,14 +225,17 @@ def summarize(
     step, so ``starvation`` and ``balance`` (per-window share extrema, against
     the thresholds of ``oracle.bounds``) and
     ``s_optimality`` (near-optimal level counts over the final 20% of the
-    steps) are decided at any stride. An incomplete run skips those three.
-    Zones with fewer than 40 records are marked insufficient and carry no
-    statistics, so a stride longer than the run leaves every zone
-    insufficient but no verdict undecided. A run that completed no step has
-    no verdicts: that is a ValueError.
+    steps) are decided at any stride. Zones with fewer than 40 records are
+    marked insufficient and carry no statistics, so a stride longer than the
+    run leaves every zone insufficient but no verdict undecided. Only a
+    finished run is judged: an aborted one is a ValueError naming the step
+    that failed, and ``EngineConfig`` already demands a horizon of at least
+    one step.
     """
-    if (cfg.horizon if trace.complete else trace.breach_step) < 1:
-        raise ValueError("the run completed no step")
+    if not trace.complete:
+        raise ValueError(
+            f"the run aborted at step {trace.breach_step}; only a complete run "
+            "is summarized")
     steps = trace.steps
     table = demand_table(specs)
     boundaries = [k for k in table.breaks.tolist() if k < cfg.horizon] + [cfg.horizon]
@@ -241,10 +248,9 @@ def summarize(
         rows = slice(*np.searchsorted(steps, (start, end), side="right"))
         zsteps = steps[rows]
         n_rec = len(zsteps)
-        complete = trace.complete or (len(steps) > 0 and steps[-1] >= end)
         if n_rec < 40:
             zone_summaries.append(ZoneSummary(
-                start=start, end=end, complete=complete,
+                start=start, end=end, complete=True,
                 n_records=n_rec, insufficient=True,
             ))
             continue
@@ -265,7 +271,7 @@ def summarize(
         frac = float((np.abs(zs[opt:] - s_star) < S_OPT_TOL).mean(axis=0).min())
 
         zone_summaries.append(ZoneSummary(
-            start=start, end=end, complete=complete, n_records=n_rec,
+            start=start, end=end, complete=True, n_records=n_rec,
             insufficient=False,
             v_mean=v_tail_mean,
             v_std=zv[tail:].std(axis=0),
@@ -282,12 +288,9 @@ def summarize(
     verdicts["feasibility"] = {
         "pass": bool(
             led.max_simplex_dev <= 1e-9 and led.v_min >= 0.0 and led.v_max <= 1.0
-            and trace.complete
         ),
         "detail": f"max |sum(v)-1| = {led.max_simplex_dev:.3e}, "
-                  f"v range [{led.v_min:.6g}, {led.v_max:.6g}]"
-                  + ("" if trace.complete else
-                     f", aborted at step {trace.breach_step}"),
+                  f"v range [{led.v_min:.6g}, {led.v_max:.6g}]",
     }
     verdicts["fairness_zero_sum"] = {
         "pass": bool(led.max_abs_f_sum <= 1e-12),
@@ -299,39 +302,30 @@ def summarize(
         "detail": f"low gap {led.f_low_gap:.3e}, high gap {led.f_high_gap:.3e}, "
                   f"slack {slack:.3e}",
     }
-    if trace.complete:
-        window = led.window_steps
-        b = bounds(specs, cfg)
-        alpha_star, beta = b.starvation_threshold, b.balance_threshold + 0.05
-        verdicts["starvation"] = _window_verdict(
-            led.window_v_max > alpha_star, window, alpha_star
-        )
-        if beta >= 1.0:
-            verdicts["balance"] = {
-                "pass": None,
-                "detail": f"vacuous: threshold {beta:.6g} >= 1",
-                "windows": 0,
-            }
-        else:
-            verdicts["balance"] = _window_verdict(
-                led.window_v_min < beta, window, beta
-            )
+    window = led.window_steps
+    b = bounds(specs, cfg)
+    alpha_star, beta = b.starvation_threshold, b.balance_threshold + 0.05
+    verdicts["starvation"] = _window_verdict(
+        led.window_v_max > alpha_star, window, alpha_star
+    )
+    if beta >= 1.0:
+        verdicts["balance"] = {
+            "pass": None,
+            "detail": f"vacuous: threshold {beta:.6g} >= 1",
+            "windows": 0,
+        }
     else:
-        verdicts["starvation"] = {"pass": None, "detail": "run incomplete", "windows": 0}
-        verdicts["balance"] = {"pass": None, "detail": "run incomplete", "windows": 0}
+        verdicts["balance"] = _window_verdict(led.window_v_min < beta, window, beta)
     tol_f = 10.0 * (cfg.epsilon + eta * eta)
     verdicts["fairness_residual"] = {
         "pass": bool(led.phi_sq_min <= tol_f),
         "detail": f"min sum(phi^2) = {led.phi_sq_min:.3e} at step "
                   f"{led.phi_sq_min_step} (tolerance {tol_f:.3e})",
     }
-    if trace.complete:
-        frac_all = led.opt_hits / led.opt_steps
-        verdicts["s_optimality"] = {
-            "pass": bool(frac_all.min() > 0.9),
-            "detail": f"min per-task near-optimal fraction {frac_all.min():.3f} "
-                      "over final 20% of the run",
-        }
-    else:
-        verdicts["s_optimality"] = {"pass": None, "detail": "run incomplete"}
+    frac_all = led.opt_hits / led.opt_steps
+    verdicts["s_optimality"] = {
+        "pass": bool(frac_all.min() > 0.9),
+        "detail": f"min per-task near-optimal fraction {frac_all.min():.3f} "
+                  "over final 20% of the run",
+    }
     return ScenarioResult(zones=zone_summaries, verdicts=verdicts)

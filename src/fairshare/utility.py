@@ -156,7 +156,12 @@ MODEL_TYPES = {"home_energy": HomeEnergyModel, "cpu_bandwidth": CpuBandwidthMode
 
 @dataclass(frozen=True)
 class AffineNormalizer(UtilityModel):
-    """Affine wrapper scale*inner + shift; preserves concavity and argmax."""
+    """Affine wrapper scale*inner + shift; preserves concavity and argmax.
+
+    A wrapper given another wrapper folds the two into one affine of the
+    raw model, so ``inner`` is never a wrapper: it evaluates the rounding
+    ``ModelBank`` evaluates.
+    """
 
     inner: UtilityModel
     scale: float
@@ -170,6 +175,12 @@ class AffineNormalizer(UtilityModel):
             raise ConfigError("scale must be > 0")
         if self.bound_c <= 1.0:
             raise ConfigError("bound_c must be > 1")
+        if isinstance(self.inner, AffineNormalizer):
+            # scale*(inner.scale*u + inner.shift) + shift.
+            inner, scale = self.inner, self.scale
+            object.__setattr__(self, "inner", inner.inner)
+            object.__setattr__(self, "scale", scale * inner.scale)
+            object.__setattr__(self, "shift", scale * inner.shift + self.shift)
         if self.inner.grad_s is None:
             # A wrapper has a gradient only where the model it wraps does.
             object.__setattr__(self, "grad_s", None)
@@ -264,14 +275,10 @@ def validate_assumptions(
 
 
 def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:
-    """Fold nested affine wrappers into a single (inner, scale, shift)."""
-    scale, shift = 1.0, 0.0
-    while isinstance(model, AffineNormalizer):
-        # (scale, shift) is the transform applied after `model`; composing
-        # with model's own affine gives scale*(model.scale*u + model.shift) + shift.
-        scale, shift = scale * model.scale, scale * model.shift + shift
-        model = model.inner
-    return model, scale, shift
+    """The raw model under ``model`` and the affine applied after it."""
+    if isinstance(model, AffineNormalizer):
+        return model.inner, model.scale, model.shift
+    return model, 1.0, 0.0
 
 
 class ModelBank:

@@ -417,9 +417,13 @@ class TestModelSerialization:
         doc = json.loads(json.dumps(model_to_dict(model)))
         back = model_from_dict(doc, (0.0, 1.0))
         assert back.inner == self.HOME and back.bound_c == 10.0
-        assert back.eval(0.3, 0.4, 0.5) == pytest.approx(model.eval(0.3, 0.4, 0.5), rel=1e-15)
-        # The composed affine is the one ModelBank evaluates, bit for bit.
-        assert back.eval(0.3, 0.4, 0.5) == ModelBank([model]).eval(0.3, 0.4, 0.5)[0]
+        # The wrapper folded into one affine of the raw model when it was
+        # built, so it evaluates what ModelBank and the replay do, bit for bit.
+        assert model.inner == self.HOME
+        s, v, d = (x[..., None] for x in np.meshgrid(*[np.linspace(0.0, 1.0, 5)] * 3))
+        bank = ModelBank([model]).eval(s, v, d)
+        np.testing.assert_array_equal(model.eval(s, v, d), bank)
+        np.testing.assert_array_equal(back.eval(s, v, d), bank)
 
     def test_unknown_type_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown model type"):
@@ -606,11 +610,14 @@ class TestOutsideValues:
         ({"formats": "json"}, [], "formats must be a list of names, got 'json'"),
         ({"formats": [1]}, [], "formats must be a list of names, got [1]"),
         ({"strides": 2}, [], "unknown manifest key(s): ['strides']"),
-        ({"stride": "x"}, ["--stride", "0"], "stride must be >= 1, got 0"),
+        ({"stride": 3}, ["--stride", "0"], "stride must be >= 1, got 0"),
         ({}, ["--formats", "json,cvs"],
          "unknown output format(s) ['cvs']; allowed: csv, json"),
+        # A flag does not rescue a bad manifest value.
+        ({"stride": "x"}, ["--stride", "2"], "stride must be an integer, got 'x'"),
     ], ids=["stride-str", "stride-float", "stride-zero", "formats-str",
-            "formats-int", "unknown-key", "flag-stride", "flag-formats"])
+            "formats-int", "unknown-key", "flag-stride", "flag-formats",
+            "flag-over-bad-stride"])
     def test_bad_run_option_is_config_error(self, tmp_path, capsys, extras, argv, message):
         path = one_task_file(tmp_path, manifest=True)
         manifest = {**read_json(tmp_path / "manifest.json"), **extras}
@@ -618,6 +625,17 @@ class TestOutsideValues:
         out = tmp_path / "o"
         assert run_cli("run", path, *argv, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "validate"])
+    def test_bad_manifest_is_rejected_by_every_command(self, command, tmp_path, capsys):
+        path = one_task_file(tmp_path, manifest=True)
+        manifest = {**read_json(tmp_path / "manifest.json"), "bogus": 1, "stride": 0}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        argv = [] if command == "validate" else ["--out", str(out)]
+        assert run_cli(command, path, *argv) == 1
+        assert capsys.readouterr() == ("", "error: unknown manifest key(s): ['bogus']\n")
         assert not out.exists()
 
     def test_integral_float_stride_reads_as_int(self, tmp_path):
@@ -671,12 +689,15 @@ class TestOutsideValues:
          "tasks[0]: normalize cannot be given with scale, got {'c_target': 2.0}"),
         (lambda d: d["tasks"][0]["model"].update(shift=0.5),
          "tasks[0]: shift needs scale, got 0.5"),
+        (lambda d: d["tasks"][0].pop("weight"), "tasks[0]: missing key 'weight'"),
+        (lambda d: d["tasks"][0].update(demand_zones=[[0]]),
+         "tasks[0]: demand zone 0 must be a [start, value] pair, got [0]"),
     ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-target",
             "str-target", "str-scale", "bool-scale", "str-shift", "str-bound", "str-weight",
             "bool-weight", "range-weight", "str-demand", "bool-demand", "nan-v_init",
             "engine-list", "tasks-object", "normalize-false", "normalize-zero",
             "normalize-empty-str", "normalize-list", "normalize-typo",
-            "normalize-and-scale", "shift-alone"])
+            "normalize-and-scale", "shift-alone", "missing-weight", "short-zone"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(ONE_TASK))
         edit(doc)
@@ -838,15 +859,14 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_zero_horizon_skips_every_simulation_row(self, tmp_path, capsys):
-        out = tmp_path / "v"
-        assert run_cli("verify", "paper-fig5", "--set", "horizon=0", "--out", str(out)) == 0
-        rows = {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
-        for name in ("feasibility", "fairness_zero_sum", "fairness_increment_bounds",
-                     "starvation", "balance", "fairness_residual", "s_optimality",
-                     "ode_tracking"):
-            assert rows[name] == {"name": name, "pass": None,
-                                  "detail": "vacuous: the run completed no step"}
+    @pytest.mark.parametrize("command", ["run", "verify", "validate"])
+    def test_zero_horizon_is_config_error(self, command, tmp_path, capsys):
+        # A run of no step has nothing to judge, so no command starts one.
+        out = tmp_path / "o"
+        argv = [] if command == "validate" else ["--out", str(out)]
+        assert run_cli(command, "paper-fig5", "--set", "horizon=0", *argv) == 1
+        assert capsys.readouterr() == ("", "error: horizon must be >= 1, got 0\n")
+        assert not out.exists()
 
     def test_config_violation_fails_fast(self, capsys):
         assert run_cli("verify", "paper-fig5", "--set", "epsilon=0.1",

@@ -130,6 +130,14 @@ class TestDemandSchedule:
         with pytest.raises(ConfigError, match=rf"^demand zone start must be an integer, got {shown}$"):
             DemandSchedule(((0, 0.4), (start, 0.8)))
 
+    @pytest.mark.parametrize("zone", [(5,), (5, 0.8, 1.0), 5],
+                             ids=["short", "long", "scalar"])
+    def test_zone_that_is_not_a_pair_is_config_error(self, zone):
+        with pytest.raises(ConfigError, match=re.escape(
+            f"demand zone 1 must be a [start, value] pair, got {zone!r}"
+        )):
+            DemandSchedule(((0, 0.4), zone))
+
     def test_zones_are_stored_as_int_and_float(self):
         sched = DemandSchedule([[np.int64(0), 1], [2.0, np.float64(0.8)]])
         assert sched.zones == ((0, 1.0), (2, 0.8))

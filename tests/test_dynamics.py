@@ -405,10 +405,11 @@ class TestEngineStep:
 
 
 class TestRun:
-    def test_zero_horizon_yields_empty_trace(self):
-        trace = Engine(make_specs(2), make_cfg(horizon=0)).run()
-        assert len(trace) == 0
-        assert trace.complete
+    def test_horizon_is_at_least_one_step(self):
+        with pytest.raises(fs.ConfigError, match=r"^horizon must be >= 1, got 0$"):
+            make_cfg(horizon=0)
+        trace = Engine(make_specs(2), make_cfg(horizon=1)).run()
+        assert trace.steps.tolist() == [1] and trace.complete
 
     @staticmethod
     def mixed_scenario():
@@ -637,6 +638,20 @@ def test_run_and_step_fail_alike(bad):
     if by_run.step:
         assert np.isfinite(led.phi_sq_min)
         assert 1 <= led.phi_sq_min_step <= by_run.step
+
+
+@pytest.mark.parametrize("switch", [0, 5])
+def test_summarize_rejects_an_aborted_run(switch):
+    """Only a finished run is judged: a run that aborts, at its first step
+    or later, is a ValueError naming the step that failed."""
+    specs, cfg = bad_measurement_scenario(math.nan)
+    if switch == 0:
+        specs[1] = dataclasses.replace(specs[1], demand=DemandSchedule.constant(1.0))
+    with pytest.raises(MeasurementError) as info:
+        Engine(specs, cfg).run()
+    assert info.value.step == switch
+    with pytest.raises(ValueError, match=rf"^the run aborted at step {switch}; "):
+        fs.summarize(info.value.trace, specs, cfg)
 
 
 class TestDemandSwitching:

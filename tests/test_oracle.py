@@ -132,18 +132,14 @@ class TestBounds:
 
 class TestFullOde:
     def test_equilibrium_initialization_is_stationary(self):
+        # Levels start at the maximizer of the uniform shares, the fair point.
         specs = identical_specs(4)
-        cfg = make_cfg(eta_bar=0.0, zeta_bar=0.0)
         bank = ModelBank([t.utility for t in specs])
         s_star = float(bank.argmax(np.full(4, 0.25), np.full(4, 0.4))[0])
-        v0 = uniform_allocation(4)
-        s0 = np.full(4, s_star)
-        u0 = bank.eval(s0, v0, np.full(4, 0.4))
-        traj = integrate_full_ode(
-            specs, cfg, init=(v0, s0, u0, s0.copy()), t_end=1.0, dt=1e-3,
-        )
-        assert np.abs(traj.v - 0.25).max() <= 1e-12
-        assert np.abs(traj.s - s_star).max() <= 1e-12
+        cfg = make_cfg(eta_bar=0.0, zeta_bar=0.0, s_init=s_star)
+        traj = integrate_full_ode(specs, cfg, t_end=1.0, dt=1e-3)
+        assert np.abs(traj.v - 0.25).max() == 0.0
+        assert np.abs(traj.s - s_star).max() == 0.0
 
     def test_halving_dt_barely_moves_endpoint(self):
         specs = [

@@ -153,11 +153,10 @@ class TestSummarize:
                      zone.phi_sq_mean):
             assert np.isfinite(stat).all()
 
-    def test_empty_trace_rejected(self):
-        specs, cfg = build_identical_four({"zone_steps": 10, "horizon": 0})
-        trace = fs.Engine(specs, cfg).run()
-        with pytest.raises(ValueError):
-            summarize(trace, specs, cfg)
+    def test_zero_horizon_rejected(self):
+        # No run of no step exists to be summarized.
+        with pytest.raises(fs.ConfigError, match=r"^horizon must be >= 1, got 0$"):
+            build_identical_four({"zone_steps": 10, "horizon": 0})
 
 
 class TestRecurrenceVerdicts:
@@ -196,11 +195,13 @@ class TestRecurrenceVerdicts:
         assert starvation["pass"] is False
         assert starvation["detail"].startswith("2 window(s) of 1958 steps, 1 failed")
 
-    def test_incomplete_run_skips(self, short_windows):
+    def test_incomplete_run_rejected(self, short_windows):
         specs, cfg, trace = short_windows
         partial = dataclasses.replace(trace, breach_step=len(trace))
-        for verdict in self.recurrence(partial, specs, cfg):
-            assert verdict == {"pass": None, "detail": "run incomplete", "windows": 0}
+        with pytest.raises(ValueError, match=(
+            rf"^the run aborted at step {len(trace)}; only a complete run is summarized$"
+        )):
+            summarize(partial, specs, cfg)
 
     @staticmethod
     def s_optimality(trace, specs, cfg):
@@ -229,13 +230,6 @@ class TestRecurrenceVerdicts:
         full = self.s_optimality(trace, specs, cfg)
         for stride in (7, 100):
             assert self.s_optimality(fs.Engine(specs, cfg).run(stride=stride), specs, cfg) == full
-
-    def test_incomplete_run_skips_s_optimality(self, short_windows):
-        specs, cfg, trace = short_windows
-        partial = dataclasses.replace(trace, breach_step=len(trace))
-        assert self.s_optimality(partial, specs, cfg) == {
-            "pass": None, "detail": "run incomplete",
-        }
 
 
 class TestHelpers:
