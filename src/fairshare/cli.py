@@ -57,9 +57,13 @@ EXIT_BREACH = 2
 _BUILTIN_FIG6_SEED = 30
 # Outputs `run` can write: trace.csv and summary.json.
 _FORMATS = ("csv", "json")
-# Rows of trace.csv formatted at a time. The formatter's transient arrays
-# peak at about 210 bytes a value, 8.3 MB for a block of fig6's 152 columns.
-_CSV_BLOCK_ROWS = 256
+# Values of trace.csv formatted at a time, in whole rows, at least one.
+# The formatter's transient arrays take about 210 bytes a value, 1.7 MB a
+# block for any number of tasks. glibc hands freed memory back to the
+# system above thresholds set by what the run freed before: 256 rows of
+# fig6's 152 columns (8.3 MB) went back after each block and were faulted
+# in again, 934 k page faults over its 120 000 rows, against 20 at this size.
+_CSV_BLOCK_VALUES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +86,7 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict, demand_span: tuple[float, float]):
-    doc = dict(doc)
+    doc = dict(_object("model", doc))
     kind = doc.pop("type", None)
     scale = doc.pop("scale", None)
     shift = doc.pop("shift", None)
@@ -138,17 +142,23 @@ def _object(key: str, value) -> dict:
     return value
 
 
+def _array(key: str, value) -> list:
+    """``value`` itself if it is a JSON array, else a ConfigError naming ``key``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON array, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> tuple[list[TaskSpec], EngineConfig]:
     if "tasks" not in _object("scenario", doc) or "engine" not in doc:
         raise ConfigError("scenario JSON needs 'tasks' and 'engine' sections")
-    if not isinstance(doc["tasks"], list):
-        raise ConfigError(f"tasks must be a JSON array, got {doc['tasks']!r}")
-    if not doc["tasks"]:
+    if not _array("tasks", doc["tasks"]):
         raise ConfigError("tasks must hold at least one task, got []")
     specs = []
     for i, task_doc in enumerate(doc["tasks"]):
+        _object(f"tasks[{i}]", task_doc)
         try:
-            demand = DemandSchedule(task_doc["demand_zones"])
+            demand = DemandSchedule(_array("demand_zones", task_doc["demand_zones"]))
             model = model_from_dict(task_doc["model"], demand.span())
             specs.append(TaskSpec(
                 weight=float(_finite("weight", task_doc["weight"])),
@@ -373,8 +383,9 @@ def write_trace_csv(path: Path, trace: RunTrace) -> None:
     with open(path, "wb") as fh:
         fh.write((",".join(cols) + "\n").encode())
         # Row blocks, so that no second copy of the whole trace is made.
-        for r0 in range(0, len(trace), _CSV_BLOCK_ROWS):
-            rows = slice(r0, r0 + _CSV_BLOCK_ROWS)
+        block = max(1, _CSV_BLOCK_VALUES // len(cols))
+        for r0 in range(0, len(trace), block):
+            rows = slice(r0, r0 + block)
             fh.write(_format_rows(np.column_stack([
                 trace.steps[rows].astype(float), trace.v[rows], trace.s[rows],
                 trace.u_meas[rows], trace.f_obs[rows], trace.phi[rows],

@@ -288,24 +288,35 @@ def whole_block_csv(path, trace):
 
 
 class TestTraceCsv:
-    @pytest.mark.parametrize("block", [7, 4096])
-    def test_row_blocks_write_the_bytes_of_one_block(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+    # Value budgets for fig5's 22 columns: 7 and 22 give one row a block,
+    # 157 gives 7 rows (13 rows then end mid-block, 14 at a block edge) and
+    # 4096 puts the whole 60-row run in one block.
+    @pytest.mark.parametrize("budget", [7, 22, 157, 4096])
+    def test_row_blocks_write_the_bytes_of_one_block(self, tmp_path, monkeypatch, budget):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_VALUES", budget)
         specs, cfg, _, _ = resolve_scenario("paper-fig5", {"zone_steps": 20})
         trace = Engine(specs, cfg).run()
         bad_specs, bad_cfg = scenario_from_dict(BAD_MEASUREMENT)
         with pytest.raises(StepError) as info:
             Engine(bad_specs, bad_cfg).run()
-        # A whole run, one cut mid-block, one cut at a block edge, and the
-        # empty partial trace of a run that failed at step 0.
+        # A whole run, one cut mid-block, one cut at a block edge, the empty
+        # partial trace of a run that failed at step 0, and 3 rows of the run
+        # with its tasks repeated until one row holds more values than the
+        # budget, so that each block is one row.
+        reps = budget // 20 + 1
         traces = [trace] + [
             dataclasses.replace(trace, steps=trace.steps[:r], v=trace.v[:r],
                                 s=trace.s[:r], u_meas=trace.u_meas[:r],
                                 f_obs=trace.f_obs[:r], phi=trace.phi[:r],
                                 phi_sq=trace.phi_sq[:r], breach_step=r)
             for r in (13, 14)
-        ] + [info.value.trace]
-        assert [len(t) for t in traces] == [60, 13, 14, 0]
+        ] + [info.value.trace, dataclasses.replace(
+            trace, steps=trace.steps[:3], phi_sq=trace.phi_sq[:3], breach_step=3,
+            **{name: np.tile(getattr(trace, name)[:3], reps)
+               for name in ("v", "s", "u_meas", "f_obs", "phi")},
+        )]
+        assert [len(t) for t in traces] == [60, 13, 14, 0, 3]
+        assert 5 * traces[-1].v.shape[1] + 2 > budget
         for t in traces:
             write_trace_csv(tmp_path / "blocks.csv", t)
             whole_block_csv(tmp_path / "whole.csv", t)
@@ -692,12 +703,18 @@ class TestOutsideValues:
         (lambda d: d["tasks"][0].pop("weight"), "tasks[0]: missing key 'weight'"),
         (lambda d: d["tasks"][0].update(demand_zones=[[0]]),
          "tasks[0]: demand zone 0 must be a [start, value] pair, got [0]"),
+        (lambda d: d.update(tasks=[5]), "tasks[0] must be a JSON object, got 5"),
+        (lambda d: d["tasks"][0].update(demand_zones=5),
+         "tasks[0]: demand_zones must be a JSON array, got 5"),
+        (lambda d: d["tasks"][0].update(model=[1]),
+         "tasks[0]: model must be a JSON object, got [1]"),
     ], ids=["zone-start", "nan-param", "inf-bound", "inf-target", "nan-target",
             "str-target", "str-scale", "bool-scale", "str-shift", "str-bound", "str-weight",
             "bool-weight", "range-weight", "str-demand", "bool-demand", "nan-v_init",
             "engine-list", "tasks-object", "normalize-false", "normalize-zero",
             "normalize-empty-str", "normalize-list", "normalize-typo",
-            "normalize-and-scale", "shift-alone", "missing-weight", "short-zone"])
+            "normalize-and-scale", "shift-alone", "missing-weight", "short-zone",
+            "task-int", "zones-int", "model-list"])
     def test_bad_scenario_value_is_config_error(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(ONE_TASK))
         edit(doc)
