@@ -252,9 +252,10 @@ class Engine:
         chunks of up to ``rows`` steps.
 
         Lays out, once, what depends only on the lanes and ``rows``: the
-        bank and the weights ``(R, n)`` like the state, so that no operand
-        of a step's model evaluation broadcasts, the ``keep`` mask, the
-        scratch rows, the ufuncs and the chunk's buffers. Returns ``(chunk, lp)``.
+        bank's replay (``ModelBank.replay``) for ``(R, n)`` arguments and
+        the weights ``(R, n)`` like the state, so that no operand of a
+        step's model evaluation broadcasts, the ``keep`` mask, the scratch
+        rows, the ufuncs and the chunk's buffers. Returns ``(chunk, lp)``.
         ``chunk(k0, k1, start=None)`` walks steps ``k0`` to ``k1 - 1``: from
         the snapshot ``start`` in every lane, if given, else from the state
         the previous chunk ended in. It returns the chunk's ``_failures``;
@@ -299,7 +300,7 @@ class Engine:
         """
         cfg, lanes_n, n = self.cfg, len(lanes), self.n
         shape = (lanes_n, n)
-        bank = self.bank.laid_out(lanes_n)
+        replay = self.bank.replay(shape)
         weights = np.broadcast_to(self.weights, shape).copy()
         keep = np.array([[bool(freeze)] * n for _, freeze in lanes])
         keep = keep if keep.any() else None
@@ -337,11 +338,10 @@ class Engine:
                 zeta[:, r] = noise.dither_block(k0, k1, n)
             # The dither enters the level step as em * zeta: scaled once here.
             multiply(em, zeta, zeta)
-            bank_eval = bank.eval
             for d_k, eta_k, us, u, s, s_new, v, v_new, f, z in zip(
                     d_rows, eta, pair, pair[:, 0], pair[:, 1], pair[1:, 1], shares, shares[1:],
                     f_buf, zeta):
-                add(bank_eval(s, v, d_k), eta_k, u)
+                add(replay(s, v, d_k), eta_k, u)
                 divide(weights, u, w)
                 multiply(v, reduce(w, -1, None, w_sum, True), tmp)
                 subtract(w, tmp, f)
@@ -365,7 +365,8 @@ class Engine:
                 multiply(em, dd, dd)
                 add(lp, dd, lp)
             v_buf, s_buf, u_buf = shares[1:m + 1], pair[1:m + 1, 1], pair[:m, 0]
-            phi = fairness_from_utilities(self.weights, bank.eval(s_buf, v_buf, d_rows[1:]), v_buf)
+            phi = fairness_from_utilities(self.weights, self.bank.eval(s_buf, v_buf, d_rows[1:]),
+                                          v_buf)
             return (self._failures(k0, u_buf, v_buf, s_buf), shares[:m], v_buf, s_buf, u_buf,
                     f_buf, phi, d[1:])
 

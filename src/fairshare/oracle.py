@@ -224,22 +224,31 @@ def integrate_full_ode(
     d_vec = demand_table(specs).at(0)
     mu, gamma = cfg.mu, cfg.gamma
     # _rk4 needs a stage's derivative only until its step ends, so four
-    # buffers in turn serve its four field calls a step.
+    # buffers in turn serve its four field calls a step. The state's rows
+    # are 1-D, so the bank is replayed on (n,) arguments, and no operand
+    # broadcasts.
     stages = itertools.cycle([np.empty((1, 4, n)) for _ in range(4)])
+    utilities = bank.replay((n,))
+    w, absolute_ds = np.empty(n), np.empty(n)
+    w_sum = np.empty(1)
+    guarded = np.empty(n, dtype=bool)
 
     def field(y: np.ndarray):
         """The vector field at the batch y of one state, and the shares,
         utilities and levels of that state."""
-        # The one state's rows are 1-D, so no operand broadcasts.
         dy = next(stages)
         v, s, u_lp, s_lp = y[0]
         phi, level, du, ds = dy[0]
-        u = bank.eval(s, v, d_vec)
-        phi[...] = fairness_from_utilities(weights, u, v)
+        u = utilities(s, v, d_vec)
+        # fairness_from_utilities(weights, u, v), into phi.
+        np.divide(weights, u, out=w)
+        np.multiply(v, np.add.reduce(w, -1, None, w_sum, True), out=phi)
+        np.subtract(w, phi, out=phi)
         np.subtract(u, u_lp, out=du)
         np.subtract(s, s_lp, out=ds)
         level.fill(0.0)
-        np.divide(du, ds, out=level, where=np.abs(ds) >= RATIO_GUARD)
+        np.greater_equal(np.absolute(ds, out=absolute_ds), RATIO_GUARD, out=guarded)
+        np.divide(du, ds, out=level, where=guarded)
         np.multiply(mu, np.tanh(level, out=level), out=level)
         dy[0, 2:] *= mu * gamma
         return dy, v[None], u[None], s[None]

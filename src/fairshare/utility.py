@@ -4,14 +4,16 @@ A model maps (level s, share v, demand d) to a scalar utility. Validated
 models are bounded into [1, bound_c) and concave in the level, which is what
 the update dynamics and the analytic bounds rely on. ``AffineNormalizer``
 rescales any model into that band without moving its level optimum.
+``ModelBank`` evaluates a task set's models together, and for the hot
+loops replays their formulas as a recorded straight line of ufunc calls.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .core import ConfigError, _finite
 
@@ -41,6 +43,11 @@ class UtilityModel:
     also runs a class's formulas at the other classes' tasks and drops
     those values, so a formula must accept any task's (s, v, d) without
     raising.
+    A ``formula`` that only applies ufuncs and arithmetic operators to its
+    arguments runs in the step loop as a recorded replay
+    (``ModelBank.replay``); one that converts an argument (``np.asarray``),
+    calls another numpy function (``np.where``) or branches on a value
+    runs as itself there, through ``ModelBank.eval``, a few times slower.
     ``grad_s`` optionally gives the exact gradient for cross-checks;
     ``v_range`` declares the share interval the model is certified on.
     """
@@ -281,6 +288,104 @@ def _unwrap(model: UtilityModel) -> tuple[UtilityModel, float, float]:
     return model, 1.0, 0.0
 
 
+def _utility(group, s, v, d):
+    """A class group's utilities: its formula, then its wrappers' affine."""
+    formula, _, _, params, scale, shift = group
+    return scale * formula(s, v, d, *params) + shift
+
+
+class _Unrecordable(Exception):
+    """A formula did something to an argument other than call a ufunc."""
+
+
+class _Probed(Exception):
+    """Carries the ufunc call that ``_Probe`` was asked to make."""
+
+
+class _Probe(np.ndarray):
+    """An array on which a ufunc call raises ``_Probed`` with the call
+    instead of running it. numpy picks the ufunc of ``x ** y`` by the
+    exponent (``square`` for ``x ** 2``); ``_Traced`` asks a probe which."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        raise _Probed(ufunc, inputs)
+
+
+class _Traced(NDArrayOperatorsMixin):
+    """An argument of a formula being recorded, or a value made from one.
+
+    A ufunc call on it, an arithmetic operator included, is recorded by the
+    ``_Recorder``; converting it to an array, passing it to another numpy
+    function or testing its truth raises ``_Unrecordable``. ``sample`` is
+    an array of its dtype and shape.
+    """
+
+    def __init__(self, recorder: "_Recorder", name: str, sample: np.ndarray):
+        self.recorder, self.name, self.sample = recorder, name, sample
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or ufunc.nout != 1:
+            raise _Unrecordable(f"{ufunc.__name__}.{method} with {sorted(kwargs)}")
+        return self.recorder.call(ufunc, inputs)
+
+    def __pow__(self, other):
+        probe = self.sample.view(_Probe)
+        try:
+            probe ** other
+        except _Probed as call:
+            ufunc, inputs = call.args
+        else:
+            raise _Unrecordable(f"** {other!r} without a ufunc")
+        return self.recorder.call(ufunc, [self if x is probe else x for x in inputs])
+
+    def __array__(self, *args, **kwargs):
+        raise _Unrecordable("a conversion to an array")
+
+    def __array_function__(self, func, types, args, kwargs):
+        raise _Unrecordable(f"np.{func.__name__}")
+
+    def __bool__(self):
+        raise _Unrecordable("a branch on a value")
+
+
+class _Recorder:
+    """The ufunc calls made on ``_Traced`` values, as the lines of a
+    function that makes them again, each into a buffer of its own, and the
+    objects those lines name."""
+
+    def __init__(self):
+        self.objects: dict[str, object] = {}
+        self.lines: list[str] = []
+
+    def bind(self, obj, prefix: str) -> str:
+        name = f"{prefix}{len(self.objects)}"
+        self.objects[name] = obj
+        return name
+
+    def call(self, ufunc, inputs) -> _Traced:
+        sample = ufunc(*(x.sample if isinstance(x, _Traced) else x for x in inputs))
+        args = [x.name if isinstance(x, _Traced) else self.bind(x, "c") for x in inputs]
+        out = self.bind(np.empty_like(sample), "b")
+        # numpy deprecates a positional out for these two.
+        args.append(f"out={out}" if ufunc in (np.maximum, np.minimum) else out)
+        self.lines.append(f"{self.bind(ufunc, 'f')}({', '.join(args)})")
+        return _Traced(self, out, sample)
+
+    def copyto(self, out: _Traced, u: _Traced, mask: np.ndarray) -> None:
+        self.lines.append(f"{self.bind(np.copyto, 'f')}({out.name}, {u.name}, "
+                          f"where={self.bind(mask, 'c')})")
+
+    def function(self, result: _Traced):
+        """The recorded calls as a function of (s, v, d) returning ``result``,
+        generated as source, as ``dataclasses`` generates its methods: a
+        straight line of calls on names bound as its globals, which compiles
+        faster than a closure over them and calls as fast."""
+        body = "".join(f"    {line}\n" for line in self.lines)
+        namespace = dict(self.objects)
+        exec(f"def replay(s, v, d):\n{body}    return {result.name}\n", namespace)
+        return namespace["replay"]
+
+
 class ModelBank:
     """Vectorized evaluation of a heterogeneous model list across tasks.
 
@@ -294,7 +399,8 @@ class ModelBank:
     wrappers apply after. A class without ``formula``, or without
     ``argmax_formula``, is a ``ConfigError`` naming its first task. Array
     arguments may carry leading batch axes, with tasks indexed along the
-    last axis.
+    last axis. ``replay`` records the formulas once for arguments of one
+    shape and repeats them without the formulas' Python.
     """
 
     def __init__(self, models: Sequence[UtilityModel]):
@@ -318,29 +424,67 @@ class ModelBank:
                 tuple(np.array([getattr(m, p) for m in inners]) for p in cls.params),
                 np.array(scales), np.array(shifts),
             ))
-
-    def laid_out(self, lanes: int) -> "ModelBank":
-        """This bank with each group's mask, parameter, scale and shift
-        arrays tiled to ``(lanes, n)``, so that on ``(lanes, n)`` arguments
-        no operand of ``eval`` broadcasts; it computes the same values."""
-        bank = copy.copy(self)
-        bank._groups = [
-            (formula, argmax_formula, np.tile(mask, (lanes, 1)),
-             tuple(np.tile(p, (lanes, 1)) for p in params),
-             np.tile(scale, (lanes, 1)), np.tile(shift, (lanes, 1)))
-            for formula, argmax_formula, mask, params, scale, shift in self._groups
-        ]
-        return bank
+        self._replays: dict[tuple[int, ...], Callable] = {}
 
     def eval(self, s, v, d) -> np.ndarray:
-        """Utilities for all tasks; s, v, d broadcast with tasks last."""
+        """Utilities for all tasks, in the broadcast shape of s, v, d and the
+        task axis."""
         out = None
-        for formula, _, mask, params, scale, shift in self._groups:
-            u = scale * formula(s, v, d, *params) + shift
-            # ``where`` rather than ``copyto``: a later group's formula may
-            # read an argument with more batch axes than the first group's.
-            out = u if out is None else np.where(mask, u, out)
+        for group in self._groups:
+            u = _utility(group, s, v, d)
+            if out is None:
+                # A formula that does not read an argument leaves out its axes.
+                shape = np.broadcast(s, v, d, u).shape
+                out = u if u.shape == shape else np.broadcast_to(u, shape).copy()
+            else:
+                np.copyto(out, u, where=group[2])
         return out
+
+    def replay(self, shape: tuple[int, ...]) -> Callable:
+        """A function ``f(s, v, d)`` equal to ``eval`` bit for bit for s, v
+        and d of shape ``shape``, tasks last, and much cheaper to call.
+
+        Each group's formula, affine and mask are recorded once, on
+        parameter arrays laid out to ``shape`` so that no operand
+        broadcasts; ``f`` makes the same ufunc calls in the same order, into
+        scratch buffers it owns, and returns one of them, which its next
+        call overwrites. ``x ** 2`` makes the call numpy makes for it,
+        ``square``. If a formula does more than call ufuncs on its
+        arguments (see ``UtilityModel``), ``f`` is ``eval`` itself. The bank
+        records once per shape and returns the same ``f`` for it after, so
+        its callers share those buffers, as an engine's kernels of one lane
+        do.
+        """
+        shape = tuple(shape)
+        if shape not in self._replays:
+            self._replays[shape] = self._record(shape)
+        return self._replays[shape]
+
+    def _record(self, shape: tuple[int, ...]) -> Callable:
+        recorder = _Recorder()
+        args = [_Traced(recorder, name, np.ones(shape)) for name in "svd"]
+
+        def lay(x):
+            return np.broadcast_to(x, shape).copy()
+
+        out = None
+        try:
+            with np.errstate(all="ignore"):
+                for formula, argmax_formula, mask, params, scale, shift in self._groups:
+                    group = (formula, argmax_formula, lay(mask), tuple(map(lay, params)),
+                             lay(scale), lay(shift))
+                    u = _utility(group, *args)
+                    if not isinstance(u, _Traced):
+                        raise _Unrecordable("a utility that reads no argument")
+                    if out is None:
+                        out = u
+                    else:
+                        recorder.copyto(out, u, group[2])
+        except (_Unrecordable, TypeError, AttributeError):
+            # TypeError and AttributeError: what float(x), x[i] or x.shape
+            # raise on a _Traced.
+            return self.eval
+        return recorder.function(out)
 
     def argmax(self, v, d) -> np.ndarray:
         """Per-task levels in [0, 1] maximizing the utility at fixed (v, d).

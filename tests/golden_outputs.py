@@ -1,5 +1,10 @@
-"""SHA-256 of the outputs of three small commands, with the float64 ``tanh``
+"""SHA-256 of the outputs of four small commands, with the float64 ``tanh``
 loop class of the numpy that made them.
+
+The commands run in this script's folder, which holds the scenario file
+one of them names. The builtins have ``home_energy`` tasks only, so
+``mixed_cpu_first.json`` pins the ``cpu_bandwidth`` formula: its task comes
+first, as the bank's base group, before two ``home_energy`` tasks.
 
 numpy picks its float64 ``tanh`` loop for the CPU, and the loops differ in
 the last bit at some inputs, so the output bytes depend on the loop. A
@@ -26,6 +31,7 @@ COMMANDS = {
     "run paper-fig5 --set zone_steps=2000": ("trace.csv", "summary.json"),
     "run paper-fig6 --set zone_steps=300 --stride 1": ("trace.csv", "summary.json"),
     "verify paper-fig5 --set zone_steps=2000": ("verify.json",),
+    "run mixed_cpu_first.json": ("trace.csv", "summary.json"),
 }
 
 
@@ -40,7 +46,7 @@ def output_hashes() -> dict[str, dict[str, str]]:
     from fairshare.cli import main
 
     hashes = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(Path(__file__).parent):
         for i, (command, files) in enumerate(COMMANDS.items()):
             out = Path(tmp) / str(i)
             with contextlib.redirect_stdout(io.StringIO()):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import dis
 import math
 import tracemalloc
 
@@ -1006,14 +1007,15 @@ class TestLayout:
 
     @pytest.fixture
     def layouts(self, monkeypatch):
+        """The shapes the bank's replays are recorded for."""
         calls = []
-        laid_out = ModelBank.laid_out
+        replay = ModelBank.replay
 
-        def counted(bank, lanes):
-            calls.append(lanes)
-            return laid_out(bank, lanes)
+        def counted(bank, shape):
+            calls.append(shape)
+            return replay(bank, shape)
 
-        monkeypatch.setattr(ModelBank, "laid_out", counted)
+        monkeypatch.setattr(ModelBank, "replay", counted)
         return calls
 
     @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
@@ -1024,7 +1026,7 @@ class TestLayout:
         layouts.clear()
         traces = eng.run_lanes([(eng.noise, False), (NoiseSource(7, 1e-3, 1e-3), True)])
         assert [len(t) for t in traces] == [cfg.horizon] * 2
-        assert layouts == [2]
+        assert layouts == [(2, eng.n)]
 
     @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
     def test_a_chunk_looks_up_its_demand_once(self, monkeypatch, chunk):
@@ -1091,9 +1093,9 @@ class TestCallFloor:
     @pytest.mark.parametrize("freeze_levels, per_step", [(False, 20), (True, 21)])
     def test_numpy_calls_per_step(self, monkeypatch, freeze_levels, per_step):
         # The kernel binds its ufuncs when it is laid out, so the engine is
-        # built on the counting stand-in. ModelBank.eval, in utility, calls
-        # numpy on its own and is not counted. Two one-chunk runs differ
-        # only in their steps.
+        # built on the counting stand-in. The bank's replay, in utility,
+        # binds numpy on its own and is counted by the next test. Two
+        # one-chunk runs differ only in their steps.
         counting = CountingNumpy()
         monkeypatch.setattr(dynamics, "np", counting)
         specs = make_specs(3, demands=[0.2, 0.5, 0.8])
@@ -1107,3 +1109,38 @@ class TestCallFloor:
 
         assert 10 < DEFAULT_CHUNK
         assert calls(10) - calls(4) == 6 * per_step
+
+    def test_the_replay_is_11_numpy_calls_a_step(self, monkeypatch):
+        # The kernel calls the bank's replay once a step, and a home_energy
+        # bank's replay is a straight line of numpy calls: the formula's 9
+        # operations (** 2 is one square), then the scale and the shift.
+        counter, replays = [0], []
+        replay = ModelBank.replay
+
+        def counted(bank, shape):
+            replays.append(replay(bank, shape))
+            return CountedCall(replays[-1], counter)
+
+        monkeypatch.setattr(ModelBank, "replay", counted)
+        specs = make_specs(3, demands=[0.2, 0.5, 0.8])
+
+        def calls(horizon):
+            eng = Engine(specs, make_cfg(horizon=horizon, eta_bar=1e-3, zeta_bar=1e-3))
+            counter[0] = 0
+            assert eng.run().complete
+            return counter[0]
+
+        assert calls(10) - calls(4) == 6
+        ops = [i for i in dis.get_instructions(replays[-1]) if i.opname.startswith("CALL")]
+        assert len(ops) == 11
+
+
+@pytest.mark.parametrize("model", [ConstantModel(1.5, high=1.8), TrapModel(), NanOffHalf()])
+def test_a_formula_beyond_ufuncs_replays_as_eval(model):
+    # ConstantModel reads its demand with np.asarray, TrapModel and
+    # NanOffHalf call np.where: their banks' replays are eval itself.
+    bank = ModelBank([model, HOME, model])
+    replay = bank.replay((2, 3))
+    assert replay == bank.eval
+    s, v, d = np.random.default_rng(5).uniform(0.0, 2.0, size=(3, 2, 3))
+    assert replay(s, v, d).tobytes() == bank.eval(s, v, d).tobytes()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fairshare.core import ConfigError
 from fairshare.utility import (
+    MODEL_TYPES,
     AffineNormalizer,
     CpuBandwidthModel,
     HomeEnergyModel,
@@ -373,6 +374,91 @@ class TestModelBank:
         assert out.shape == (3, 2)
         assert np.all(out[:, 0] == CPU.eval(0.4, 0.3, 0.0))
         assert np.array_equal(out[:, 1], HOME.eval(0.4, 0.3, d[:, 1]))
+
+    def test_every_bank_has_the_broadcast_shape_of_its_arguments(self):
+        # The cpu_bandwidth formula reads no demand, yet a bank of it alone
+        # keeps the demand's batch axis, as a bank with a class that reads
+        # it does.
+        d = np.random.default_rng(11).uniform(0.1, 0.9, size=(3, 2))
+        for models in ([CPU, CPU], [CPU, HOME], [HOME, CPU]):
+            out = ModelBank(models).eval(0.4, 0.3, d)
+            assert out.shape == (3, 2)
+            for i, m in enumerate(models):
+                want = np.broadcast_to(m.eval(0.4, 0.3, d[:, i]), (3,))
+                assert out[:, i].tobytes() == want.tobytes()
+        assert ModelBank([CPU]).eval(0.4, 0.3, 0.5).shape == (1,)
+
+
+# Two models of each class of MODEL_TYPES, with different parameters.
+EXAMPLES = {
+    "home_energy": (HOME, HomeEnergyModel(a=1.0, b=0.5, c=1.5, kappa=1.0, h=1.0)),
+    "cpu_bandwidth": (CPU, CpuBandwidthModel(a=0.5, b=3.0, h=1.2, theta=0.7, v_floor=0.02)),
+}
+# Ordinary values and the edges of float64, for each of s, v and d.
+EDGES = [0.0, 1.0, -0.0, math.nan, math.inf, -math.inf, 1e308, 0.3, 0.7]
+
+
+class TestReplay:
+    """``ModelBank.replay`` against ``eval``, bit for bit."""
+
+    def test_examples_cover_every_model_type(self):
+        assert {name: {type(m) for m in ms} for name, ms in EXAMPLES.items()} == {
+            name: {cls} for name, cls in MODEL_TYPES.items()}
+
+    @pytest.mark.parametrize("lanes", [None, 5])
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_replay_equals_eval_bitwise(self, name, wrapped, mixed, lanes):
+        def variant(model):
+            return (AffineNormalizer(inner=model, scale=0.37, shift=1.3, bound_c=9.0)
+                    if wrapped else model)
+
+        # The class under test is the bank's base group, and in a mixed
+        # bank every other class follows it.
+        first, second = EXAMPLES[name]
+        others = [m for other in sorted(EXAMPLES) if other != name for m in EXAMPLES[other]]
+        models = [variant(m) for m in (first, *(others if mixed else ()), second)]
+        n = len(models)
+        # Every (s, v, d) triple of EDGES at some task of some row, in a
+        # whole number of 5-row blocks.
+        triples = np.array(np.meshgrid(EDGES, EDGES, EDGES)).reshape(3, -1)
+        rows = -(-triples.shape[1] // (5 * n)) * 5
+        s, v, d = np.resize(triples, (3, rows, n))
+        bank = ModelBank(models)
+        with np.errstate(all="ignore"):
+            if lanes is None:
+                replay = bank.replay((n,))
+                calls = list(zip(s, v, d))
+            else:
+                replay = bank.replay((lanes, n))
+                calls = [(s[r:r + lanes], v[r:r + lanes], d[r:r + lanes])
+                         for r in range(0, rows, lanes)]
+            assert replay != bank.eval
+            for args in calls:
+                got, want = replay(*args), bank.eval(*args)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_a_replay_is_recorded_once_per_shape(self):
+        bank = ModelBank([HOME, CPU, HOME])
+        replay = bank.replay((3,))
+        assert bank.replay([3]) is replay and bank.replay((2, 3)) is not replay
+        args = np.random.default_rng(12).uniform(0.1, 0.9, size=(2, 3, 3))
+        # Its buffers hold no state from one call to the next.
+        first = replay(*args[0]).copy()
+        replay(*args[1])
+        assert replay(*args[0]).tobytes() == first.tobytes()
+
+    def test_a_class_outside_model_types_is_recorded_when_it_can_be(self):
+        # Bump is all ufuncs and operators; Quadratic converts its arguments
+        # with np.asarray, so its bank replays as eval.
+        s, v, d = np.random.default_rng(13).uniform(0.1, 0.9, size=(3, 2, 3))
+        for models, recorded in (([Bump(0.3), HOME, Bump(0.6)], True),
+                                 ([Quadratic(), HOME, CPU], False)):
+            bank = ModelBank(models)
+            replay = bank.replay((2, 3))
+            assert (replay != bank.eval) is recorded
+            assert replay(s, v, d).tobytes() == bank.eval(s, v, d).tobytes()
 
 
 # The reference search resolves a maximizer only to about
