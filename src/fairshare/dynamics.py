@@ -266,37 +266,45 @@ class Engine:
         it checks nothing itself: ``_failures`` finds the first bad step of
         a whole chunk afterwards.
 
-        The state is the shares, the levels and the filters ``lp``, which
-        stack ``(u_lp, s_lp)`` in one ``(2, R, n)`` array updated in place.
-        ``shares`` is ``(rows + 1, R, n)`` and ``pair`` ``(rows + 1, 2, R,
-        n)``: ``shares[j]`` and ``pair[j, 1]`` are the shares and level step
-        ``j`` starts from and ``pair[j, 0]`` its measurement, so row 0 holds
-        the state a chunk starts from, step ``j`` writes its new state into
-        row ``j + 1``, and ``pair[j]`` is the ``(u, s)`` couple the filters
-        follow. A chunk that does not start from a snapshot first moves the
-        previous chunk's last row into row 0. Step ``j`` writes its index
-        into row ``j`` of ``f_buf``; the noise ``eta`` and the dither
-        ``zeta`` are drawn per chunk. Step ``j`` measures at demand ``k0 +
-        j`` plus noise, moves the shares along the observed fairness index,
-        then the levels by the filtered difference quotient plus dither. A
-        frozen lane (``keep`` True) keeps its old ``s`` (a zero level step
-        would not: a huge measurement makes the filter step inf, and 0 * inf
-        is NaN); its filters move on but are not read while the levels stay.
+        The state is five ``(R, n)`` rows ``work = (ratio, f, u, s, v)``
+        and the filters ``lp = (u_lp, s_lp)``, all updated in place. The
+        rows are ordered so that each stacked call reads one contiguous
+        pair: ``(u, s) - lp`` gives both filter differences, ``(em, eps) *
+        (tanh(ratio), f)`` both increments, and one add moves ``(s, v)``. A
+        strided pair, or a broadcast operand, costs more than a contiguous
+        one. After step ``j``, its ``(f, u)`` are written into row ``j`` of
+        ``fu_rows`` and the ``(s, v)`` it made into row ``j + 1`` of
+        ``sv_rows``, whose row 0 holds the state the chunk starts from: the
+        snapshot ``start``, or the previous chunk's last row. So a step
+        makes no array views but those of its demand, noise and dither
+        rows, and views of ``work`` are made once, with the kernel. The
+        records are two arrays rather than one of four rows: an array that
+        large raised glibc's mmap threshold when it was freed, and left
+        ``verify paper-fig5`` about 2 MB more resident. Each chunk writes
+        its demand rows into ``demand`` and draws its noise ``eta`` and
+        dither ``zeta``, all laid out once. Step ``j`` measures at demand
+        ``k0 + j`` plus noise, moves the shares along the observed fairness
+        index, then the levels by the filtered difference quotient plus
+        dither. A frozen lane (``keep`` True) gets back the levels it
+        started from, kept in ``held`` (a zero level step would not keep
+        them: a huge measurement makes the filter step inf, and 0 * inf is
+        NaN); its filters move on but are not read while the levels stay.
 
         Each element goes through the operations of
         ``v + eps * (w - v * sum(w))`` with ``w = weights / u_meas``, and of
         ``clip(s + em * tanh(du / ds) + em * zeta, 0, 1)``, in that order;
-        stacking the two filters changes no element's operations. The
-        scalars are 0-d arrays, as cheap an operand as a same-shape array,
-        and ``out`` is positional, which numpy takes faster than the
-        keyword; ``maximum`` and ``minimum`` keep the keyword, since a
-        positional ``out`` is deprecated for them. The clip is ``maximum``
-        then ``minimum``, which can differ from ``np.clip`` only on a -0.0
-        operand. The pre-clip level cannot be -0.0: a rounded sum is -0.0
-        only when both addends are, so ``s`` would have to be -0.0, yet
-        every level is either the initial one (never -0.0, see
-        :meth:`initial_snapshot`) or a previous step's clip of a level that
-        was not -0.0, and ``maximum(x, 0.0)`` is -0.0 only for x = -0.0.
+        stacking the rows changes no element's operations. The scalars are
+        0-d arrays, as cheap an operand as a same-shape array, and so is a
+        one-lane ``sum(w)``; ``out`` is positional, which numpy takes
+        faster than the keyword; ``maximum`` and ``minimum`` keep the
+        keyword, since a positional ``out`` is deprecated for them. The
+        clip is ``maximum`` then ``minimum``, which can differ from
+        ``np.clip`` only on a -0.0 operand. The pre-clip level cannot be
+        -0.0: a rounded sum is -0.0 only when both addends are, so ``s``
+        would have to be -0.0, yet every level is either the initial one
+        (never -0.0, see :meth:`initial_snapshot`) or a previous step's clip
+        of a level that was not -0.0, and ``maximum(x, 0.0)`` is -0.0 only
+        for x = -0.0.
         """
         cfg, lanes_n, n = self.cfg, len(lanes), self.n
         shape = (lanes_n, n)
@@ -304,17 +312,22 @@ class Engine:
         weights = np.broadcast_to(self.weights, shape).copy()
         keep = np.array([[bool(freeze)] * n for _, freeze in lanes])
         keep = keep if keep.any() else None
-        eps, em, gamma, guard, lo, hi = (
-            np.array(x) for x in (cfg.epsilon, cfg.eps_mu, cfg.gamma, RATIO_GUARD, 0.0, 1.0))
-        w, tmp, ratio = (np.empty(shape) for _ in range(3))
+        em, gamma, guard, lo, hi = (
+            np.array(x) for x in (cfg.eps_mu, cfg.gamma, RATIO_GUARD, 0.0, 1.0))
+        # The step sizes of (tanh(ratio), f), each laid out to the full shape.
+        sizes = np.stack([np.full(shape, cfg.eps_mu), np.full(shape, cfg.epsilon)])
+        w, tmp, held = np.empty(shape), np.empty(shape), np.empty(shape)
         w_sum = np.empty((lanes_n, 1))
-        dd = np.empty((2, *shape))
+        w_total = w_sum.reshape(()) if lanes_n == 1 else w_sum
+        dd, inc, lp = np.empty((2, *shape)), np.empty((2, *shape)), np.empty((2, *shape))
         du, ds = dd
         mask = np.empty(shape, dtype=bool)
-        shares = np.empty((rows + 1, *shape))
-        pair = np.empty((rows + 1, 2, *shape))
-        lp = np.empty((2, *shape))
-        bufs = [np.empty((rows, *shape)) for _ in range(3)]
+        work = np.empty((5, *shape))
+        ratio, f, u, s, v = work
+        ratio_f, f_u, u_s, s_v = work[0:2], work[1:3], work[2:4], work[3:5]
+        fu_rows, sv_rows = np.empty((rows, 2, *shape)), np.empty((rows + 1, 2, *shape))
+        demand = np.empty((rows + 1, *shape))
+        eta, zeta = np.empty((rows, *shape)), np.empty((rows, *shape))
         end = 0  # The row of the state the next chunk starts from.
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         reduce, absolute, greater_equal, tanh = np.add.reduce, np.absolute, np.greater_equal, np.tanh
@@ -323,51 +336,53 @@ class Engine:
         def chunk(k0: int, k1: int, start: EngineSnapshot | None = None):
             nonlocal end
             if start is None:
-                shares[0], pair[0, 1] = shares[end], pair[end, 1]
+                sv_rows[0] = sv_rows[end]
             else:
-                shares[0], pair[0, 1], lp[0], lp[1] = start.v, start.s, start.u_lp, start.s_lp
+                s[...], v[...], lp[0], lp[1] = start.s, start.v, start.u_lp, start.s_lp
+                sv_rows[0], held[...] = s_v, s
             end = m = k1 - k0
             # Demand of the measurements at steps k0..k1-1, then at the
             # states after them, k0+1..k1.
             d = self.demand.at(np.arange(k0, k1 + 1))
-            d_rows = np.repeat(d[:, None], lanes_n, axis=1)
-            f_buf, eta, zeta = (b[:m] for b in bufs)
+            demand[:m + 1] = d[:, None]
+            eta_m, zeta_m = eta[:m], zeta[:m]
             # A frozen lane's dither enters only the level step that keep discards.
             for r, (noise, _) in enumerate(lanes):
-                eta[:, r] = noise.measurement_block(k0, k1, n)
-                zeta[:, r] = noise.dither_block(k0, k1, n)
+                eta_m[:, r] = noise.measurement_block(k0, k1, n)
+                zeta_m[:, r] = noise.dither_block(k0, k1, n)
             # The dither enters the level step as em * zeta: scaled once here.
-            multiply(em, zeta, zeta)
-            for d_k, eta_k, us, u, s, s_new, v, v_new, f, z in zip(
-                    d_rows, eta, pair, pair[:, 0], pair[:, 1], pair[1:, 1], shares, shares[1:],
-                    f_buf, zeta):
+            multiply(em, zeta_m, zeta_m)
+            for j, d_k, eta_k, z in zip(range(m), demand, eta_m, zeta_m):
                 add(replay(s, v, d_k), eta_k, u)
                 divide(weights, u, w)
-                multiply(v, reduce(w, -1, None, w_sum, True), tmp)
-                subtract(w, tmp, f)
-                multiply(eps, f, tmp)
-                add(v, tmp, v_new)
+                reduce(w, -1, None, w_sum, True)
+                subtract(w, multiply(v, w_total, tmp), f)
                 # (u - u_lp, s - s_lp) at once, then each times gamma.
-                subtract(us, lp, dd)
+                subtract(u_s, lp, dd)
                 multiply(gamma, dd, dd)
                 absolute(ds, tmp)
                 greater_equal(tmp, guard, mask)
                 ratio.fill(0.0)
                 divide(du, ds, out=ratio, where=mask)
                 tanh(ratio, ratio)
-                multiply(em, ratio, ratio)
-                add(s, ratio, ratio)
-                add(ratio, z, ratio)
-                maximum(ratio, lo, out=ratio)
-                minimum(ratio, hi, out=s_new)
+                # (s + em * tanh(ratio), v + eps * f) at once, in place,
+                # then the dither and the clip.
+                multiply(sizes, ratio_f, inc)
+                add(s_v, inc, s_v)
+                add(s, z, s)
+                maximum(s, lo, out=s)
+                minimum(s, hi, out=s)
                 if keep is not None:
-                    copyto(s_new, s, where=keep)
+                    copyto(s, held, where=keep)
                 multiply(em, dd, dd)
                 add(lp, dd, lp)
-            v_buf, s_buf, u_buf = shares[1:m + 1], pair[1:m + 1, 1], pair[:m, 0]
-            phi = fairness_from_utilities(self.weights, self.bank.eval(s_buf, v_buf, d_rows[1:]),
-                                          v_buf)
-            return (self._failures(k0, u_buf, v_buf, s_buf), shares[:m], v_buf, s_buf, u_buf,
+                fu_rows[j] = f_u
+                sv_rows[j + 1] = s_v
+            f_buf, u_buf = fu_rows[:m, 0], fu_rows[:m, 1]
+            s_buf, v_buf = sv_rows[1:m + 1, 0], sv_rows[1:m + 1, 1]
+            phi = fairness_from_utilities(
+                self.weights, self.bank.eval(s_buf, v_buf, demand[1:m + 1]), v_buf)
+            return (self._failures(k0, u_buf, v_buf, s_buf), sv_rows[:m, 1], v_buf, s_buf, u_buf,
                     f_buf, phi, d[1:])
 
         return chunk, lp

@@ -44,19 +44,21 @@ class OracleError(RuntimeError):
     """An oracle computation produced a non-finite or inconsistent state."""
 
 
-def _domain_error(v: np.ndarray, u: np.ndarray, where: str) -> tuple | None:
+def _domain_error(v: np.ndarray, u: np.ndarray) -> tuple | None:
     """The first state of the batch (v, u), tasks last, that lies outside the
-    domain of the mean-field equations, as its index and an ``OracleError``
-    naming ``where``, its first task at fault and the value; or None."""
+    domain of the mean-field equations, as its index and a message naming
+    its first task at fault and the value; or None. The caller names where
+    the state was, so that nothing is formatted for a state inside."""
+    # Every state inside, in four reductions; a NaN fails them.
+    if (np.minimum.reduce(v, None) >= 0.0 and np.maximum.reduce(v, None) <= 1.0
+            and np.minimum.reduce(u, None) > 0.0 and np.maximum.reduce(u, None) < math.inf):
+        return None
     checks = ((~((v >= 0.0) & (v <= 1.0)), "share outside [0, 1]", v),
               (~(np.isfinite(u) & (u > 0.0)), "utility not finite and > 0", u))
-    rows = (checks[0][0] | checks[1][0]).any(axis=-1)
-    if not rows.any():
-        return None
-    j = int(np.argmax(rows))
+    j = int(np.argmax((checks[0][0] | checks[1][0]).any(axis=-1)))
     bad, what, values = next(c for c in checks if c[0][j].any())
     i = int(np.argmax(bad[j]))
-    return j, OracleError(f"{where}, task {i}: {what}: {float(values[j, i])!r}")
+    return j, f"task {i}: {what}: {float(values[j, i])!r}"
 
 
 def safe_epsilon(lambda_min: float, c_bar: float, n: int, eta_bar: float) -> float:
@@ -167,6 +169,15 @@ def _rk4(field, y, dt: float, t_end: float, stop=None, project=None) -> OdeTraje
     start's ``OracleError`` is raised. A start that left holds its last
     state in the later rows. ``project(y, t)`` corrects each new batch in
     place, or raises, before it is accepted.
+
+    The state, the stage states ``y + h * k`` and the final combination
+    live in buffers laid out once, and again only when the batch shrinks;
+    every call writes into them with a positional ``out``, and the scalars
+    are 0-d arrays of the same values, so each element goes through the
+    operations of ``y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` in that order.
+    ``field`` is called with the state or the stage buffer, which are new
+    arrays only when the batch shrinks, so it may key views of its
+    argument on the array's identity.
     """
     if dt <= 0.0 or t_end < 0.0:
         raise ValueError("need dt > 0 and t_end >= 0")
@@ -176,21 +187,32 @@ def _rk4(field, y, dt: float, t_end: float, stop=None, project=None) -> OdeTraje
     vs, ss = np.empty(shape), np.empty(shape)
     live, last = np.arange(n_starts), np.empty(n_starts, dtype=int)
     error, step = None, 0
+    half, full, sixth, two = (np.array(x) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
+    add, multiply = np.add, np.multiply
+    y = y.copy()
+    stage, hk, acc = (np.empty_like(y) for _ in range(3))
     while live.size:
         k1, v, u, s = field(y)
         rows = slice(None) if live.size == n_starts else live
         vs[step, rows], ss[step, rows], last[rows] = v, s, step
-        if (bad := _domain_error(v, u, f"t={step * dt:.6g}")) is not None:
-            j, error = bad
+        if (bad := _domain_error(v, u)) is not None:
+            j, detail = bad
+            error = OracleError(f"t={step * dt:.6g}, {detail}")
             live, y, k1 = live[:j], y[:j], k1[:j]
         if stop is not None and (done := stop(k1)).any():
             live, y, k1 = live[~done], y[~done], k1[~done]
         if step == n_steps or not live.size:
             break
-        k2 = field(y + 0.5 * dt * k1)[0]
-        k3 = field(y + 0.5 * dt * k2)[0]
-        k4 = field(y + dt * k3)[0]
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if stage.shape != y.shape:
+            stage, hk, acc = (np.empty_like(y) for _ in range(3))
+        k2 = field(add(y, multiply(half, k1, hk), stage))[0]
+        k3 = field(add(y, multiply(half, k2, hk), stage))[0]
+        k4 = field(add(y, multiply(full, k3, hk), stage))[0]
+        multiply(two, k2, acc)
+        add(k1, acc, acc)
+        add(acc, multiply(two, k3, hk), acc)
+        add(acc, k4, acc)
+        add(y, multiply(sixth, acc, acc), y)
         step += 1
         if project is not None:
             project(y, step * dt)
@@ -219,43 +241,60 @@ def integrate_full_ode(
     not finite and > 0 raises ``OracleError``.
     """
     n = len(specs)
-    weights = np.array([t.weight for t in specs], dtype=float)
+    shape = (1, n)
+    weights = np.array([[t.weight for t in specs]])
     bank = ModelBank([t.utility for t in specs])
     d_vec = demand_table(specs).at(0)
-    mu, gamma = cfg.mu, cfg.gamma
+    # The state is one (v, s, u_lp, s_lp) batch, so the bank is replayed on
+    # (1, n) rows, like every other operand, and nothing broadcasts but the
+    # 0-d scalars.
+    utilities = bank.replay(shape)
+    d_row = d_vec.reshape(shape).copy()
+    mu, mu_gamma, guard = (np.array(x) for x in (cfg.mu, cfg.mu * cfg.gamma, RATIO_GUARD))
+    w, absolute_ds = np.empty(shape), np.empty(shape)
+    w_sum = np.empty((1, 1))
+    w_total = w_sum.reshape(())
+    guarded = np.empty(shape, dtype=bool)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    reduce, absolute, greater_equal, tanh = np.add.reduce, np.absolute, np.greater_equal, np.tanh
+
+    def rows(x: np.ndarray) -> tuple:
+        """x with its rows (v, s, u_lp, s_lp), or (phi, level, du, ds), and
+        its last two, the filters."""
+        return x, *(x[:, i] for i in range(4)), x[:, 2:]
+
     # _rk4 needs a stage's derivative only until its step ends, so four
-    # buffers in turn serve its four field calls a step. The state's rows
-    # are 1-D, so the bank is replayed on (n,) arguments, and no operand
-    # broadcasts.
-    stages = itertools.cycle([np.empty((1, 4, n)) for _ in range(4)])
-    utilities = bank.replay((n,))
-    w, absolute_ds = np.empty(n), np.empty(n)
-    w_sum = np.empty(1)
-    guarded = np.empty(n, dtype=bool)
+    # buffers in turn serve its four field calls a step. It passes its state
+    # and its stage buffer, whose rows are made once each; the dict holds
+    # each array, so no other array can take its id.
+    stages = itertools.cycle([rows(np.empty((1, 4, n))) for _ in range(4)])
+    states: dict[int, tuple] = {}
 
     def field(y: np.ndarray):
         """The vector field at the batch y of one state, and the shares,
         utilities and levels of that state."""
-        dy = next(stages)
-        v, s, u_lp, s_lp = y[0]
-        phi, level, du, ds = dy[0]
-        u = utilities(s, v, d_vec)
+        dy, phi, level, du, ds, filters = next(stages)
+        if (known := states.get(id(y))) is None:
+            known = states[id(y)] = rows(y)
+        _, v, s, u_lp, s_lp, _ = known
+        u = utilities(s, v, d_row)
         # fairness_from_utilities(weights, u, v), into phi.
-        np.divide(weights, u, out=w)
-        np.multiply(v, np.add.reduce(w, -1, None, w_sum, True), out=phi)
-        np.subtract(w, phi, out=phi)
-        np.subtract(u, u_lp, out=du)
-        np.subtract(s, s_lp, out=ds)
+        divide(weights, u, w)
+        reduce(w, -1, None, w_sum, True)
+        subtract(w, multiply(v, w_total, phi), phi)
+        subtract(u, u_lp, du)
+        subtract(s, s_lp, ds)
         level.fill(0.0)
-        np.greater_equal(np.absolute(ds, out=absolute_ds), RATIO_GUARD, out=guarded)
-        np.divide(du, ds, out=level, where=guarded)
-        np.multiply(mu, np.tanh(level, out=level), out=level)
-        dy[0, 2:] *= mu * gamma
-        return dy, v[None], u[None], s[None]
+        greater_equal(absolute(ds, absolute_ds), guard, guarded)
+        divide(du, ds, out=level, where=guarded)
+        multiply(mu, tanh(level, level), level)
+        multiply(mu_gamma, filters, filters)
+        return dy, v, u, s
 
     def project(y: np.ndarray, t: float) -> None:
         """Clamp the levels of a new state; a non-finite state is an error."""
-        np.clip(y[:, 1], 0.0, 1.0, out=y[:, 1])
+        levels = y[:, 1]
+        np.clip(levels, 0.0, 1.0, out=levels)
         if not np.isfinite(y).all():
             raise OracleError(f"non-finite mean-field state at t={t:.6g}")
 
@@ -287,12 +326,16 @@ def integrate_limiting_ode(
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = demand_table(specs).at(0)
+    # The demand laid out to each batch shape the bank is replayed on.
+    demand: dict[tuple, np.ndarray] = {}
 
     def field(v: np.ndarray):
         """The vector field at v, and v, its utilities and its maximizing
         levels."""
         s_star = bank.argmax(v, d_vec)
-        u = bank.eval(s_star, v, d_vec)
+        if (d := demand.get(v.shape)) is None:
+            d = demand[v.shape] = np.broadcast_to(d_vec, v.shape).copy()
+        u = bank.replay(v.shape)(s_star, v, d)
         return fairness_from_utilities(weights, u, v), v, u, s_star
 
     stop = None if stop_residual is None else (
@@ -333,14 +376,16 @@ def fair_fixed_point(
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = demand_table(specs).at(0)
+    utilities = bank.replay(d_vec.shape)
     fixed = None if s is None else np.asarray(s, dtype=float)
 
     def level_fn(v: np.ndarray) -> np.ndarray:
         return bank.argmax(v, d_vec) if fixed is None else fixed
 
     v = uniform_allocation(len(specs))
-    # Each iterate's utilities serve its check and then the next step.
-    u = bank.eval(level_fn(v), v, d_vec)
+    # Each iterate's utilities serve its check and then the next step; the
+    # replay writes them into its own buffer, read before its next call.
+    u = utilities(level_fn(v), v, d_vec)
     residual = math.inf
     for it in range(1, max_iter + 1):
         w = weights / u
@@ -348,9 +393,9 @@ def fair_fixed_point(
         v_new = 0.5 * v + 0.5 * target
         change = float(np.abs(v_new - v).max())
         v = v_new
-        u = bank.eval(level_fn(v), v, d_vec)
-        if (bad := _domain_error(v[None], u[None], f"iteration {it}")) is not None:
-            raise bad[1]
+        u = utilities(level_fn(v), v, d_vec)
+        if (bad := _domain_error(v[None], u[None])) is not None:
+            raise OracleError(f"iteration {it}, {bad[1]}")
         phi = fairness_from_utilities(weights, u, v)
         residual = float(np.abs(phi).max())
         if change < tol and residual <= 10.0 * tol:

@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairshare as fs
+import fairshare.core as core
 import fairshare.dynamics as dynamics
+import fairshare.oracle as oracle
+import fairshare.utility as utility
 from fairshare.core import (
     RATIO_GUARD,
     DemandSchedule,
@@ -117,6 +120,47 @@ def constant_step(utilities, v, weights=None):
     ]
     eng = Engine(specs, make_cfg(epsilon=0.1, gamma=5.0))
     return eng.step(snapshot(v, [0.5] * n, utilities, [0.5] * n))
+
+
+def update_written_out(eng, k, v, s, u_lp, s_lp, freeze_levels=False):
+    """Step k of ``eng`` from (v, s, u_lp, s_lp), as plain numpy expressions:
+    the new (v, s), the measurement and fairness index that made them, and
+    the new (u_lp, s_lp)."""
+    cfg, n = eng.cfg, eng.n
+    em = cfg.eps_mu
+    u = eng.bank.eval(s, v, eng.demand.at(k)) + eng.noise.measurement_block(k, k + 1, n)[0]
+    w = eng.weights / u
+    f = w - v * w.sum()
+    v = v + cfg.epsilon * f
+    if not freeze_levels:
+        du, ds = cfg.gamma * (u - u_lp), cfg.gamma * (s - s_lp)
+        ratio = np.divide(du, ds, out=np.zeros(n), where=np.abs(ds) >= RATIO_GUARD)
+        zeta = eng.noise.dither_block(k, k + 1, n)[0]
+        s = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
+        u_lp, s_lp = u_lp + em * du, s_lp + em * ds
+    return v, s, u, f, u_lp, s_lp
+
+
+# Level differences at and around the ratio guard, and filter differences
+# that are not finite: the guarded ratio's edge values.
+DS_EDGES = (0.0, -0.0, RATIO_GUARD, -RATIO_GUARD, float(np.nextafter(RATIO_GUARD, 0.0)),
+            math.nan, math.inf, -math.inf)
+DU_EDGES = (math.inf, -math.inf, math.nan)
+
+
+def edge_levels(ds):
+    """Levels s and filters s_lp whose differences s - s_lp are exactly
+    ``ds``: s is 0.0 (-0.0 for a ds of -0.0, since -0.0 - 0.0 is -0.0) and
+    s_lp is -ds (0.0 for a zero ds), since 0.0 - (-x) is x."""
+    ds = np.array(ds)
+    zero = ds == 0.0
+    s = np.where(zero & np.signbit(ds), -0.0, 0.0)
+    s_lp = np.where(zero, 0.0, -ds)
+    # Byte-equal but for a NaN's sign bit, which no check reads.
+    nan = np.isnan(ds)
+    assert np.array_equal(np.isnan(s - s_lp), nan)
+    assert np.where(nan, 0.0, s - s_lp).tobytes() == np.where(nan, 0.0, ds).tobytes()
+    return s, s_lp
 
 
 def level_step(snap, u_meas, zeta, cfg):
@@ -405,6 +449,51 @@ class TestEngineStep:
             assert getattr(held, name).tobytes() == before[name].tobytes(), name
 
 
+class TestGuardedRatio:
+    """The guarded level ratio du / ds on its edge values, through a step
+    from a hand-built snapshot, against the update written out."""
+
+    def engine(self, n):
+        # gamma 1 keeps ds and du exact; no noise or dither.
+        return Engine(make_specs(n), make_cfg(gamma=1.0), noise=FixedNoise([0.0] * n, [0.0] * n))
+
+    def snapshot(self, eng, pairs):
+        ds, du = np.array(pairs).T
+        s, s_lp = edge_levels(ds)
+        v = np.full(len(pairs), 1.0 / len(pairs))
+        u = eng.bank.eval(s, v, eng.demand.at(0))
+        return snapshot(v, s, u - du, s_lp)
+
+    def test_a_finite_ratio_gives_the_update_written_out(self):
+        # A ratio the guard zeroes, or du = +-inf over ds = +-RATIO_GUARD,
+        # whose tanh is +-1: each task of one step holds one such pair.
+        pairs = [(ds, du) for du in DU_EDGES for ds in DS_EDGES
+                 if not abs(ds) >= RATIO_GUARD or (math.isinf(du) and math.isfinite(ds))]
+        assert len(pairs) == 16
+        eng = self.engine(len(pairs))
+        snap = self.snapshot(eng, pairs)
+        with np.errstate(invalid="ignore"):
+            ref = update_written_out(eng, 0, snap.v, snap.s, snap.u_lp, snap.s_lp)
+            out = eng.step(snap)
+        for name, want in zip(("v", "s", "u_meas", "f_obs", "u_lp", "s_lp"), ref):
+            assert getattr(out, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("pair", [(ds, du) for du in DU_EDGES for ds in DS_EDGES
+                                      if abs(ds) >= RATIO_GUARD
+                                      and (math.isnan(du) or math.isinf(ds))])
+    def test_a_nan_ratio_is_a_nan_level_breach(self, pair):
+        # du = NaN over a guarded ds, or +-inf over +-inf: the ratio, and so
+        # the level, is NaN in the update written out, and the step raises.
+        eng = self.engine(2)
+        snap = self.snapshot(eng, [pair, (0.5, 0.0)])
+        with np.errstate(invalid="ignore"):
+            ref = update_written_out(eng, 0, snap.v, snap.s, snap.u_lp, snap.s_lp)
+            with pytest.raises(FeasibilityBreach, match="level nan") as exc:
+                eng.step(snap)
+        assert np.isnan(ref[1][0]) and not np.isnan(ref[1][1])
+        assert (exc.value.step, exc.value.task) == (0, 0)
+
+
 class TestRun:
     def test_horizon_is_at_least_one_step(self):
         with pytest.raises(fs.ConfigError, match=r"^horizon must be >= 1, got 0$"):
@@ -451,26 +540,14 @@ class TestRun:
 
     @pytest.mark.parametrize("freeze_levels", [False, True])
     def test_run_matches_the_update_written_out(self, freeze_levels):
-        # The update as plain numpy expressions, one step at a time.
         specs, cfg = self.mixed_scenario()
         eng = Engine(specs, cfg)
         snap = eng.initial_snapshot()
         v, s, u_lp, s_lp = snap.v, snap.s, snap.u_lp, snap.s_lp
-        em, n = cfg.eps_mu, len(specs)
         rows = []
         for k in range(cfg.horizon):
-            u = (eng.bank.eval(s, v, eng.demand.at(k))
-                 + eng.noise.measurement_block(k, k + 1, n)[0])
-            w = eng.weights / u
-            f = w - v * w.sum()
-            v = v + cfg.epsilon * f
-            if not freeze_levels:
-                du, ds = cfg.gamma * (u - u_lp), cfg.gamma * (s - s_lp)
-                ratio = np.divide(du, ds, out=np.zeros(n),
-                                  where=np.abs(ds) >= RATIO_GUARD)
-                zeta = eng.noise.dither_block(k, k + 1, n)[0]
-                s = np.clip(s + em * np.tanh(ratio) + em * zeta, 0.0, 1.0)
-                u_lp, s_lp = u_lp + em * du, s_lp + em * ds
+            v, s, u, f, u_lp, s_lp = update_written_out(eng, k, v, s, u_lp, s_lp,
+                                                        freeze_levels)
             rows.append((v, s, u, f))
         trace = Engine(specs, cfg).run(freeze_levels=freeze_levels)
         for name, got in zip(("v", "s", "u_meas", "f_obs"), zip(*rows)):
@@ -1087,11 +1164,14 @@ class CountingNumpy:
 
 
 class TestCallFloor:
-    """The step loop's numpy calls: a step costs about 0.4 µs a call, not a
-    cost per element, so the count per step is its cost."""
+    """The hot loops' numpy calls: a call costs about 0.4 µs, not a cost per
+    element, so the count per step is its cost."""
 
-    @pytest.mark.parametrize("freeze_levels, per_step", [(False, 20), (True, 21)])
+    @pytest.mark.parametrize("freeze_levels, per_step", [(False, 18), (True, 19)])
     def test_numpy_calls_per_step(self, monkeypatch, freeze_levels, per_step):
+        # 18, down from 20: the state's rows hold (ratio, f, u, s, v), so one
+        # multiply scales (tanh(ratio), f) by (em, eps) and one add moves
+        # (s, v). A frozen lane adds the copy that keeps its levels.
         # The kernel binds its ufuncs when it is laid out, so the engine is
         # built on the counting stand-in. The bank's replay, in utility,
         # binds numpy on its own and is counted by the next test. Two
@@ -1133,6 +1213,65 @@ class TestCallFloor:
         assert calls(10) - calls(4) == 6
         ops = [i for i in dis.get_instructions(replays[-1]) if i.opname.startswith("CALL")]
         assert len(ops) == 11
+
+
+    @pytest.fixture
+    def model_calls(self, monkeypatch):
+        """Counts of the calls of ModelBank.eval and of the functions
+        ModelBank.replay returns."""
+        counts = {"eval": 0, "replay": 0}
+        eval_, replay = ModelBank.eval, ModelBank.replay
+
+        def counted(name, f):
+            def call(*args):
+                counts[name] += 1
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(ModelBank, "eval", lambda bank, *a: counted("eval", eval_)(bank, *a))
+        monkeypatch.setattr(ModelBank, "replay",
+                            lambda bank, shape: counted("replay", replay(bank, shape)))
+        return counts
+
+    def test_numpy_calls_per_full_ode_step(self, monkeypatch, model_calls):
+        # An RK4 step: four field calls of 12 (the fairness index 4, the
+        # differences 2, the guarded ratio 5, the filters 1), the stages 6
+        # and the combination 7, the domain check 4 and the projection 2;
+        # and the bank's (1, n) replay once a field call. The integration
+        # binds its ufuncs when it starts, after the stand-in is in.
+        counting = CountingNumpy()
+        monkeypatch.setattr(oracle, "np", counting)
+        specs, cfg = make_specs(3, demands=[0.2, 0.5, 0.8]), make_cfg()
+
+        def calls(steps):
+            counting.counter[0], model_calls["replay"] = 0, 0
+            fs.integrate_full_ode(specs, cfg, t_end=steps * 1e-3, dt=1e-3)
+            return counting.counter[0], model_calls["replay"]
+
+        (a, replays_a), (b, replays_b) = calls(4), calls(10)
+        assert (b - a, replays_b - replays_a) == (6 * 67, 6 * 4)
+        assert model_calls["eval"] == 2  # the start's utilities, once a call
+
+    def test_numpy_calls_per_limiting_ode_field_call(self, monkeypatch, model_calls):
+        # A field call makes the maximizing levels (ModelBank.argmax: empty,
+        # copyto and home_energy's clip; np.broadcast is a class), the
+        # utilities there by the bank's replay for the batch's shape, and the
+        # fairness index (fairness_from_utilities: three asarray; its
+        # arithmetic is operators). numpy is counted in the three modules
+        # the field runs.
+        fields = []
+        rk4 = oracle._rk4
+        monkeypatch.setattr(oracle, "_rk4", lambda field, *a, **kw: fields.append(field)
+                            or rk4(field, *a, **kw))
+        specs = make_specs(3, demands=[0.2, 0.5, 0.8])
+        starts = np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]])
+        fs.integrate_limiting_ode(specs, starts, t_end=0.0)
+        counting = CountingNumpy()
+        for module in (oracle, utility, core):
+            monkeypatch.setattr(module, "np", counting)
+        model_calls.update(eval=0, replay=0)
+        fields[0](starts)
+        assert (counting.counter[0], model_calls) == (6, {"eval": 0, "replay": 1})
 
 
 @pytest.mark.parametrize("model", [ConstantModel(1.5, high=1.8), TrapModel(), NanOffHalf()])

@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fairshare as fs
-from fairshare.core import DemandSchedule, EngineConfig, TaskSpec, uniform_allocation
+import fairshare.oracle as oracle
+from fairshare.core import (FILTER_INIT_OFFSET, RATIO_GUARD, DemandSchedule, EngineConfig,
+                            TaskSpec, demand_table, uniform_allocation)
 from fairshare.oracle import (
     OracleError,
     bounds,
@@ -28,6 +30,8 @@ from fairshare.utility import (
     ModelBank,
     UtilityModel,
 )
+
+from test_dynamics import DS_EDGES, DU_EDGES, edge_levels
 
 HOME = HomeEnergyModel(a=2.0, b=1.0, c=2.0, kappa=1.0, h=0.5)
 
@@ -186,6 +190,94 @@ class TestFullOde:
             integrate_full_ode(identical_specs(2), make_cfg(), t_end=1.0, dt=0.0)
 
 
+def written_out_field(specs, cfg):
+    """The full mean-field ODE's vector field at the state rows (v, s, u_lp,
+    s_lp), as plain numpy expressions."""
+    bank = ModelBank([t.utility for t in specs])
+    d = demand_table(specs).at(0)
+    weights = np.array([t.weight for t in specs])
+
+    def field(y):
+        v, s, u_lp, s_lp = y
+        w = weights / bank.eval(s, v, d)
+        du, ds = bank.eval(s, v, d) - u_lp, s - s_lp
+        ratio = np.divide(du, ds, out=np.zeros(len(v)), where=np.abs(ds) >= RATIO_GUARD)
+        return np.stack([w - v * w.sum(), cfg.mu * np.tanh(ratio),
+                         du * (cfg.mu * cfg.gamma), ds * (cfg.mu * cfg.gamma)])
+
+    return field
+
+
+def full_ode_written_out(specs, cfg, t_end, dt):
+    """integrate_full_ode's shares and levels, as plain numpy expressions."""
+    n, field = len(specs), written_out_field(specs, cfg)
+    v = uniform_allocation(n) if cfg.v_init is None else np.array(cfg.v_init)
+    s = np.full(n, float(cfg.s_init))
+    bank = ModelBank([t.utility for t in specs])
+    y = np.stack([v, s, bank.eval(s, v, demand_table(specs).at(0)), s - FILTER_INIT_OFFSET])
+    rows = [y[:2]]
+    for _ in range(int(round(t_end / dt))):
+        k1 = field(y)
+        k2 = field(y + 0.5 * dt * k1)
+        k3 = field(y + 0.5 * dt * k2)
+        k4 = field(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[1] = np.clip(y[1], 0.0, 1.0)
+        rows.append(y[:2])
+    return np.array(rows)
+
+
+class TestFullOdeBits:
+    """integrate_full_ode against the update written out, byte for byte."""
+
+    def test_field_on_the_guarded_ratio_edge_values(self, monkeypatch):
+        # One task per (ds, du) pair; _rk4 hands over the field.
+        fields = []
+        rk4 = oracle._rk4
+        monkeypatch.setattr(oracle, "_rk4", lambda field, *a, **kw: fields.append(field)
+                            or rk4(field, *a, **kw))
+        ds, du = np.array([(ds, du) for du in DU_EDGES for ds in DS_EDGES]).T
+        specs, cfg = random_specs(len(ds), seed=4), make_cfg()
+        integrate_full_ode(specs, cfg, t_end=0.0)
+        s, s_lp = edge_levels(ds)
+        v = uniform_allocation(len(ds))
+        u = ModelBank([t.utility for t in specs]).eval(s, v, demand_table(specs).at(0))
+        y = np.stack([v, s, u - du, s_lp])
+        with np.errstate(invalid="ignore"):
+            dy, v_out, u_out, s_out = fields[0](y[None].copy())
+            ref = written_out_field(specs, cfg)(y)
+        assert dy[0].tobytes() == ref.tobytes()
+        assert (v_out[0].tobytes(), u_out[0].tobytes(), s_out[0].tobytes()) == (
+            v.tobytes(), u.tobytes(), s.tobytes())
+
+    @pytest.mark.parametrize("s_init", [-0.0, 0.0, 0.3, 1.0])
+    def test_trajectory_from_each_level_start(self, s_init):
+        # -0.0 is kept by np.clip, where np.maximum(-0.0, 0.0) is +0.0.
+        specs = random_specs(3, seed=5)
+        cfg = make_cfg(s_init=s_init, v_init=(0.5, 0.3, 0.2))
+        traj = integrate_full_ode(specs, cfg, t_end=0.05, dt=1e-3)
+        ref = full_ode_written_out(specs, cfg, t_end=0.05, dt=1e-3)
+        assert traj.v.tobytes() == ref[:, 0].tobytes()
+        assert traj.s.tobytes() == ref[:, 1].tobytes()
+        assert np.signbit(traj.s[0]).all() == np.signbit(s_init)
+
+    def test_buffers_laid_out_once_carry_nothing_between_calls(self):
+        # Full ODEs and probes on two task sets, interleaved in one process.
+        fig5, cfg5 = build_identical_four()
+        mixed = random_specs(4, seed=2)
+
+        def full(specs):
+            traj = integrate_full_ode(specs, cfg5, t_end=0.1)
+            return traj.times.tobytes() + traj.v.tobytes() + traj.s.tobytes()
+
+        def probe(specs):
+            return b"".join(r.tobytes() for r in probe_limit_points(specs, n_starts=4, t_end=5.0))
+
+        first = [full(fig5), probe(fig5), full(mixed), probe(mixed)]
+        again = [full(fig5), probe(mixed), full(mixed), probe(fig5)]
+        assert again == [first[0], first[3], first[2], first[1]]
+
+
 class TestLimitingOde:
     def test_identical_tasks_converge_to_uniform(self):
         specs = identical_specs(5)
@@ -258,10 +350,16 @@ class TestFairFixedPoint:
             fair_fixed_point(random_specs(3, seed=1), np.full(3, 0.5), tol=tol)
 
     def test_each_iterate_is_evaluated_once(self, monkeypatch):
+        # The iteration evaluates through the bank's (n,) replay, so the
+        # calls of the functions replay returns are counted, and eval's.
         calls = []
-        eval_ = ModelBank.eval
-        monkeypatch.setattr(ModelBank, "eval",
-                            lambda self, *a: calls.append(1) or eval_(self, *a))
+        eval_, replay = ModelBank.eval, ModelBank.replay
+
+        def counted(f):
+            return lambda *a: calls.append(1) or f(*a)
+
+        monkeypatch.setattr(ModelBank, "eval", lambda self, *a: counted(eval_)(self, *a))
+        monkeypatch.setattr(ModelBank, "replay", lambda self, shape: counted(replay(self, shape)))
         specs = random_specs(5, seed=3)
         res = fair_fixed_point(specs, np.full(5, 0.5), tol=1e-9)
         assert res.converged and res.iterations > 1
