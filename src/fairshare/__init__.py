@@ -25,6 +25,7 @@ from .dynamics import (
     Engine,
     EngineSnapshot,
     RunTrace,
+    TraceRows,
     recurrence_window,
 )
 from .oracle import (
@@ -41,9 +42,11 @@ from .oracle import (
 )
 from .scenario import (
     ScenarioResult,
+    ZoneStats,
     ZoneSummary,
     build_identical_four,
     build_random,
+    ledger_verdicts,
     summarize,
 )
 from .utility import (

@@ -6,6 +6,7 @@ utility measurement during a run, 2 feasibility breach during a run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -27,7 +28,7 @@ from .core import (
     _finite,
     _integral,
 )
-from .dynamics import Engine, RunTrace
+from .dynamics import Engine, RunTrace, TraceRows
 from .oracle import (
     OracleError,
     bounds,
@@ -37,8 +38,10 @@ from .oracle import (
     validate_config,
 )
 from .scenario import (
+    ZoneStats,
     build_identical_four,
     build_random,
+    ledger_verdicts,
     summarize,
 )
 from .utility import (
@@ -374,23 +377,34 @@ def _format_rows(block: np.ndarray) -> bytes:
     return words.T.tobytes().translate(None, b"\0")
 
 
-def write_trace_csv(path: Path, trace: RunTrace) -> None:
-    n = trace.v.shape[1]
-    cols = ["step"]
-    for name in ("v", "s", "u", "F", "Phi"):
-        cols.extend(f"{name}_{i}" for i in range(n))
-    cols.append("phi_sq_sum")
-    with open(path, "wb") as fh:
+class _CsvWriter:
+    """``trace.csv`` of a run of ``n`` tasks into the binary file ``fh``:
+    the header now, then the kept rows as they come, ``_CSV_BLOCK_VALUES``
+    values at a time in whole rows, so that no second copy of more than a
+    block is made."""
+
+    def __init__(self, fh, n: int):
+        cols = ["step"]
+        for name in ("v", "s", "u", "F", "Phi"):
+            cols.extend(f"{name}_{i}" for i in range(n))
+        cols.append("phi_sq_sum")
         fh.write((",".join(cols) + "\n").encode())
-        # Row blocks, so that no second copy of the whole trace is made.
-        block = max(1, _CSV_BLOCK_VALUES // len(cols))
-        for r0 in range(0, len(trace), block):
-            rows = slice(r0, r0 + block)
-            fh.write(_format_rows(np.column_stack([
-                trace.steps[rows].astype(float), trace.v[rows], trace.s[rows],
-                trace.u_meas[rows], trace.f_obs[rows], trace.phi[rows],
-                trace.phi_sq[rows],
-            ])))
+        self.fh, self.block = fh, max(1, _CSV_BLOCK_VALUES // len(cols))
+
+    def write(self, rows: TraceRows) -> None:
+        steps, *values = rows
+        for r0 in range(0, len(steps), self.block):
+            block = slice(r0, r0 + self.block)
+            self.fh.write(_format_rows(np.column_stack(
+                [steps[block].astype(float)] + [x[block] for x in values])))
+
+
+def write_trace_csv(path: Path, trace: RunTrace) -> None:
+    """``trace.csv`` of a trace that holds its rows, through the writer a
+    streamed run uses."""
+    rows = trace.rows
+    with open(path, "wb") as fh:
+        _CsvWriter(fh, trace.v.shape[1]).write(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +448,25 @@ def cmd_run(args) -> int:
     manifest = {"scenario": doc, "stride": stride, "formats": formats}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     engine = Engine(specs, cfg)
+    # The run hands each chunk's kept rows to trace.csv and to the zone
+    # statistics as it makes them, so it holds one zone of shares and the
+    # tails it summarizes, whatever the horizon.
+    zones = ZoneStats(specs, cfg, stride) if "json" in formats else None
     failure: StepError | None = None
-    try:
-        trace = engine.run(stride=stride)
-    except StepError as exc:
-        failure = exc
-        trace = exc.trace
-    if "csv" in formats:
-        write_trace_csv(out / "trace.csv", trace)
+    with contextlib.ExitStack() as files:
+        csv = (_CsvWriter(files.enter_context(open(out / "trace.csv", "wb")), engine.n)
+               if "csv" in formats else None)
+
+        def take(_lane: int, rows: TraceRows) -> None:
+            if csv is not None:
+                csv.write(rows)
+            if zones is not None:
+                zones.feed(rows)
+
+        try:
+            trace = engine.run(stride=stride, consumer=take)
+        except StepError as exc:
+            failure = exc
     if failure is not None:
         breach = isinstance(failure, FeasibilityBreach)
         status = "feasibility_breach" if breach else "measurement_error"
@@ -452,13 +477,12 @@ def cmd_run(args) -> int:
             }), indent=2) + "\n")
         print(f"{status.replace('_', ' ')}: {failure}", file=sys.stderr)
         return EXIT_BREACH if breach else EXIT_CONFIG
-    if "json" in formats:
-        result = summarize(trace, specs, cfg)
+    if zones is not None:
         (out / "summary.json").write_text(json.dumps(_jsonable({
-            "status": "ok", "zones": [dataclasses.asdict(z) for z in result.zones],
-            "verdicts": result.verdicts,
+            "status": "ok", "zones": [dataclasses.asdict(z) for z in zones.zones],
+            "verdicts": ledger_verdicts(trace.ledger, specs, cfg),
         }), indent=2) + "\n")
-    print(f"wrote {len(trace)} records to {out}")
+    print(f"wrote {cfg.horizon // stride} records to {out}")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "EngineSnapshot",
     "RunLedger",
     "RunTrace",
+    "TraceRows",
     "recurrence_window",
 ]
 
@@ -176,6 +177,24 @@ class RunLedger:
                        out=self.window_v_min[span])
 
 
+class TraceRows(NamedTuple):
+    """Kept rows of a run, in the column order of ``trace.csv``: the steps
+    ``(rows,)``, then ``v``, ``s``, ``u_meas``, ``f_obs`` and ``phi``, each
+    ``(rows, n)``, and ``phi_sq`` ``(rows,)``."""
+
+    steps: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
+    u_meas: np.ndarray
+    f_obs: np.ndarray
+    phi: np.ndarray
+    phi_sq: np.ndarray
+
+
+# What Engine.run_lanes hands each lane's kept rows to: (lane, rows).
+Consumer = Callable[[int, TraceRows], None]
+
+
 @dataclass
 class RunTrace:
     """Recorded trajectory of one run (thinned by ``stride``), plus ledger.
@@ -183,7 +202,9 @@ class RunTrace:
     Row ``r`` holds step ``(r + 1) * stride``; the ledger was folded chunk
     by chunk over every completed step, so it does not depend on
     ``stride``. ``breach_step`` is the step whose update failed when the run
-    aborted, else None.
+    aborted, else None. A run that handed its rows to a consumer holds none:
+    its arrays have no rows and ``held`` is False, so that :attr:`rows`
+    refuses it rather than read it as a run of no records.
     """
 
     steps: np.ndarray
@@ -194,15 +215,57 @@ class RunTrace:
     phi: np.ndarray
     phi_sq: np.ndarray
     ledger: RunLedger
+    stride: int
     breach_step: int | None = None
+    held: bool = True
 
     @property
     def complete(self) -> bool:
         """Whether the run walked its whole horizon."""
         return self.breach_step is None
 
+    @property
+    def rows(self) -> TraceRows:
+        """The kept rows; a ValueError if they went to a consumer instead."""
+        if not self.held:
+            raise ValueError("the rows of this run went to its consumer; the trace holds none")
+        return TraceRows(self.steps, self.v, self.s, self.u_meas, self.f_obs, self.phi,
+                         self.phi_sq)
+
     def __len__(self) -> int:
         return int(self.steps.shape[0])
+
+
+class _Records:
+    """The default consumer of :meth:`Engine.run_lanes`: every lane's kept
+    rows, held in lane-major records, one ``(kept, R, n)`` array per field,
+    then ``phi_sq``. A lane's rows arrive in order, so lane ``r`` fills its
+    first ``filled[r]`` rows, which later rows leave. With ``held`` False
+    the records have no rows, and stand for a run whose rows went to
+    another consumer."""
+
+    def __init__(self, kept: int, lanes_n: int, n: int, held: bool):
+        self.arrays = ([np.empty((kept, lanes_n, n)) for _ in range(5)]
+                       + [np.empty((kept, lanes_n))])
+        self.filled = [0] * lanes_n
+        self.held = held
+
+    def __call__(self, lane: int, rows: TraceRows) -> None:
+        r0 = self.filled[lane]
+        self.filled[lane] = r1 = r0 + len(rows.steps)
+        for rec, x in zip(self.arrays, rows[1:]):
+            rec[r0:r1, lane] = x
+
+    def trace(self, lane: int, ledger: RunLedger, stride: int,
+              breach_step: int | None) -> RunTrace:
+        """The RunTrace of lane ``lane``: views of its filled rows."""
+        n_rec = self.filled[lane]
+        v, s, u_meas, f_obs, phi, phi_sq = (x[:n_rec, lane] for x in self.arrays)
+        return RunTrace(
+            steps=np.arange(stride, n_rec * stride + 1, stride, dtype=np.int64),
+            v=v, s=s, u_meas=u_meas, f_obs=f_obs, phi=phi, phi_sq=phi_sq,
+            ledger=ledger, stride=stride, breach_step=breach_step, held=self.held,
+        )
 
 
 class Engine:
@@ -453,21 +516,25 @@ class Engine:
             u_meas=u, f_obs=f, phi=phi, phi_sq_sum=float((phi * phi).sum()),
         )
 
-    def run(self, stride: int = 1, freeze_levels: bool = False) -> RunTrace:
+    def run(self, stride: int = 1, freeze_levels: bool = False,
+            consumer: Consumer | None = None) -> RunTrace:
         """Iterate the horizon, keeping every ``stride``-th step.
 
         The one-lane :meth:`run_lanes` on the engine's own noise source.
         Produces exactly the states that iterating :meth:`step` would, and
         fails where it would: a MeasurementError or FeasibilityBreach is
-        raised with the partial trace attached.
+        raised with the partial trace attached. With a ``consumer``, the
+        kept rows go to it chunk by chunk as the run makes them, and the
+        trace holds none of them.
         """
-        (result,) = self.run_lanes([(self.noise, freeze_levels)], stride)
+        (result,) = self.run_lanes([(self.noise, freeze_levels)], stride, consumer)
         if isinstance(result, StepError):
             raise result
         return result
 
     def run_lanes(
-        self, lanes: Sequence[tuple[NoiseSource, bool]], stride: int = 1
+        self, lanes: Sequence[tuple[NoiseSource, bool]], stride: int = 1,
+        consumer: Consumer | None = None,
     ) -> list[RunTrace | StepError]:
         """Run several ``(noise, freeze_levels)`` lanes through one step loop.
 
@@ -488,23 +555,28 @@ class Engine:
         itself (:meth:`step` is one of one step on a kernel the engine laid
         out). After each chunk, the level maximizers of the
         ``s_optimality`` tail are found in bulk at the demand the chunk
-        looked up, the recorded steps of all lanes are copied into the
-        lane-major records, and each live lane's completed steps are folded
-        into its ledger. So memory is bounded by the kept records plus one
-        chunk, whatever the horizon, and since the noise is counter-keyed
-        the chunking moves no bit. The ledger covers every completed step,
-        recorded or not, so ``stride`` thins the trace but no verdict.
+        looked up, each live lane's kept rows, up to its last completed
+        step, go to ``consumer(lane, rows)`` as TraceRows views of the
+        chunk's buffers, which the next chunk overwrites, and its completed
+        steps are folded into its ledger. The default consumer holds the
+        rows in records sized to the horizon, and the traces view them;
+        another consumer takes each chunk's rows as they come, and the
+        traces hold none. So memory is bounded by one chunk plus what the
+        consumer keeps, whatever the horizon, and since the noise is
+        counter-keyed the chunking moves no bit. The ledger covers every
+        completed step, kept or not, so ``stride`` thins the rows but no
+        verdict.
         """
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         if not lanes:
             raise ValueError("need at least one lane")
         horizon, n, lanes_n = self.cfg.horizon, self.n, len(lanes)
-        kept = horizon // stride
-        # Lane-major records: one (kept, R, n) array per field, then phi_sq.
+        held = consumer is None
+        kept = horizon // stride if held else 0
         with _fits_in_memory("records", 8 * lanes_n * kept * (5 * n + 1), horizon, stride):
-            records = ([np.empty((kept, lanes_n, n)) for _ in range(5)]
-                       + [np.empty((kept, lanes_n))])
+            records = _Records(kept, lanes_n, n, held)
+        consumer = records if held else consumer
         ledgers = [self._ledger(stride) for _ in lanes]
         results: list[RunTrace | StepError | None] = [None] * lanes_n
         lam_ratio = self.lam_min / self.c_bar
@@ -524,10 +596,11 @@ class Engine:
                 near_opt = np.abs(s[lo:] - self.bank.argmax(v[lo:], d[lo:, None])) < S_OPT_TOL
                 phi_sq = (phi * phi).sum(axis=-1)
                 # Local rows whose step k0 + j + 1 is a multiple of stride,
-                # and the records they fill, for every lane at once.
-                picked = slice((-k0 - 1) % stride, m, stride)
-                for rec, buf in zip(records, (v, s, u, f, phi, phi_sq)):
-                    rec[k0 // stride:k1 // stride] = buf[picked]
+                # and those steps.
+                picked = [x[(-k0 - 1) % stride::stride] for x in (v, s, u, f, phi, phi_sq)]
+                first, last = k0 // stride, k1 // stride
+                if last > first:
+                    steps = np.arange(first + 1, last + 1, dtype=np.int64) * stride
                 for r, error in enumerate(errors):
                     if results[r] is not None:
                         continue
@@ -536,13 +609,16 @@ class Engine:
                         ledgers[r].fold(k0, v_pre[:m_r, r], v[:m_r, r], f[:m_r, r],
                                         phi_sq[:m_r, r], lam_ratio,
                                         near_opt[:max(m_r - lo, 0), r])
+                    if kept_r := done // stride - first:
+                        consumer(r, TraceRows(steps[:kept_r],
+                                              *(x[:kept_r, r] for x in picked)))
                     if error is not None:
-                        error.trace = _trace(records, r, ledgers[r], stride, done, True)
+                        error.trace = records.trace(r, ledgers[r], stride, done)
                         results[r] = error
                 if None not in results:
                     break
 
-        return [_trace(records, r, ledgers[r], stride, horizon, False) if result is None
+        return [records.trace(r, ledgers[r], stride, None) if result is None
                 else result for r, result in enumerate(results)]
 
     def _ledger(self, stride: int) -> RunLedger:
@@ -566,19 +642,4 @@ class Engine:
             opt_start=horizon - opt_steps + 1, opt_steps=opt_steps,
             opt_hits=np.zeros(self.n, dtype=np.int64),
         )
-
-
-def _trace(records, lane: int, ledger: RunLedger, stride: int, done: int,
-           failed: bool) -> RunTrace:
-    """The RunTrace of lane ``lane`` of the lane-major ``records`` after its
-    first ``done`` steps completed (and the next one failed, if ``failed``):
-    views of its first ``done // stride`` rows, which later chunks leave."""
-    n_rec = done // stride
-    v, s, u_meas, f_obs, phi, phi_sq = (x[:n_rec, lane] for x in records)
-    return RunTrace(
-        steps=np.arange(stride, n_rec * stride + 1, stride, dtype=np.int64),
-        v=v, s=s, u_meas=u_meas, f_obs=f_obs, phi=phi, phi_sq=phi_sq,
-        ledger=ledger,
-        breach_step=done if failed else None,
-    )
 

@@ -5,7 +5,8 @@ the tasks double their demand in the middle zone and revert afterwards,
 which exercises the engine's adaptation to changing requests. Their engine
 settings go through ``EngineConfig.from_dict``, as a scenario file's do;
 ``summarize`` reads its zones and demands from the task set's
-``demand_table``, as the engine does.
+``demand_table``, as the engine does, and reads its rows through
+``ZoneStats``, which a streamed run feeds chunk by chunk.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .core import (
     _integral,
     demand_table,
 )
-from .dynamics import S_OPT_TOL, RunTrace
+from .dynamics import S_OPT_TOL, RunLedger, RunTrace, TraceRows, _fits_in_memory
 from .oracle import bounds
 from .utility import (
     MODEL_TYPES,
@@ -35,13 +36,19 @@ from .utility import (
 __all__ = [
     "DEFAULT_ZONE_STEPS",
     "ScenarioResult",
+    "ZoneStats",
     "ZoneSummary",
     "build_identical_four",
     "build_random",
+    "ledger_verdicts",
     "summarize",
 ]
 
 DEFAULT_ZONE_STEPS = 40_000
+# Zones with fewer records carry no statistics.
+_MIN_ZONE_RECORDS = 40
+# Rows of a zone whose deviation from its tail mean is tested at a time.
+_DEV_BLOCK_ROWS = 4096
 
 # Engine parameters of the paper's studies; the builders add horizon and seed.
 _PAPER_ENGINE = {
@@ -213,76 +220,159 @@ def _window_verdict(crossed: np.ndarray, window: int, threshold: float) -> dict:
     }
 
 
-def summarize(
-    trace: RunTrace, specs: Sequence[TaskSpec], cfg: EngineConfig
-) -> ScenarioResult:
-    """Tail statistics per zone and property verdicts over the whole run.
+class ZoneStats:
+    """Tail statistics of each demand zone, fed a run's kept rows in blocks.
 
     The zones run from each break of the task set's demand table before the
-    horizon to the next, the last to the horizon. Their statistics read the
-    recorded rows, as slices of the trace (the steps are sorted); every
-    verdict reads the ledger, which the run folded chunk by chunk over every
-    step, so ``starvation`` and ``balance`` (per-window share extrema, against
-    the thresholds of ``oracle.bounds``) and
-    ``s_optimality`` (near-optimal level counts over the final 20% of the
-    steps) are decided at any stride. Zones with fewer than 40 records are
-    marked insufficient and carry no statistics, so a stride longer than the
-    run leaves every zone insufficient but no verdict undecided. Only a
-    finished run is judged: an aborted one is a ValueError naming the step
-    that failed, and ``EngineConfig`` already demands a horizon of at least
-    one step.
-    """
-    if not trace.complete:
-        raise ValueError(
-            f"the run aborted at step {trace.breach_step}; only a complete run "
-            "is summarized")
-    steps = trace.steps
-    table = demand_table(specs)
-    boundaries = [k for k in table.breaks.tolist() if k < cfg.horizon] + [cfg.horizon]
-    bank = ModelBank([t.utility for t in specs])
+    horizon to the next, the last to the horizon; a run at ``stride`` keeps
+    the steps of each zone that are multiples of ``stride``. :meth:`feed`
+    takes rows in step order, in blocks of any size, and a zone's
+    ZoneSummary is made as soon as its last kept row is in; a zone that
+    keeps none is summarized as soon as the rows pass it. So after every
+    row of a complete run, :attr:`zones` holds every zone.
 
-    zone_summaries: list[ZoneSummary] = []
-    for z in range(len(boundaries) - 1):
-        start, end = boundaries[z], boundaries[z + 1]
-        # Rows of steps start+1..end.
-        rows = slice(*np.searchsorted(steps, (start, end), side="right"))
-        zsteps = steps[rows]
+    The statistics read a zone's final 25% of steps (the tail) and
+    ``s_optimality``'s fraction its final 20%, which lie inside the tail.
+    So only one zone's rows are held: its steps and shares, which the
+    deviation from the tail mean needs, and the levels, the fairness index
+    and ``phi_sq`` of its tail. Each is a contiguous array, laid out anew
+    only for a zone longer than any before. Zones with fewer than 40
+    records are marked insufficient and carry no statistics.
+    """
+
+    def __init__(self, specs: Sequence[TaskSpec], cfg: EngineConfig, stride: int):
+        self.table = demand_table(specs)
+        self.bank = ModelBank([t.utility for t in specs])
+        self.stride, self.n, self.horizon = stride, len(specs), cfg.horizon
+        breaks = [k for k in self.table.breaks.tolist() if k < cfg.horizon] + [cfg.horizon]
+        self.bounds = list(zip(breaks[:-1], breaks[1:]))
+        self.zones: list[ZoneSummary] = []
+        self.held = 0  # Rows of the open zone fed so far.
+        self.buffers: tuple[np.ndarray, ...] = ()
+        self._close_empty()
+
+    def _counts(self, start: int, end: int) -> tuple[int, int]:
+        """Kept rows of zone ``(start, end]``, and of its tail."""
+        stride, cut = self.stride, end - (end - start) // 4
+        return end // stride - start // stride, end // stride - cut // stride
+
+    def _close_empty(self) -> None:
+        """Summarize each zone from the next on that keeps no row."""
+        while len(self.zones) < len(self.bounds):
+            start, end = self.bounds[len(self.zones)]
+            if self._counts(start, end)[0]:
+                return
+            self.zones.append(ZoneSummary(start=start, end=end, complete=True,
+                                          n_records=0, insufficient=True))
+
+    def _views(self, rows: int, tail: int) -> tuple[np.ndarray, ...]:
+        """The open zone's steps and shares, ``rows`` long, and its tail's
+        levels, fairness index and ``phi_sq``, ``tail`` long."""
+        n = self.n
+        if not self.buffers or len(self.buffers[0]) < rows or len(self.buffers[2]) < tail:
+            with _fits_in_memory("zone statistics", 8 * (rows * (n + 1) + tail * (2 * n + 1)),
+                                 self.horizon, self.stride):
+                self.buffers = (np.empty(rows, np.int64), np.empty((rows, n)),
+                                np.empty((tail, n)), np.empty((tail, n)), np.empty(tail))
+        steps, v, s, f_obs, phi_sq = self.buffers
+        return steps[:rows], v[:rows], s[:tail], f_obs[:tail], phi_sq[:tail]
+
+    def feed(self, rows: TraceRows) -> None:
+        """Take the next kept rows of the run, in step order."""
+        i = 0
+        while i < len(rows.steps):
+            start, end = self.bounds[len(self.zones)]
+            count, tail = self._counts(start, end)
+            zone = self._views(count, tail)
+            # Block rows i..j-1 are the zone's rows r0..r1-1, and those
+            # from t0 on are in its tail, which starts at zone row head.
+            r0, head = self.held, count - tail
+            j = min(len(rows.steps), i + count - r0)
+            self.held = r1 = r0 + j - i
+            zone[0][r0:r1], zone[1][r0:r1] = rows.steps[i:j], rows.v[i:j]
+            t0 = max(r0, head)
+            if r1 > t0:
+                for buf, x in zip(zone[2:], (rows.s, rows.f_obs, rows.phi_sq)):
+                    buf[t0 - head:r1 - head] = x[i + t0 - r0:j]
+            i = j
+            if r1 == count:
+                self.zones.append(self._summary(start, end, *zone))
+                self.held = 0
+                self._close_empty()
+
+    def _summary(self, start: int, end: int, zsteps, zv, zs, zf, zphi_sq) -> ZoneSummary:
+        """The ZoneSummary of zone ``(start, end]`` from its held rows:
+        ``zsteps`` and ``zv`` over the zone, the others over its tail."""
         n_rec = len(zsteps)
-        if n_rec < 40:
-            zone_summaries.append(ZoneSummary(
-                start=start, end=end, complete=True,
-                n_records=n_rec, insufficient=True,
-            ))
-            continue
-        zv = trace.v[rows]
+        if n_rec < _MIN_ZONE_RECORDS:
+            return ZoneSummary(start=start, end=end, complete=True,
+                               n_records=n_rec, insufficient=True)
         # Row offsets, within the zone, of its final 25% and 20% of steps.
         tail, opt = np.searchsorted(
             zsteps, (end - (end - start) // 4, end - (end - start) // 5), side="right"
         )
         v_tail_mean = zv[tail:].mean(axis=0)
 
-        dev_ok = np.abs(zv - v_tail_mean).max(axis=1) <= 0.02
-        bad = np.flatnonzero(~dev_ok)
-        adapt = int(zsteps[bad[-1] + 1] - start) if bad.size and bad[-1] + 1 < len(zsteps) \
-            else (None if bad.size else 0)
+        # The last row whose shares deviate from the tail mean by more than
+        # 0.02, or -1; elementwise and a per-row max, so blocks move no bit.
+        last_bad = -1
+        for b0 in range(0, n_rec, _DEV_BLOCK_ROWS):
+            dev_ok = np.abs(zv[b0:b0 + _DEV_BLOCK_ROWS] - v_tail_mean).max(axis=1) <= 0.02
+            bad = np.flatnonzero(~dev_ok)
+            if bad.size:
+                last_bad = b0 + int(bad[-1])
+        adapt = (0 if last_bad < 0 else
+                 int(zsteps[last_bad + 1] - start) if last_bad + 1 < n_rec else None)
 
-        zs = trace.s[rows]
-        s_star = bank.argmax(zv[opt:], table.at(zsteps[opt:]))
-        frac = float((np.abs(zs[opt:] - s_star) < S_OPT_TOL).mean(axis=0).min())
+        s_star = self.bank.argmax(zv[opt:], self.table.at(zsteps[opt:]))
+        frac = float((np.abs(zs[opt - tail:] - s_star) < S_OPT_TOL).mean(axis=0).min())
 
-        zone_summaries.append(ZoneSummary(
+        return ZoneSummary(
             start=start, end=end, complete=True, n_records=n_rec,
             insufficient=False,
             v_mean=v_tail_mean,
             v_std=zv[tail:].std(axis=0),
-            s_mean=zs[tail:].mean(axis=0),
-            f_abs_mean=np.abs(trace.f_obs[rows][tail:]).mean(axis=0),
-            phi_sq_mean=float(trace.phi_sq[rows][tail:].mean()),
+            s_mean=zs.mean(axis=0),
+            f_abs_mean=np.abs(zf).mean(axis=0),
+            phi_sq_mean=float(zphi_sq.mean()),
             adapt_steps=adapt,
             s_opt_fraction=frac,
-        ))
+        )
 
-    led = trace.ledger
+
+def summarize(
+    trace: RunTrace, specs: Sequence[TaskSpec], cfg: EngineConfig
+) -> ScenarioResult:
+    """Tail statistics per zone and property verdicts over the whole run.
+
+    The zone statistics are those of :class:`ZoneStats` fed the trace's
+    rows as one block; every verdict reads the ledger
+    (:func:`ledger_verdicts`), which the run folded chunk by chunk over
+    every step, so the verdicts are decided at any stride, and a stride
+    longer than the run leaves every zone insufficient but no verdict
+    undecided. Only a finished run whose trace holds its rows is judged:
+    an aborted one is a ValueError naming the step that failed, and so is
+    a run whose rows went to a consumer (``RunTrace.rows``). ``EngineConfig``
+    already demands a horizon of at least one step.
+    """
+    if not trace.complete:
+        raise ValueError(
+            f"the run aborted at step {trace.breach_step}; only a complete run "
+            "is summarized")
+    zones = ZoneStats(specs, cfg, trace.stride)
+    zones.feed(trace.rows)
+    return ScenarioResult(zones=zones.zones, verdicts=ledger_verdicts(trace.ledger, specs, cfg))
+
+
+def ledger_verdicts(
+    led: RunLedger, specs: Sequence[TaskSpec], cfg: EngineConfig
+) -> dict[str, dict]:
+    """The property verdicts of a complete run, read from its ledger alone.
+
+    ``starvation`` and ``balance`` test per-window share extrema against the
+    thresholds of ``oracle.bounds``, and ``s_optimality`` the near-optimal
+    level counts over the final 20% of the steps.
+    """
     eta = cfg.eta_bar
     verdicts: dict[str, dict] = {}
     verdicts["feasibility"] = {
@@ -328,4 +418,4 @@ def summarize(
         "detail": f"min per-task near-optimal fraction {frac_all.min():.3f} "
                   "over final 20% of the run",
     }
-    return ScenarioResult(zones=zone_summaries, verdicts=verdicts)
+    return verdicts

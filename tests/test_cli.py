@@ -4,7 +4,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from fairshare.cli import (
     write_trace_csv,
 )
 import fairshare.cli as cli
-from fairshare.core import ConfigError, StepError
+import fairshare.dynamics as dynamics
+from fairshare.core import ConfigError, MeasurementError, StepError
 from fairshare.dynamics import Engine
 from fairshare.scenario import summarize
 from fairshare.utility import (
@@ -322,6 +325,125 @@ class TestTraceCsv:
             whole_block_csv(tmp_path / "whole.csv", t)
             blocks = (tmp_path / "blocks.csv").read_bytes()
             assert blocks == (tmp_path / "whole.csv").read_bytes()
+
+
+def collected_outputs(scenario, overrides, stride):
+    """trace.csv and summary.json as a run that holds its trace would write
+    them: write_trace_csv of Engine.run, then summarize or the failure."""
+    specs, cfg, _, _ = resolve_scenario(scenario, overrides)
+    try:
+        trace = Engine(specs, cfg).run(stride=stride)
+    except StepError as exc:
+        status = ("measurement_error" if isinstance(exc, MeasurementError)
+                  else "feasibility_breach")
+        doc = {"status": status, "step": exc.step, "task": exc.task,
+               "value": exc.value, "message": str(exc)}
+        return exc.trace, doc
+    result = summarize(trace, specs, cfg)
+    return trace, {"status": "ok", "zones": [dataclasses.asdict(z) for z in result.zones],
+                   "verdicts": result.verdicts}
+
+
+def overflow_scenario(path):
+    """Task 0 measures about 1e307 from step 100 on, which overflows its
+    utility filter; its level turns NaN at step 102, mid-chunk."""
+    tasks = [{"weight": 1.0,
+              "model": {"type": "home_energy", "a": 2.0, "b": 1.0, "c": 2.0,
+                        "kappa": 1.0, "h": 0.5, **model},
+              "demand_zones": zones}
+             for model, zones in (
+                 ({"scale": 3e307, "shift": 0.0, "bound_c": 3.0}, [[0, 0.4], [100, 0.9]]),
+                 ({"normalize": {"c_target": 2.0}}, [[0, 0.4]]))]
+    path.write_text(json.dumps({"tasks": tasks, "engine": {
+        "epsilon": 1e-3, "seed": 1, "eta_bar": 0.0, "zeta_bar": 1e-3, "horizon": 103}}))
+    return str(path)
+
+
+class TestStreamedRun:
+    """run streams each chunk's rows into trace.csv and the zone statistics,
+    and writes the bytes that a run holding its whole trace would."""
+
+    @pytest.mark.parametrize("scenario, overrides, stride, chunk", [
+        ("paper-fig5", {"zone_steps": 200}, 1, None),
+        ("paper-fig6", {"zone_steps": 300}, 1, None),
+        # 42 or 43 records a zone, a stride that divides no zone end.
+        ("paper-fig6", {"zone_steps": 300}, 7, None),
+        # 38 or 39 records a zone: each is insufficient.
+        ("paper-fig6", {"zone_steps": 270}, 7, None),
+        # No record at all.
+        ("paper-fig5", {"zone_steps": 100}, 1000, None),
+        ("mixed_cpu_first.json", {}, 1, None),
+        # Zones of 200 steps over chunks of 64: each zone spans several
+        # chunks, and the breaks at 200 and 400 fall inside one.
+        ("paper-fig5", {"zone_steps": 200}, 1, 64),
+        ("paper-fig5", {"zone_steps": 200}, 3, 64),
+        ("overflow", {}, 1, None),
+        ("overflow", {}, 1, 64),
+        ("bad-measurement", {}, 1, None),
+    ], ids=["fig5", "fig6", "fig6-stride7", "fig6-short-zones", "no-record", "mixed",
+            "chunk64", "chunk64-stride3", "abort-mid-chunk", "abort-chunk64",
+            "abort-at-step-0"])
+    def test_streamed_outputs_are_the_collected_ones(
+        self, tmp_path, monkeypatch, scenario, overrides, stride, chunk
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+        if scenario == "mixed_cpu_first.json":
+            scenario = str(Path(__file__).parent / scenario)
+        elif scenario == "overflow":
+            scenario = overflow_scenario(tmp_path / "overflow.json")
+        elif scenario == "bad-measurement":
+            scenario = str(tmp_path / "bad.json")
+            Path(scenario).write_text(json.dumps(BAD_MEASUREMENT))
+        argv = [f"--set={k}={v}" for k, v in overrides.items()]
+        out = tmp_path / "streamed"
+        code = run_cli("run", scenario, "--stride", str(stride), "--out", str(out), *argv)
+        trace, doc = collected_outputs(scenario, overrides, stride)
+        assert code == {"ok": 0, "measurement_error": 1, "feasibility_breach": 2}[doc["status"]]
+        write_trace_csv(tmp_path / "collected.csv", trace)
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "collected.csv").read_bytes()
+        assert (out / "summary.json").read_text() == (
+            json.dumps(cli._jsonable(doc), indent=2) + "\n")
+
+    def test_memory_does_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
+        # Four tasks, the first switching its demand every 500 steps. Small
+        # chunks and CSV blocks keep the parts of the peak that do not
+        # depend on the horizon small against the 168 bytes a step that a
+        # run holding its records keeps.
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 512)
+        monkeypatch.setattr(cli, "_CSV_BLOCK_VALUES", 512)
+        horizon = 2048
+        zones = [[k, 0.4 if k % 1000 else 0.8] for k in range(0, 4 * horizon, 500)]
+        task = ONE_TASK["tasks"][0]
+        doc = {"tasks": [{**task, "demand_zones": zones}] + [task] * 3,
+               "engine": {**ONE_TASK["engine"]}}
+
+        def peak(steps):
+            path = tmp_path / f"{steps}.json"
+            doc["engine"]["horizon"] = steps
+            path.write_text(json.dumps(doc))
+            tracemalloc.start()
+            try:
+                assert run_cli("run", str(path), "--stride", "1",
+                               "--out", str(tmp_path / str(steps))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(horizon), peak(4 * horizon)
+        assert long <= 1.5 * short, (short, long)
+
+    def test_a_streamed_trace_is_neither_summarized_nor_written(self, tmp_path):
+        specs, cfg, _, _ = resolve_scenario("paper-fig5", {"zone_steps": 20})
+        taken = []
+        trace = Engine(specs, cfg).run(consumer=lambda lane, rows: taken.append(rows))
+        assert sum(len(rows.steps) for rows in taken) == 60
+        assert len(trace) == 0 and not trace.held
+        message = "the rows of this run went to its consumer; the trace holds none"
+        with pytest.raises(ValueError, match=message):
+            summarize(trace, specs, cfg)
+        with pytest.raises(ValueError, match=message):
+            write_trace_csv(tmp_path / "trace.csv", trace)
 
 
 def spelled(values) -> bytes:
@@ -772,18 +894,22 @@ class TestOutsideValues:
             "error: demand zone starts must be below 2**63, got 200000000000000000000\n"
         )
 
-    @pytest.mark.parametrize("scenario, horizon, stride, what", [
-        ("paper-fig5", 3 * 10**15, 1, "records need 5.04e+17 bytes"),
-        ("file", 10**20, 1, "records need 4.8e+21 bytes"),
-        ("file", 10**20, 10**11, "recurrence windows need 7.2e+16 bytes"),
+    # A run streams its rows, so it holds no records (see TestStreamingRun
+    # for a run that does); the ledger's windows and the zone statistics'
+    # one zone of rows are what a horizon can make too large. At epsilon
+    # 1e-15 the one-task file has a few windows of 1e16 steps.
+    @pytest.mark.parametrize("scenario, horizon, stride, engine, what", [
+        ("paper-fig5", 3 * 10**17, 1, {}, "recurrence windows need 4.32e+14 bytes"),
+        ("file", 10**20, 1, {"epsilon": 1e-15}, "zone statistics need 2.2e+21 bytes"),
+        ("file", 10**20, 10**11, {}, "recurrence windows need 7.2e+16 bytes"),
     ])
     def test_horizon_too_large_to_allocate_is_config_error(
-        self, scenario, horizon, stride, what, tmp_path, capsys
+        self, scenario, horizon, stride, engine, what, tmp_path, capsys
     ):
         # Each allocation exceeds the address space or numpy's largest
         # dimension, so it fails without touching memory.
         if scenario == "file":
-            argv = [one_task_file(tmp_path, horizon=float(horizon))]
+            argv = [one_task_file(tmp_path, horizon=float(horizon), **engine)]
         else:
             argv = [scenario, "--set", f"zone_steps={horizon // 3:.0e}"]
         assert run_cli("run", *argv, "--stride", str(stride),

@@ -32,6 +32,7 @@ from fairshare.dynamics import (
     Engine,
     EngineSnapshot,
     RunTrace,
+    TraceRows,
 )
 from fairshare.utility import (
     AffineNormalizer,
@@ -875,6 +876,17 @@ class TestStreamingRun:
             np.testing.assert_equal(err.value, ref.value)
             assert_same_trace(err.trace, ref.trace)
 
+    def test_records_too_large_to_hold_is_config_error(self):
+        # 3e15 steps of fig5's 4 tasks would need 5.04e17 bytes of records,
+        # beyond the address space, so the allocation fails without touching
+        # memory. A run that hands its rows to a consumer holds none.
+        specs, cfg = fs.build_identical_four({"zone_steps": 10**15})
+        with pytest.raises(fs.ConfigError, match=(
+            r"^horizon 3000000000000000 at stride 1 does not fit in memory: "
+            r"the records need 5.04e\+17 bytes$"
+        )):
+            Engine(specs, cfg).run()
+
     def test_memory_is_bounded_by_the_kept_records(self, monkeypatch):
         # A short chunk keeps this quick; the bound holds at any chunk size.
         monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 512)
@@ -1022,10 +1034,10 @@ class TestLanes:
         assert got[0].complete
         assert (got[0].s == cfg.s_init).all()
 
-    @pytest.mark.parametrize("k_meas, k_breach", [(7, 10), (10, 14), (6, 13)])
-    def test_failed_lanes_leave_the_others_running(self, monkeypatch, k_meas, k_breach):
-        # With chunks of 7 steps, steps 6 and 13 end a chunk, 7 and 14 start
-        # one and 10 lies inside one.
+    @staticmethod
+    def trapped_lanes(k_meas, k_breach):
+        """Four lanes on a TrapModel task: two run the whole horizon, one
+        measures -1 at ``k_meas`` and one breaches at ``k_breach``."""
         specs = [
             TaskSpec(weight=1.0, utility=ConstantModel(1.5),
                      demand=DemandSchedule.constant(0.4)),
@@ -1039,6 +1051,13 @@ class TestLanes:
             (dataclasses.replace(cfg, zeta_bar=1e-3), False),  # the level moves
             (dataclasses.replace(cfg, eta_bar=1e-7), True),    # the share moves
         ]
+        return specs, cfg, lanes
+
+    @pytest.mark.parametrize("k_meas, k_breach", [(7, 10), (10, 14), (6, 13)])
+    def test_failed_lanes_leave_the_others_running(self, monkeypatch, k_meas, k_breach):
+        # With chunks of 7 steps, steps 6 and 13 end a chunk, 7 and 14 start
+        # one and 10 lies inside one.
+        specs, cfg, lanes = self.trapped_lanes(k_meas, k_breach)
         for stride in (1, 3):
             refs = separate_runs(specs, lanes, stride)
             assert [type(r) for r in refs] == [RunTrace, RunTrace,
@@ -1049,6 +1068,33 @@ class TestLanes:
                 monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
                 for got, ref in zip(run_lanes(specs, cfg, lanes, stride), refs):
                     assert_same_result(got, ref)
+
+    @pytest.mark.parametrize("chunk", [7, 31])
+    def test_a_consumer_takes_the_rows_each_lane_holds(self, monkeypatch, chunk):
+        # Each live lane's rows, chunk by chunk, up to its last good step:
+        # the lanes fail at steps 10 and 14, inside the second chunk of 7.
+        specs, cfg, lanes = self.trapped_lanes(10, 14)
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", chunk)
+        for stride in (1, 3):
+            held = run_lanes(specs, cfg, lanes, stride)
+            taken = [[] for _ in lanes]
+            streamed = Engine(specs, cfg).run_lanes(
+                [(NoiseSource(c.seed, c.eta_bar, c.zeta_bar), freeze) for c, freeze in lanes],
+                stride, consumer=lambda lane, rows: taken[lane].append(
+                    [x.copy() for x in rows]))
+            for got, ref, blocks in zip(streamed, held, taken):
+                assert type(got) is type(ref)
+                if isinstance(ref, StepError):
+                    assert (got.step, got.task) == (ref.step, ref.task)
+                    got, ref = got.trace, ref.trace
+                assert len(blocks) == math.ceil(len(ref) * stride / chunk)
+                for name, *parts in zip(TraceRows._fields, *blocks):
+                    np.testing.assert_array_equal(
+                        np.concatenate(parts), getattr(ref, name), err_msg=name, strict=True)
+                assert (len(got), got.held, got.complete) == (0, False, ref.complete)
+                for f in dataclasses.fields(dynamics.RunLedger):
+                    np.testing.assert_array_equal(getattr(got.ledger, f.name),
+                                                  getattr(ref.ledger, f.name), strict=True)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(chunk=st.integers(3, 9), chunks=st.integers(3, 5),

@@ -10,6 +10,7 @@ import fairshare as fs
 from fairshare.core import demand_table
 from fairshare.dynamics import recurrence_window
 from fairshare.scenario import (
+    ZoneStats,
     build_identical_four,
     build_random,
     summarize,
@@ -157,6 +158,40 @@ class TestSummarize:
         # No run of no step exists to be summarized.
         with pytest.raises(fs.ConfigError, match=r"^horizon must be >= 1, got 0$"):
             build_identical_four({"zone_steps": 10, "horizon": 0})
+
+
+class TestZoneStats:
+    """The zone statistics of a run's rows fed in blocks of any size are,
+    bit for bit, those of the whole trace as one block."""
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_blocks_of_any_size_move_no_bit(self, small_run, stride):
+        specs, cfg, trace = small_run
+        if stride != 1:
+            trace = fs.Engine(specs, cfg).run(stride=stride)
+        ref = summarize(trace, specs, cfg).zones
+        assert [z.insufficient for z in ref] == [False] * 3
+        rows = trace.rows
+        for block in (1, 7, 1000, len(trace)):
+            zones = ZoneStats(specs, cfg, stride)
+            for r0 in range(0, len(trace), block):
+                zones.feed(type(rows)(*(x[r0:r0 + block] for x in rows)))
+            assert len(zones.zones) == 3
+            for got, want in zip(zones.zones, ref):
+                for f in dataclasses.fields(want):
+                    np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name),
+                                                  err_msg=f.name, strict=True)
+
+    def test_a_zone_too_large_to_hold_is_config_error(self, small_run):
+        # The first two zones are held and summarized; the third runs from
+        # step 3000 to 3e17, and its rows would need 1.74e19 bytes.
+        specs, cfg, trace = small_run
+        zones = ZoneStats(specs, dataclasses.replace(cfg, horizon=3 * 10**17), 1)
+        with pytest.raises(fs.ConfigError, match=(
+            r"^horizon 300000000000000000 at stride 1 does not fit in memory: "
+            r"the zone statistics need 1\.74e\+19 bytes$"
+        )):
+            zones.feed(trace.rows)
 
 
 class TestRecurrenceVerdicts:
