@@ -10,9 +10,10 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -377,11 +378,28 @@ def _format_rows(block: np.ndarray) -> bytes:
     return words.T.tobytes().translate(None, b"\0")
 
 
+def _block_rows(n: int) -> int:
+    """Rows of a CSV block of a run of ``n`` tasks: ``_CSV_BLOCK_VALUES``
+    values in whole rows, at least one."""
+    return max(1, _CSV_BLOCK_VALUES // (5 * n + 2))
+
+
+def _stacked(rows: TraceRows, size: int) -> Iterator[np.ndarray]:
+    """The rows as float64 blocks of up to ``size`` rows each, in the column
+    order of ``trace.csv``."""
+    steps, *values = rows
+    for r0 in range(0, len(steps), size):
+        block = slice(r0, r0 + size)
+        yield np.column_stack([steps[block].astype(float)] + [x[block] for x in values])
+
+
 class _CsvWriter:
     """``trace.csv`` of a run of ``n`` tasks into the binary file ``fh``:
-    the header now, then the kept rows as they come, ``_CSV_BLOCK_VALUES``
-    values at a time in whole rows, so that no second copy of more than a
-    block is made."""
+    the header now, then rows stacked in its column order as they come,
+    formatted ``_CSV_BLOCK_VALUES`` values at a time in whole rows.
+    ``write_trace_csv`` stacks a whole trace one block at a time; in a
+    streamed run the writer process of ``_CsvProcess`` writes each chunk it
+    receives."""
 
     def __init__(self, fh, n: int):
         cols = ["step"]
@@ -389,14 +407,97 @@ class _CsvWriter:
             cols.extend(f"{name}_{i}" for i in range(n))
         cols.append("phi_sq_sum")
         fh.write((",".join(cols) + "\n").encode())
-        self.fh, self.block = fh, max(1, _CSV_BLOCK_VALUES // len(cols))
+        self.fh, self.block = fh, _block_rows(n)
+
+    def write(self, table: np.ndarray) -> None:
+        for r0 in range(0, len(table), self.block):
+            self.fh.write(_format_rows(table[r0:r0 + self.block]))
+
+
+class _CsvProcess:
+    """``trace.csv`` of a streamed run, formatted by a forked writer process
+    while the run computes its next chunk.
+
+    The file is opened here, so an open error is raised at once; then the
+    process forks once and closes its own copy, having written nothing to
+    it. ``write`` sends a chunk down a pipe as one message: its row count,
+    then its float64 rows stacked one CSV block at a time, so this side
+    holds no more than a block. The writer reads a whole message before it
+    formats any of it, so a message cut short writes nothing and the file
+    ends on a whole row. It leaves only by ``os._exit`` and sends an
+    OSError back as ``(errno, strerror, filename)``. Leaving the ``with``
+    block ends the messages and reaps the writer. If the block ended
+    normally, or by the broken pipe of a writer that died, it raises what
+    the writer died of: the same OSError, or one naming the exit status.
+    """
+
+    def __init__(self, path: Path, n: int):
+        self.block = _block_rows(n)
+        with open(path, "wb") as fh:
+            rows, self.rows = os.pipe()
+            self.errors, errors = os.pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                os.close(self.rows)
+                os.close(self.errors)
+                _serve(fh, n, rows, errors)
+        os.close(rows)
+        os.close(errors)
+
+    def __enter__(self) -> "_CsvProcess":
+        return self
 
     def write(self, rows: TraceRows) -> None:
-        steps, *values = rows
-        for r0 in range(0, len(steps), self.block):
-            block = slice(r0, r0 + self.block)
-            self.fh.write(_format_rows(np.column_stack(
-                [steps[block].astype(float)] + [x[block] for x in values])))
+        self._send(len(rows.steps).to_bytes(8, "little"))
+        for block in _stacked(rows, self.block):
+            self._send(block)
+
+    def _send(self, data) -> None:
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(self.rows, view):]
+
+    def __exit__(self, exc_type, *_) -> None:
+        os.close(self.rows)
+        with open(self.errors, "rb") as fh:
+            report = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if exc_type is not None and not issubclass(exc_type, BrokenPipeError):
+            return
+        if report:
+            raise OSError(*json.loads(report))
+        if code > 0:
+            raise OSError(f"the trace.csv writer exited with status {code}")
+        if code < 0:
+            raise OSError(f"the trace.csv writer was killed by signal {-code}")
+
+
+def _serve(fh, n: int, rows: int, errors: int) -> NoReturn:
+    """The writer process of ``_CsvProcess``: ``trace.csv`` into ``fh`` from
+    the messages on the pipe ``rows``, until the pipe ends; an OSError goes
+    back on the pipe ``errors``."""
+    code = 1
+    try:
+        with fh, open(rows, "rb") as src:
+            csv = _CsvWriter(fh, n)
+            head = bytearray(8)
+            # A fresh table a message: freeing the first one raises glibc's
+            # mmap and trim thresholds above the formatter's transients,
+            # which were otherwise handed back and faulted in again every
+            # block (528 k page faults on fig6 with one table kept, 32 k so).
+            while src.readinto(head) == len(head):
+                table = np.empty((int.from_bytes(head, "little"), 5 * n + 2))
+                if src.readinto(table) < table.nbytes:
+                    break
+                csv.write(table)
+        code = 0
+    except OSError as exc:
+        os.write(errors, json.dumps([exc.errno, exc.strerror, exc.filename]).encode())
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def write_trace_csv(path: Path, trace: RunTrace) -> None:
@@ -404,7 +505,9 @@ def write_trace_csv(path: Path, trace: RunTrace) -> None:
     streamed run uses."""
     rows = trace.rows
     with open(path, "wb") as fh:
-        _CsvWriter(fh, trace.v.shape[1]).write(rows)
+        csv = _CsvWriter(fh, trace.v.shape[1])
+        for block in _stacked(rows, csv.block):
+            csv.write(block)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +553,12 @@ def cmd_run(args) -> int:
     engine = Engine(specs, cfg)
     # The run hands each chunk's kept rows to trace.csv and to the zone
     # statistics as it makes them, so it holds one zone of shares and the
-    # tails it summarizes, whatever the horizon.
+    # tails it summarizes, whatever the horizon. trace.csv is formatted by a
+    # writer process while the run computes the next chunk.
     zones = ZoneStats(specs, cfg, stride) if "json" in formats else None
     failure: StepError | None = None
-    with contextlib.ExitStack() as files:
-        csv = (_CsvWriter(files.enter_context(open(out / "trace.csv", "wb")), engine.n)
-               if "csv" in formats else None)
-
+    with (_CsvProcess(out / "trace.csv", engine.n) if "csv" in formats
+          else contextlib.nullcontext()) as csv:
         def take(_lane: int, rows: TraceRows) -> None:
             if csv is not None:
                 csv.write(rows)

@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
+import io
 import json
+import os
 import re
+import signal
+import sys
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -27,7 +32,7 @@ import fairshare.cli as cli
 import fairshare.dynamics as dynamics
 from fairshare.core import ConfigError, MeasurementError, StepError
 from fairshare.dynamics import Engine
-from fairshare.scenario import summarize
+from fairshare.scenario import ZoneStats, summarize
 from fairshare.utility import (
     AffineNormalizer,
     CpuBandwidthModel,
@@ -404,6 +409,7 @@ class TestStreamedRun:
         assert (out / "trace.csv").read_bytes() == (tmp_path / "collected.csv").read_bytes()
         assert (out / "summary.json").read_text() == (
             json.dumps(cli._jsonable(doc), indent=2) + "\n")
+        assert_no_child_left()
 
     def test_memory_does_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
         # Four tasks, the first switching its demand every 500 steps. Small
@@ -444,6 +450,157 @@ class TestStreamedRun:
             summarize(trace, specs, cfg)
         with pytest.raises(ValueError, match=message):
             write_trace_csv(tmp_path / "trace.csv", trace)
+
+
+def assert_no_child_left():
+    """Every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def head_csv(tmp_path, trace, rows: int) -> bytes:
+    """trace.csv of the first ``rows`` rows of ``trace``."""
+    cut = dataclasses.replace(trace, **{name: getattr(trace, name)[:rows] for name in (
+        "steps", "v", "s", "u_meas", "f_obs", "phi", "phi_sq")})
+    write_trace_csv(tmp_path / "head.csv", cut)
+    return (tmp_path / "head.csv").read_bytes()
+
+
+class TestWriterProcess:
+    """run formats trace.csv in a forked writer process; its failures read
+    as failures of an in-process writer would, and no exit path leaves a
+    process behind."""
+
+    # fig5 over 600 steps in chunks of 64: ten messages to the writer.
+    FIG5 = ["run", "paper-fig5", "--set", "zone_steps=200"]
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 64)
+
+    @pytest.mark.parametrize("at_step", [1, 600], ids=["first-block", "last-block"])
+    def test_an_os_error_in_the_writer_is_the_same_error_line(
+        self, tmp_path, capsys, monkeypatch, chunks, at_step
+    ):
+        # On the first block the run still has messages to send, and finds
+        # the pipe broken; on the last the writer reports at the end.
+        format_rows = cli._format_rows
+
+        def full(block):
+            if at_step in block[:, 0]:
+                raise OSError(errno.ENOSPC, "No space left on device", "trace.csv")
+            return format_rows(block)
+
+        monkeypatch.setattr(cli, "_format_rows", full)
+        out = tmp_path / "o"
+        assert run_cli(*self.FIG5, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device: 'trace.csv'\n")
+        assert not (out / "summary.json").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("death, line", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: 1 / 0, "exited with status 1"),
+    ], ids=["exit", "signal", "exception"])
+    def test_a_writer_that_dies_without_a_message_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, chunks, death, line
+    ):
+        monkeypatch.setattr(cli, "_format_rows", lambda block: death())
+        out = tmp_path / "o"
+        assert run_cli(*self.FIG5, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: the trace.csv writer {line}\n"
+        assert not (out / "summary.json").exists()
+        assert_no_child_left()
+
+    def test_an_error_in_the_zone_statistics_keeps_the_whole_messages(
+        self, tmp_path, monkeypatch, chunks
+    ):
+        specs, cfg, _, _ = resolve_scenario("paper-fig5", {"zone_steps": 200})
+        expected = head_csv(tmp_path, Engine(specs, cfg).run(), 3 * 64)
+        feed, fed = ZoneStats.feed, []
+
+        def failing(self, rows):
+            fed.append(len(rows.steps))
+            if len(fed) == 3:
+                raise RuntimeError("zone statistics failed")
+            return feed(self, rows)
+
+        monkeypatch.setattr(ZoneStats, "feed", failing)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="zone statistics failed"):
+            run_cli(*self.FIG5, "--out", str(out))
+        # The third chunk went to the writer before the zone statistics.
+        assert (out / "trace.csv").read_bytes() == expected
+        assert_no_child_left()
+
+    def test_an_interrupt_mid_message_writes_nothing_of_it(
+        self, tmp_path, monkeypatch, chunks
+    ):
+        # Blocks of 10 rows: a chunk's message is seven blocks, and the run
+        # is interrupted after sending the first block of the third.
+        monkeypatch.setattr(cli, "_CSV_BLOCK_VALUES", 220)
+        specs, cfg, _, _ = resolve_scenario("paper-fig5", {"zone_steps": 200})
+        expected = head_csv(tmp_path, Engine(specs, cfg).run(), 2 * 64)
+        stacked, sent = cli._stacked, []
+
+        def interrupted(rows, size):
+            sent.append(len(rows.steps))
+            blocks = stacked(rows, size)
+            if len(sent) == 3:
+                yield next(blocks)
+                raise KeyboardInterrupt
+            yield from blocks
+
+        monkeypatch.setattr(cli, "_stacked", interrupted)
+        out = tmp_path / "o"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*self.FIG5, "--out", str(out))
+        assert (out / "trace.csv").read_bytes() == expected
+        assert_no_child_left()
+
+    def test_the_writer_forks_once_and_echoes_nothing(self, tmp_path, capfd, monkeypatch):
+        # Text left in the stdout buffer at the fork, the record count the
+        # run prints and the CSV header each appear once: the writer leaves
+        # by os._exit and flushes nothing it inherited, and trace.csv was
+        # empty when it forked.
+        fork, sizes = os.fork, []
+        out = tmp_path / "o"
+
+        def watched():
+            sizes.append((out / "trace.csv").stat().st_size)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", watched)
+        with io.TextIOWrapper(open(os.dup(1), "wb")) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            print("unflushed", end="")
+            assert run_cli(*self.FIG5, "--out", str(out)) == 0
+        assert sizes == [0]
+        assert capfd.readouterr().out == f"unflushedwrote 600 records to {out}\n"
+        text = (out / "trace.csv").read_text()
+        assert text.count("step,") == 1 and text.startswith("step,v_0,")
+        assert_no_child_left()
+
+    def test_an_open_error_fails_before_the_fork(self, tmp_path, capsys, monkeypatch):
+        def refused():
+            raise AssertionError("forked a writer for a file it could not open")
+
+        monkeypatch.setattr(os, "fork", refused)
+        out = tmp_path / "o"
+        (out / "trace.csv").mkdir(parents=True)
+        assert run_cli(*self.FIG5, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{out / 'trace.csv'}'\n")
+        assert not (out / "summary.json").exists()
+
+    def test_json_only_runs_fork_no_writer(self, tmp_path, monkeypatch):
+        def refused():
+            raise AssertionError("a run without csv forked")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert run_cli(*self.FIG5, "--formats", "json", "--out", str(tmp_path)) == 0
 
 
 def spelled(values) -> bytes:
