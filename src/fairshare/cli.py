@@ -11,9 +11,12 @@ import dataclasses
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+import traceback
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -414,35 +417,88 @@ class _CsvWriter:
             self.fh.write(_format_rows(table[r0:r0 + self.block]))
 
 
+class _Child:
+    """A forked child process: the one fork discipline of ``run``'s
+    ``trace.csv`` writer and ``verify``'s lane worker.
+
+    The child closes ``close``, this process's ends of the pipes the two
+    share, and runs ``work(*args, report)``, where ``report`` is the write
+    end of a pipe back to this process. It leaves only by ``os._exit``, so
+    it flushes nothing it inherited: with status 0 if ``work`` returned,
+    else 1, once ``sys.excepthook`` has printed the Exception it raised
+    (a KeyboardInterrupt, which the terminal sends this process too, is
+    not printed). ``wait`` reaps it on every exit path; ``error`` names how
+    a child died that sent no report. Both ``run`` and ``verify`` fork
+    through here, which makes them POSIX-only.
+    """
+
+    def __init__(self, name: str, work: Callable[..., None], *args,
+                 close: Sequence[int] = ()):
+        self.name = name
+        reports, report = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                for fd in (reports, *close):
+                    os.close(fd)
+                work(*args, report)
+                code = 0
+            except Exception:
+                sys.excepthook(*sys.exc_info())
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        os.close(report)
+        self.reports = open(reports, "rb")
+
+    def wait(self, kill: bool = False) -> tuple[bytes, int]:
+        """The child's report, read to its end, and its exit code, ``-N``
+        if signal N ended it, once it is reaped. The child is killed first
+        if ``kill``, or if the wait itself is interrupted."""
+        try:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            with self.reports:
+                report = self.reports.read()
+        except BaseException:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            raise
+        return report, os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+    def error(self, code: int) -> OSError:
+        """The error of a child that ended with exit code ``code``, nonzero,
+        without a report."""
+        if code < 0:
+            return OSError(f"the {self.name} was killed by signal {-code}")
+        return OSError(f"the {self.name} exited with status {code}")
+
+
 class _CsvProcess:
     """``trace.csv`` of a streamed run, formatted by a forked writer process
     while the run computes its next chunk.
 
     The file is opened here, so an open error is raised at once; then the
-    process forks once and closes its own copy, having written nothing to
-    it. ``write`` sends a chunk down a pipe as one message: its row count,
-    then its float64 rows stacked one CSV block at a time, so this side
-    holds no more than a block. The writer reads a whole message before it
-    formats any of it, so a message cut short writes nothing and the file
-    ends on a whole row. It leaves only by ``os._exit`` and sends an
-    OSError back as ``(errno, strerror, filename)``. Leaving the ``with``
-    block ends the messages and reaps the writer. If the block ended
-    normally, or by the broken pipe of a writer that died, it raises what
-    the writer died of: the same OSError, or one naming the exit status.
+    writer is forked, a ``_Child``, and this process closes its own copy,
+    having written nothing to it. ``write`` sends a chunk down a pipe as
+    one message: its row count, then its float64 rows stacked one CSV block
+    at a time, so this side holds no more than a block. The writer reads a
+    whole message before it formats any of it, so a message cut short
+    writes nothing and the file ends on a whole row. It reports an OSError
+    as ``(errno, strerror, filename)``. Leaving the ``with`` block ends the
+    messages and reaps the writer. If the block ended normally, or by the
+    broken pipe of a writer that died, it raises what the writer died of:
+    the same OSError, or one naming the exit status.
     """
 
     def __init__(self, path: Path, n: int):
         self.block = _block_rows(n)
         with open(path, "wb") as fh:
             rows, self.rows = os.pipe()
-            self.errors, errors = os.pipe()
-            self.pid = os.fork()
-            if self.pid == 0:
-                os.close(self.rows)
-                os.close(self.errors)
-                _serve(fh, n, rows, errors)
+            self.writer = _Child("trace.csv writer", _serve, fh, n, rows,
+                                 close=(self.rows,))
         os.close(rows)
-        os.close(errors)
 
     def __enter__(self) -> "_CsvProcess":
         return self
@@ -459,24 +515,19 @@ class _CsvProcess:
 
     def __exit__(self, exc_type, *_) -> None:
         os.close(self.rows)
-        with open(self.errors, "rb") as fh:
-            report = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        report, code = self.writer.wait()
         if exc_type is not None and not issubclass(exc_type, BrokenPipeError):
             return
         if report:
             raise OSError(*json.loads(report))
-        if code > 0:
-            raise OSError(f"the trace.csv writer exited with status {code}")
-        if code < 0:
-            raise OSError(f"the trace.csv writer was killed by signal {-code}")
+        if code:
+            raise self.writer.error(code)
 
 
-def _serve(fh, n: int, rows: int, errors: int) -> NoReturn:
+def _serve(fh, n: int, rows: int, errors: int) -> None:
     """The writer process of ``_CsvProcess``: ``trace.csv`` into ``fh`` from
     the messages on the pipe ``rows``, until the pipe ends; an OSError goes
     back on the pipe ``errors``."""
-    code = 1
     try:
         with fh, open(rows, "rb") as src:
             csv = _CsvWriter(fh, n)
@@ -490,14 +541,8 @@ def _serve(fh, n: int, rows: int, errors: int) -> NoReturn:
                 if src.readinto(table) < table.nbytes:
                     break
                 csv.write(table)
-        code = 0
     except OSError as exc:
         os.write(errors, json.dumps([exc.errno, exc.strerror, exc.filename]).encode())
-    except Exception:
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
 
 
 def write_trace_csv(path: Path, trace: RunTrace) -> None:
@@ -588,6 +633,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _row(name: str, ok: bool | None, detail: str) -> dict:
+    """One row of ``validate`` or ``verify``."""
+    return {"name": name, "pass": ok, "detail": detail}
+
+
 def _static_checks(specs, cfg) -> list[dict]:
     """The ``config`` and ``model_assumptions`` rows, which need no simulation.
 
@@ -602,26 +652,77 @@ def _static_checks(specs, cfg) -> list[dict]:
         if (v := validate_assumptions(t.utility, t.demand.span())) is not None
     ]
     return [
-        {"name": "config", "pass": ok,
-         "detail": "; ".join(notes) or "all conditions hold"},
-        {"name": "model_assumptions", "pass": not violations,
-         "detail": "; ".join(violations) or f"{len(specs)} task model(s) hold"},
+        _row("config", ok, "; ".join(notes) or "all conditions hold"),
+        _row("model_assumptions", not violations,
+             "; ".join(violations) or f"{len(specs)} task model(s) hold"),
     ]
 
 
 def _verify_checks(specs, cfg) -> list[dict]:
+    """The rows of ``verify``, from two processes that share no state.
+
+    A ``config`` FAIL ends the rows there, before any fork. Otherwise a
+    forked worker, a ``_Child``, runs the engine lanes (``_lane_checks``)
+    while this process runs the oracles: the tracking run against the full
+    mean-field ODE, then the fixed point and the limiting-ODE probe. The
+    worker sends its rows back pickled, or the exception the lanes raised,
+    which is raised here with its class and message, as it was when the
+    lanes ran first; for that reason it also wins over an exception this
+    process raised after the worker had sent it. Any exception here,
+    KeyboardInterrupt included, kills and reaps the worker before it goes
+    on. A worker that dies without a report is an OSError naming its exit
+    status or signal. The rows come in the order of one process: the
+    static rows, the lanes', ``ode_tracking`` and ``cross_oracle``.
+    """
     checks = _static_checks(specs, cfg)
     if not checks[0]["pass"]:
         return checks[:1]
+    worker = _Child("verify worker", _report_lane_checks, specs, cfg)
+    try:
+        oracles = [_row("ode_tracking", *_ode_tracking(specs, cfg)),
+                   _cross_oracle(specs, cfg)]
+    except BaseException:
+        report, code = worker.wait(kill=True)
+        if code == 0:
+            _lane_rows(report)
+        raise
+    report, code = worker.wait()
+    if code:
+        raise worker.error(code)
+    return checks + _lane_rows(report) + oracles
 
-    def add(name: str, ok: bool | None, detail: str) -> None:
-        checks.append({"name": name, "pass": ok, "detail": detail})
 
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in ``verify``'s
+    worker: the cause of the same exception raised here."""
+
+
+def _report_lane_checks(specs, cfg, report: int) -> None:
+    """``verify``'s worker: the rows of ``_lane_checks``, or the exception
+    the lanes raised and its traceback, pickled into the pipe ``report``."""
+    try:
+        sent = _lane_checks(specs, cfg), None
+    except Exception as exc:
+        sent = exc, traceback.format_exc()
+    with open(report, "wb") as fh:
+        fh.write(pickle.dumps(sent))
+
+
+def _lane_rows(report: bytes) -> list[dict]:
+    """The rows ``_report_lane_checks`` sent, or a raise of the exception it
+    sent, caused by its traceback in the worker."""
+    rows, where = pickle.loads(report)
+    if where is not None:
+        raise rows from _WorkerTraceback(where)
+    return rows
+
+
+def _lane_checks(specs, cfg) -> list[dict]:
+    """The rows ``feasibility`` to ``s_optimality``: three lanes of one run,
+    each feeding the verdicts listed with it; an aborted lane fails all of
+    them. Every verdict read here comes from the ledger, which does not
+    depend on the stride, so one record per lane is kept."""
     quiet_cfg = dataclasses.replace(cfg, eta_bar=0.0, zeta_bar=1e-4)
-    # Three lanes of one run; each feeds the verdicts listed with it, and an
-    # aborted lane fails all of them. Every verdict read here comes from the
-    # ledger, which does not depend on the stride, so one record per lane
-    # is kept.
     lanes = (
         ("", cfg, False, ("feasibility", "fairness_zero_sum",
                           "fairness_increment_bounds", "starvation", "balance")),
@@ -632,28 +733,30 @@ def _verify_checks(specs, cfg) -> list[dict]:
         [(NoiseSource(c.seed, c.eta_bar, c.zeta_bar), freeze) for _, c, freeze, _ in lanes],
         stride=cfg.horizon,
     )
+    rows = []
     for (label, run_cfg, _, names), trace in zip(lanes, results):
         if isinstance(trace, StepError):
-            for name in names:
-                add(name, False, f"{label}{type(trace).__name__}: {trace}")
+            rows += [_row(name, False, f"{label}{type(trace).__name__}: {trace}")
+                     for name in names]
             continue
         verdicts = summarize(trace, specs, run_cfg).verdicts
-        for name in names:
-            add(name, verdicts[name]["pass"], label + verdicts[name]["detail"])
+        rows += [_row(name, verdicts[name]["pass"], label + verdicts[name]["detail"])
+                 for name in names]
+    return rows
 
-    add("ode_tracking", *_ode_tracking(specs, cfg))
 
+def _cross_oracle(specs, cfg) -> dict:
+    """The ``cross_oracle`` row: the fixed point against the endpoints of
+    the limiting-ODE probe."""
     try:
         fp = fair_fixed_point(specs, tol=1e-8)
         reps = probe_limit_points(specs, n_starts=8, seed=cfg.seed)
     except OracleError as exc:
-        add("cross_oracle", False, f"OracleError: {exc}")
-        return checks
+        return _row("cross_oracle", False, f"OracleError: {exc}")
     gaps = [float(np.abs(r - fp.v).max()) for r in reps]
-    add("cross_oracle", bool(fp.converged and reps and max(gaps) <= 1e-3),
-        f"{len(reps)} endpoint cluster(s), max gap to fixed point "
-        f"{max(gaps):.3g}, residual {fp.residual:.3g}")
-    return checks
+    return _row("cross_oracle", bool(fp.converged and reps and max(gaps) <= 1e-3),
+                f"{len(reps)} endpoint cluster(s), max gap to fixed point "
+                f"{max(gaps):.3g}, residual {fp.residual:.3g}")
 
 
 def _ode_tracking(specs, cfg) -> tuple[bool | None, str]:

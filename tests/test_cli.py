@@ -9,6 +9,7 @@ import os
 import re
 import signal
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -603,6 +604,134 @@ class TestWriterProcess:
         assert run_cli(*self.FIG5, "--formats", "json", "--out", str(tmp_path)) == 0
 
 
+class TestVerifyWorker:
+    """verify runs its engine lanes in a forked worker while this process
+    runs the oracles; its failures read as they did in one process, and no
+    exit path leaves a process behind."""
+
+    FIG5 = ["verify", "paper-fig5", "--set", "zone_steps=300"]
+
+    def test_verify_forks_once_and_echoes_nothing(self, tmp_path, capfd, monkeypatch):
+        # Text left in the stdout buffer at the fork and the table verify
+        # prints each appear once: the worker leaves by os._exit and
+        # flushes nothing it inherited.
+        fork, forks = os.fork, []
+
+        def watched():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", watched)
+        with io.TextIOWrapper(open(os.dup(1), "wb")) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            print("unflushed", end="")
+            # 300-step zones are too short for s_optimality to pass.
+            assert run_cli(*self.FIG5) == 1
+        assert forks == [1]
+        out = capfd.readouterr().out
+        assert out.startswith("unflushedconfig ") and out.endswith("verify: FAIL\n")
+        assert out.count("unflushed") == 1 and out.count("verify:") == 1
+        assert list(printed_rows(out.removeprefix("unflushed"))) == [
+            "config", "model_assumptions", "feasibility", "fairness_zero_sum",
+            "fairness_increment_bounds", "starvation", "balance",
+            "fairness_residual", "s_optimality", "ode_tracking", "cross_oracle"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "paper-fig5"],
+        ["verify", "paper-fig5", "--set", "gamma=10000.0"],
+    ], ids=["validate", "config-fail"])
+    def test_validate_and_a_failing_config_never_fork(self, argv, capsys, monkeypatch):
+        def refused():
+            raise AssertionError("forked a verify worker")
+
+        monkeypatch.setattr(os, "fork", refused)
+        code = run_cli(*argv, *FAST)
+        assert printed_rows(capsys.readouterr().out)["config"][0] == (
+            "PASS" if code == 0 else "FAIL")
+
+    def test_a_lane_error_is_the_same_error_line(self, tmp_path, capsys):
+        argv = [one_task_file(tmp_path, horizon=1e20), "--out", str(tmp_path / "v")]
+        assert run_cli("verify", *argv) == 1
+        assert capsys.readouterr() == ("", (
+            "error: horizon 100000000000000000000 at stride 100000000000000000000 "
+            "does not fit in memory: the recurrence windows need 7.2e+16 bytes\n"))
+        assert not (tmp_path / "v").exists()
+        assert_no_child_left()
+
+    def test_a_lane_exception_is_caused_by_its_traceback_in_the_worker(self, monkeypatch):
+        def broken(*args):
+            raise IndexError("lane bug")
+
+        monkeypatch.setattr(cli, "summarize", broken)
+        with pytest.raises(IndexError, match="lane bug") as info:
+            run_cli(*self.FIG5)
+        assert isinstance(info.value.__cause__, cli._WorkerTraceback)
+        assert "in _lane_checks" in str(info.value.__cause__)
+        assert_no_child_left()
+
+    def test_a_lane_error_wins_over_a_later_oracle_error(self, tmp_path, capsys, monkeypatch):
+        # The oracle half fails only once the worker has sent its error and
+        # exited: WNOWAIT waits for that without reaping it.
+        def failing(*args, **kwargs):
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            raise RuntimeError("probe failed")
+
+        monkeypatch.setattr(cli, "probe_limit_points", failing)
+        assert run_cli("verify", one_task_file(tmp_path, horizon=1e20)) == 1
+        assert "does not fit in memory" in capsys.readouterr().err
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("death, line", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "signal"])
+    def test_a_worker_that_dies_without_a_report_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, death, line
+    ):
+        monkeypatch.setattr(cli, "_lane_checks", lambda specs, cfg: death())
+        out = tmp_path / "v"
+        assert run_cli(*self.FIG5, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: the verify worker {line}\n")
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_an_oracle_exception_kills_and_reaps_the_worker(self, monkeypatch, exc):
+        # The lanes would take a minute; the exception ends verify at once.
+        monkeypatch.setattr(cli, "_lane_checks", lambda specs, cfg: time.sleep(60))
+
+        def failing(*args, **kwargs):
+            raise exc("probe failed")
+
+        monkeypatch.setattr(cli, "probe_limit_points", failing)
+        start = time.monotonic()
+        with pytest.raises(exc, match="probe failed"):
+            run_cli(*self.FIG5)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_an_interrupt_while_waiting_kills_and_reaps_the_worker(self, monkeypatch):
+        # The interrupt lands while this process waits for the report, or in
+        # the oracle half on a slow machine; either way the worker is killed.
+        monkeypatch.setattr(cli, "_lane_checks", lambda specs, cfg: time.sleep(60))
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*self.FIG5)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+
 def spelled(values) -> bytes:
     """One row of values in "%.17g", the reference the writer must match."""
     return (",".join("%.17g" % x for x in values) + "\n").encode()
@@ -1113,6 +1242,8 @@ class TestVerifyCommand:
                 expected[name] = {"name": name, "pass": verdicts[name]["pass"],
                                   "detail": label + verdicts[name]["detail"]}
         assert {name: rows[name] for name in expected} == expected
+        # The rows verify's worker sends back are those computed in process.
+        assert cli._lane_checks(specs, cfg) == list(expected.values())
 
     def test_fig5_ode_tracking_passes_with_moving_shares(self):
         from fairshare.scenario import build_identical_four
