@@ -417,32 +417,47 @@ class _CsvWriter:
             self.fh.write(_format_rows(table[r0:r0 + self.block]))
 
 
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a forked child:
+    the cause of the same exception raised here."""
+
+
 class _Child:
-    """A forked child process: the one fork discipline of ``run``'s
-    ``trace.csv`` writer and ``verify``'s lane worker.
+    """A forked child process that runs ``work(*args)``: the one fork
+    discipline of ``run``'s ``trace.csv`` writer and ``verify``'s lane
+    worker, which makes both POSIX-only.
 
     The child closes ``close``, this process's ends of the pipes the two
-    share, and runs ``work(*args, report)``, where ``report`` is the write
-    end of a pipe back to this process. It leaves only by ``os._exit``, so
-    it flushes nothing it inherited: with status 0 if ``work`` returned,
-    else 1, once ``sys.excepthook`` has printed the Exception it raised
-    (a KeyboardInterrupt, which the terminal sends this process too, is
-    not printed). ``wait`` reaps it on every exit path; ``error`` names how
-    a child died that sent no report. Both ``run`` and ``verify`` fork
-    through here, which makes them POSIX-only.
+    share, runs ``work`` and pickles ``(value, None)``, or the Exception
+    it raised and its traceback as text, into a report pipe back to this
+    process. It leaves only by ``os._exit``, so it flushes nothing it
+    inherited: with status 0 once the report is sent, else 1, after
+    ``sys.excepthook`` has printed what failed (a KeyboardInterrupt, which
+    the terminal sends this process too, is not printed). If the fork
+    fails, the report pipe is closed before the error goes on. ``result``
+    reaps the child on every exit path.
     """
 
-    def __init__(self, name: str, work: Callable[..., None], *args,
-                 close: Sequence[int] = ()):
+    def __init__(self, name: str, work: Callable, *args, close: Sequence[int] = ()):
         self.name = name
         reports, report = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(reports)
+            os.close(report)
+            raise
         if self.pid == 0:
             code = 1
             try:
                 for fd in (reports, *close):
                     os.close(fd)
-                work(*args, report)
+                try:
+                    sent = work(*args), None
+                except Exception as exc:
+                    sent = exc, traceback.format_exc()
+                with open(report, "wb") as fh:
+                    fh.write(pickle.dumps(sent))
                 code = 0
             except Exception:
                 sys.excepthook(*sys.exc_info())
@@ -452,10 +467,13 @@ class _Child:
         os.close(report)
         self.reports = open(reports, "rb")
 
-    def wait(self, kill: bool = False) -> tuple[bytes, int]:
-        """The child's report, read to its end, and its exit code, ``-N``
-        if signal N ended it, once it is reaped. The child is killed first
-        if ``kill``, or if the wait itself is interrupted."""
+    def result(self, kill: bool = False):
+        """What ``work`` returned, once the child is reaped, or a raise of
+        the exception it raised, caused by its ``_ChildTraceback``. A child
+        that died without a report is an OSError naming its exit status or
+        signal, unless ``kill``: then the child is killed first, and one
+        that had not reported gives None. The child is also killed if the
+        wait itself is interrupted."""
         try:
             if kill:
                 os.kill(self.pid, signal.SIGKILL)
@@ -465,14 +483,16 @@ class _Child:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             raise
-        return report, os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-    def error(self, code: int) -> OSError:
-        """The error of a child that ended with exit code ``code``, nonzero,
-        without a report."""
-        if code < 0:
-            return OSError(f"the {self.name} was killed by signal {-code}")
-        return OSError(f"the {self.name} exited with status {code}")
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if code == 0:
+            value, where = pickle.loads(report)
+            if where is not None:
+                raise value from _ChildTraceback(where)
+            return value
+        if kill:
+            return None
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise OSError(f"the {self.name} {how}")
 
 
 class _CsvProcess:
@@ -480,25 +500,32 @@ class _CsvProcess:
     while the run computes its next chunk.
 
     The file is opened here, so an open error is raised at once; then the
-    writer is forked, a ``_Child``, and this process closes its own copy,
-    having written nothing to it. ``write`` sends a chunk down a pipe as
-    one message: its row count, then its float64 rows stacked one CSV block
-    at a time, so this side holds no more than a block. The writer reads a
+    writer is forked, a ``_Child`` running ``_serve``, and this process
+    closes its own copy, having written nothing to it. If the fork fails,
+    the rows pipe is closed too. ``write`` sends a chunk down a pipe as one
+    message: its row count, then its float64 rows stacked one CSV block at
+    a time, so this side holds no more than a block. The writer reads a
     whole message before it formats any of it, so a message cut short
-    writes nothing and the file ends on a whole row. It reports an OSError
-    as ``(errno, strerror, filename)``. Leaving the ``with`` block ends the
-    messages and reaps the writer. If the block ended normally, or by the
-    broken pipe of a writer that died, it raises what the writer died of:
-    the same OSError, or one naming the exit status.
+    writes nothing and the file ends on a whole row. Leaving the ``with``
+    block ends the messages and reaps the writer. If the block ended
+    normally, or by the broken pipe of a writer that died, it raises what
+    the writer raised, such as the OSError of a full disk, or the OSError
+    naming how a writer that sent no report died; any other exception of
+    the block wins over the writer's.
     """
 
     def __init__(self, path: Path, n: int):
         self.block = _block_rows(n)
-        with open(path, "wb") as fh:
-            rows, self.rows = os.pipe()
-            self.writer = _Child("trace.csv writer", _serve, fh, n, rows,
-                                 close=(self.rows,))
-        os.close(rows)
+        rows, self.rows = os.pipe()
+        try:
+            with open(path, "wb") as fh:
+                self.writer = _Child("trace.csv writer", _serve, fh, n, rows,
+                                     close=(self.rows,))
+        except BaseException:
+            os.close(self.rows)
+            raise
+        finally:
+            os.close(rows)
 
     def __enter__(self) -> "_CsvProcess":
         return self
@@ -515,34 +542,28 @@ class _CsvProcess:
 
     def __exit__(self, exc_type, *_) -> None:
         os.close(self.rows)
-        report, code = self.writer.wait()
-        if exc_type is not None and not issubclass(exc_type, BrokenPipeError):
-            return
-        if report:
-            raise OSError(*json.loads(report))
-        if code:
-            raise self.writer.error(code)
+        try:
+            self.writer.result()
+        except Exception:
+            if exc_type is None or issubclass(exc_type, BrokenPipeError):
+                raise
 
 
-def _serve(fh, n: int, rows: int, errors: int) -> None:
+def _serve(fh, n: int, rows: int) -> None:
     """The writer process of ``_CsvProcess``: ``trace.csv`` into ``fh`` from
-    the messages on the pipe ``rows``, until the pipe ends; an OSError goes
-    back on the pipe ``errors``."""
-    try:
-        with fh, open(rows, "rb") as src:
-            csv = _CsvWriter(fh, n)
-            head = bytearray(8)
-            # A fresh table a message: freeing the first one raises glibc's
-            # mmap and trim thresholds above the formatter's transients,
-            # which were otherwise handed back and faulted in again every
-            # block (528 k page faults on fig6 with one table kept, 32 k so).
-            while src.readinto(head) == len(head):
-                table = np.empty((int.from_bytes(head, "little"), 5 * n + 2))
-                if src.readinto(table) < table.nbytes:
-                    break
-                csv.write(table)
-    except OSError as exc:
-        os.write(errors, json.dumps([exc.errno, exc.strerror, exc.filename]).encode())
+    the messages on the pipe ``rows``, until the pipe ends."""
+    with fh, open(rows, "rb") as src:
+        csv = _CsvWriter(fh, n)
+        head = bytearray(8)
+        # A fresh table a message: freeing the first one raises glibc's
+        # mmap and trim thresholds above the formatter's transients,
+        # which were otherwise handed back and faulted in again every
+        # block (528 k page faults on fig6 with one table kept, 32 k so).
+        while src.readinto(head) == len(head):
+            table = np.empty((int.from_bytes(head, "little"), 5 * n + 2))
+            if src.readinto(table) < table.nbytes:
+                break
+            csv.write(table)
 
 
 def write_trace_csv(path: Path, trace: RunTrace) -> None:
@@ -665,10 +686,10 @@ def _verify_checks(specs, cfg) -> list[dict]:
     forked worker, a ``_Child``, runs the engine lanes (``_lane_checks``)
     while this process runs the oracles: the tracking run against the full
     mean-field ODE, then the fixed point and the limiting-ODE probe. The
-    worker sends its rows back pickled, or the exception the lanes raised,
-    which is raised here with its class and message, as it was when the
-    lanes ran first; for that reason it also wins over an exception this
-    process raised after the worker had sent it. Any exception here,
+    worker's result is the lanes' rows, or the exception they raised,
+    raised here with its class and message, as it was when the lanes ran
+    first; for that reason it also wins over an exception this process
+    raised after the worker had reported. Any exception here,
     KeyboardInterrupt included, kills and reaps the worker before it goes
     on. A worker that dies without a report is an OSError naming its exit
     status or signal. The rows come in the order of one process: the
@@ -677,44 +698,14 @@ def _verify_checks(specs, cfg) -> list[dict]:
     checks = _static_checks(specs, cfg)
     if not checks[0]["pass"]:
         return checks[:1]
-    worker = _Child("verify worker", _report_lane_checks, specs, cfg)
+    worker = _Child("verify worker", _lane_checks, specs, cfg)
     try:
         oracles = [_row("ode_tracking", *_ode_tracking(specs, cfg)),
                    _cross_oracle(specs, cfg)]
     except BaseException:
-        report, code = worker.wait(kill=True)
-        if code == 0:
-            _lane_rows(report)
+        worker.result(kill=True)
         raise
-    report, code = worker.wait()
-    if code:
-        raise worker.error(code)
-    return checks + _lane_rows(report) + oracles
-
-
-class _WorkerTraceback(Exception):
-    """The traceback, as text, of an exception raised in ``verify``'s
-    worker: the cause of the same exception raised here."""
-
-
-def _report_lane_checks(specs, cfg, report: int) -> None:
-    """``verify``'s worker: the rows of ``_lane_checks``, or the exception
-    the lanes raised and its traceback, pickled into the pipe ``report``."""
-    try:
-        sent = _lane_checks(specs, cfg), None
-    except Exception as exc:
-        sent = exc, traceback.format_exc()
-    with open(report, "wb") as fh:
-        fh.write(pickle.dumps(sent))
-
-
-def _lane_rows(report: bytes) -> list[dict]:
-    """The rows ``_report_lane_checks`` sent, or a raise of the exception it
-    sent, caused by its traceback in the worker."""
-    rows, where = pickle.loads(report)
-    if where is not None:
-        raise rows from _WorkerTraceback(where)
-    return rows
+    return checks + worker.result() + oracles
 
 
 def _lane_checks(specs, cfg) -> list[dict]:

@@ -326,16 +326,12 @@ def integrate_limiting_ode(
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = demand_table(specs).at(0)
-    # The demand laid out to each batch shape the bank is replayed on.
-    demand: dict[tuple, np.ndarray] = {}
 
     def field(v: np.ndarray):
         """The vector field at v, and v, its utilities and its maximizing
         levels."""
         s_star = bank.argmax(v, d_vec)
-        if (d := demand.get(v.shape)) is None:
-            d = demand[v.shape] = np.broadcast_to(d_vec, v.shape).copy()
-        u = bank.replay(v.shape)(s_star, v, d)
+        u = bank.eval(s_star, v, d_vec)
         return fairness_from_utilities(weights, u, v), v, u, s_star
 
     stop = None if stop_residual is None else (
@@ -376,16 +372,13 @@ def fair_fixed_point(
     weights = np.array([t.weight for t in specs], dtype=float)
     bank = ModelBank([t.utility for t in specs])
     d_vec = demand_table(specs).at(0)
-    utilities = bank.replay(d_vec.shape)
     fixed = None if s is None else np.asarray(s, dtype=float)
 
     def level_fn(v: np.ndarray) -> np.ndarray:
         return bank.argmax(v, d_vec) if fixed is None else fixed
 
     v = uniform_allocation(len(specs))
-    # Each iterate's utilities serve its check and then the next step; the
-    # replay writes them into its own buffer, read before its next call.
-    u = utilities(level_fn(v), v, d_vec)
+    u = bank.eval(level_fn(v), v, d_vec)
     residual = math.inf
     for it in range(1, max_iter + 1):
         w = weights / u
@@ -393,7 +386,7 @@ def fair_fixed_point(
         v_new = 0.5 * v + 0.5 * target
         change = float(np.abs(v_new - v).max())
         v = v_new
-        u = utilities(level_fn(v), v, d_vec)
+        u = bank.eval(level_fn(v), v, d_vec)
         if (bad := _domain_error(v[None], u[None])) is not None:
             raise OracleError(f"iteration {it}, {bad[1]}")
         phi = fairness_from_utilities(weights, u, v)

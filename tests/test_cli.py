@@ -500,21 +500,6 @@ class TestWriterProcess:
         assert not (out / "summary.json").exists()
         assert_no_child_left()
 
-    @pytest.mark.parametrize("death, line", [
-        (lambda: os._exit(3), "exited with status 3"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
-        (lambda: 1 / 0, "exited with status 1"),
-    ], ids=["exit", "signal", "exception"])
-    def test_a_writer_that_dies_without_a_message_is_one_error_line(
-        self, tmp_path, capsys, monkeypatch, chunks, death, line
-    ):
-        monkeypatch.setattr(cli, "_format_rows", lambda block: death())
-        out = tmp_path / "o"
-        assert run_cli(*self.FIG5, "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: the trace.csv writer {line}\n"
-        assert not (out / "summary.json").exists()
-        assert_no_child_left()
-
     def test_an_error_in_the_zone_statistics_keeps_the_whole_messages(
         self, tmp_path, monkeypatch, chunks
     ):
@@ -666,7 +651,7 @@ class TestVerifyWorker:
         monkeypatch.setattr(cli, "summarize", broken)
         with pytest.raises(IndexError, match="lane bug") as info:
             run_cli(*self.FIG5)
-        assert isinstance(info.value.__cause__, cli._WorkerTraceback)
+        assert isinstance(info.value.__cause__, cli._ChildTraceback)
         assert "in _lane_checks" in str(info.value.__cause__)
         assert_no_child_left()
 
@@ -680,20 +665,6 @@ class TestVerifyWorker:
         monkeypatch.setattr(cli, "probe_limit_points", failing)
         assert run_cli("verify", one_task_file(tmp_path, horizon=1e20)) == 1
         assert "does not fit in memory" in capsys.readouterr().err
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("death, line", [
-        (lambda: os._exit(3), "exited with status 3"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
-    ], ids=["exit", "signal"])
-    def test_a_worker_that_dies_without_a_report_is_one_error_line(
-        self, tmp_path, capsys, monkeypatch, death, line
-    ):
-        monkeypatch.setattr(cli, "_lane_checks", lambda specs, cfg: death())
-        out = tmp_path / "v"
-        assert run_cli(*self.FIG5, "--out", str(out)) == 1
-        assert capsys.readouterr() == ("", f"error: the verify worker {line}\n")
-        assert not out.exists()
         assert_no_child_left()
 
     @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
@@ -730,6 +701,59 @@ class TestVerifyWorker:
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+
+class TestChild:
+    """run's writer and verify's worker are one kind of forked child, and
+    each way a child ends reads the same at both."""
+
+    SITES = {"writer": (TestWriterProcess.FIG5, "trace.csv writer"),
+             "worker": (TestVerifyWorker.FIG5, "verify worker")}
+
+    @pytest.mark.parametrize("death, line", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: 1 / 0, None),
+    ], ids=["exit", "signal", "exception"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_how_a_child_ends_is_how_the_command_ends(
+        self, tmp_path, capsys, monkeypatch, site, death, line
+    ):
+        # The writer dies at its first block, in the first of ten messages;
+        # the worker in place of the lanes.
+        monkeypatch.setattr(dynamics, "_CHUNK_STEPS", 64)
+        monkeypatch.setattr(cli, "_format_rows", lambda block: death())
+        monkeypatch.setattr(cli, "_lane_checks", lambda specs, cfg: death())
+        argv, name = self.SITES[site]
+        out = tmp_path / "o"
+        if line is None:
+            with pytest.raises(ZeroDivisionError) as info:
+                run_cli(*argv, "--out", str(out))
+            # The child's traceback, as text, is the cause.
+            assert isinstance(info.value.__cause__, cli._ChildTraceback)
+            where = str(info.value.__cause__)
+            assert "in <lambda>" in where
+            assert where.endswith("ZeroDivisionError: division by zero\n")
+        else:
+            assert run_cli(*argv, "--out", str(out)) == 1
+            assert capsys.readouterr() == ("", f"error: the {name} {line}\n")
+        assert not (out / "summary.json").exists() and not (out / "verify.json").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_a_failed_fork_is_one_error_line_and_leaves_no_fd(
+        self, tmp_path, capsys, monkeypatch, site
+    ):
+        def refused():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        argv, _ = self.SITES[site]
+        fds = len(os.listdir("/proc/self/fd"))
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert capsys.readouterr() == (
+            "", "error: [Errno 11] Resource temporarily unavailable\n")
 
 
 def spelled(values) -> bytes:

@@ -1301,10 +1301,10 @@ class TestCallFloor:
     def test_numpy_calls_per_limiting_ode_field_call(self, monkeypatch, model_calls):
         # A field call makes the maximizing levels (ModelBank.argmax: empty,
         # copyto and home_energy's clip; np.broadcast is a class), the
-        # utilities there by the bank's replay for the batch's shape, and the
-        # fairness index (fairness_from_utilities: three asarray; its
-        # arithmetic is operators). numpy is counted in the three modules
-        # the field runs.
+        # utilities there by ModelBank.eval, whose home_energy formula is
+        # operators, and the fairness index (fairness_from_utilities: three
+        # asarray; its arithmetic is operators). numpy is counted in the
+        # three modules the field runs.
         fields = []
         rk4 = oracle._rk4
         monkeypatch.setattr(oracle, "_rk4", lambda field, *a, **kw: fields.append(field)
@@ -1317,7 +1317,7 @@ class TestCallFloor:
             monkeypatch.setattr(module, "np", counting)
         model_calls.update(eval=0, replay=0)
         fields[0](starts)
-        assert (counting.counter[0], model_calls) == (6, {"eval": 0, "replay": 1})
+        assert (counting.counter[0], model_calls) == (6, {"eval": 1, "replay": 0})
 
 
 @pytest.mark.parametrize("model", [ConstantModel(1.5, high=1.8), TrapModel(), NanOffHalf()])

@@ -5,12 +5,15 @@ do not count; an import inside a function body is never allowed."""
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import fairshare
 
 LAYERS = ["core", "utility", "oracle", "dynamics", "scenario", "cli"]
 PACKAGE = Path(fairshare.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _TYPE_CHECKING = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
 
 
@@ -89,3 +92,13 @@ def test_each_kind_of_breach_is_found(tmp_path):
         "oracle imports dynamics",
         "utility imports oracle",
     ]
+
+
+def test_the_benchmark_trace_hooks_resolve():
+    # perfbench's --trace 1 patches the layer boundaries by name (layers.py
+    # install); a renamed or deleted one fails here rather than in the
+    # benchmark. In a fresh process, as the patches are global.
+    hooks = ("import sys; sys.path[:0] = sys.argv[1:]; import layers; "
+             "layers.install(layers.SpanRecorder())")
+    subprocess.run([sys.executable, "-c", hooks, str(PERFBENCH), str(PACKAGE.parent)],
+                   check=True)

@@ -261,6 +261,22 @@ class TestFullOdeBits:
         assert traj.s.tobytes() == ref[:, 1].tobytes()
         assert np.signbit(traj.s[0]).all() == np.signbit(s_init)
 
+    def test_the_replay_gives_the_arrays_of_eval(self, monkeypatch):
+        # The full ODE evaluates through the bank's (1, n) replay; with the
+        # replay swapped for ModelBank.eval, the reference route, every
+        # array keeps its bytes, on one class and on a mixed bank.
+        fig5, cfg5 = build_identical_four()
+        mixed = random_specs(6, seed=2)
+
+        def arrays():
+            return [(traj.times.tobytes(), traj.v.tobytes(), traj.s.tobytes())
+                    for traj in (integrate_full_ode(fig5, cfg5, t_end=0.5),
+                                 integrate_full_ode(mixed, make_cfg(), t_end=0.5))]
+
+        replayed = arrays()
+        monkeypatch.setattr(ModelBank, "replay", lambda bank, shape: bank.eval)
+        assert arrays() == replayed
+
     def test_buffers_laid_out_once_carry_nothing_between_calls(self):
         # Full ODEs and probes on two task sets, interleaved in one process.
         fig5, cfg5 = build_identical_four()
@@ -350,8 +366,9 @@ class TestFairFixedPoint:
             fair_fixed_point(random_specs(3, seed=1), np.full(3, 0.5), tol=tol)
 
     def test_each_iterate_is_evaluated_once(self, monkeypatch):
-        # The iteration evaluates through the bank's (n,) replay, so the
-        # calls of the functions replay returns are counted, and eval's.
+        # The iteration evaluates through ModelBank.eval; the calls of the
+        # functions ModelBank.replay returns are counted too, so the count
+        # holds whichever route the iteration takes.
         calls = []
         eval_, replay = ModelBank.eval, ModelBank.replay
 
